@@ -1,22 +1,21 @@
-"""E19 — sharded ingest engine throughput vs serial processing.
+"""E19 — sharded ingest engine throughput beside serial processing.
 
-The engine's batch commit path amortises per-flow instrumentation and
-memoises the pure NNS assessment across a batch, so on suspect-heavy
-traffic — exactly the regime where Enhanced InFilter is slow, because
-every flow pays an EIA miss plus a nearest-neighbour search — it must
-clear a 2x flows/sec margin over the serial ``process_all`` loop on an
-identically built detector, while producing identical verdicts.
+The engine commits batches through the same detection kernel serial
+``process_all`` runs flow by flow (verdict memo and NNS memos always
+on), so this bench checks that the engine produces identical verdicts
+on suspect-heavy traffic and tabulates both throughputs.  Their ratio
+is batching and sharding overhead, not a speedup, and carries no floor:
+the guarded throughput number is ``records_per_s`` on
+``flood16``/``legal`` in ``benchmarks/e2e``.
 
 The workload is a spoofed flood at a *single* victim host and port: the
 EIA check flags every flow (wrong ingress), scan analysis never fires
 (no destination fan-out, so neither scan pattern completes), and every
-flow falls through to the KOR nearest-neighbour search.  Real floods
-repeat a handful of packet/byte shapes thousands of times, so the
-engine's NNS memo collapses most searches into dictionary hits while
-the serial path pays the full search per flow.
+flow falls through to the NNS stage.  Real floods repeat a handful of
+packet/byte shapes thousands of times, so the NNS memos collapse most
+searches into dictionary hits.
 
-Set ``INFILTER_BENCH_QUICK=1`` to run a reduced trace (CI smoke: checks
-the machinery and the verdict equivalence, not the speedup ratio).
+Set ``INFILTER_BENCH_QUICK=1`` to run a reduced trace (CI smoke).
 """
 
 import os
@@ -114,7 +113,6 @@ def test_e12_engine_throughput_vs_serial():
 
     serial_fps = len(records) / serial_s if serial_s else 0.0
     engine_fps = len(records) / engine_s if engine_s else 0.0
-    speedup = engine_fps / serial_fps if serial_fps else 0.0
     report(
         "E19_engine_throughput",
         table(
@@ -124,12 +122,6 @@ def test_e12_engine_throughput_vs_serial():
                  f"{serial_fps:,.0f}"],
                 ["engine shards=4", len(records), f"{engine_s:.3f}s",
                  f"{engine_fps:,.0f}"],
-                ["speedup", "", "", f"{speedup:.2f}x"],
             ],
         ),
     )
-    if not QUICK:
-        assert speedup >= 2.0, (
-            f"engine speedup {speedup:.2f}x below the 2x acceptance floor"
-            f" (serial {serial_fps:,.0f} fps, engine {engine_fps:,.0f} fps)"
-        )

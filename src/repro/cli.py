@@ -6,10 +6,9 @@
 * ``infilter report``     — flow-report style statistics over a flow file;
 * ``infilter detect``     — run the Enhanced InFilter over a flow file and
   emit IDMEF alerts (plus a trace-back summary); ``--shards`` /
-  ``--batch-size`` / ``--engine-mode`` / ``--fastpath`` route the run
-  through the sharded batch ingest engine (:mod:`repro.engine`) with
-  identical verdicts (``--no-fastpath`` disables the engine's
-  cross-batch verdict memo for apples-to-apples baselines);
+  ``--batch-size`` / ``--engine-mode`` route the run through the
+  sharded batch ingest engine (:mod:`repro.engine`) with identical
+  verdicts;
   ``--checkpoint-every N`` writes periodic atomic checkpoints to the
   ``--save-state`` path and ``--load-state … --resume`` continues a
   killed run from its checkpoint cursor; ``--detectors`` /
@@ -29,7 +28,7 @@
   and the HTTP endpoint serves the federated (``worker``-labelled)
   cluster view;
 * ``infilter state``      — checkpoint tooling: ``state inspect CKPT``
-  summarizes a saved checkpoint (either format) without loading it;
+  summarizes a saved checkpoint without loading it;
 * ``infilter validate``   — run the Section 3 hypothesis-validation studies;
 * ``infilter experiment`` — run one Section 6.3 experiment point;
 * ``infilter convert``    — convert flow files between binary and ASCII;
@@ -342,7 +341,6 @@ def _run_detect(args: argparse.Namespace) -> int:
         args.shards is not None
         or args.batch_size is not None
         or args.engine_mode is not None
-        or args.fastpath is not None
     )
     if use_engine:
         from repro.engine import EngineConfig, ShardedIngestEngine
@@ -356,7 +354,6 @@ def _run_detect(args: argparse.Namespace) -> int:
                 ),
                 mode=args.engine_mode if args.engine_mode is not None else "auto",
                 checkpoint_every=checkpoint_every,
-                fastpath=args.fastpath if args.fastpath is not None else True,
             ),
             checkpoint_path=args.save_state if checkpoint_every else None,
             cursor_base=resume_cursor,
@@ -390,15 +387,14 @@ def _run_detect(args: argparse.Namespace) -> int:
     )
     if engine_report is not None:
         print(engine_report.describe(), file=out)
-        if detector.fastpath is not None:
-            memo = detector.fastpath.stats()
-            print(
-                f"fastpath: {memo['hits']} memo hits,"
-                f" {memo['misses']} misses,"
-                f" {memo['evictions']} evictions,"
-                f" {memo['invalidations']} invalidations",
-                file=out,
-            )
+        memo = detector.fastpath.stats()
+        print(
+            f"fastpath: {memo['hits']} memo hits,"
+            f" {memo['misses']} misses,"
+            f" {memo['evictions']} evictions,"
+            f" {memo['invalidations']} invalidations",
+            file=out,
+        )
     analyzer = TracebackAnalyzer()
     analyzer.consume_all(detector.alert_sink.alerts[alerts_before:])
     if len(analyzer):
@@ -528,7 +524,6 @@ def _run_serve(args: argparse.Namespace, registry: MetricsRegistry) -> int:
         http_port=args.http_port,
         max_records=args.max_records,
         idle_exit_s=args.idle_exit_s,
-        fastpath=args.fastpath,
     )
     daemon = ServeDaemon(
         detector, serve_config, registry=registry, cursor_base=cursor_base
@@ -672,7 +667,6 @@ def _run_cluster(args: argparse.Namespace, registry: MetricsRegistry) -> int:
         checkpoint_every=(
             args.checkpoint_every if args.checkpoint_every is not None else 1
         ),
-        fastpath=args.fastpath,
         max_records=args.max_records,
         idle_exit_s=args.idle_exit_s,
         drain_timeout_s=args.drain_timeout_s,
@@ -728,35 +722,26 @@ def _cmd_state_inspect(args: argparse.Namespace) -> int:
         return 0
     print(f"checkpoint: {args.checkpoint}")
     print(f"format: v{description['format']}")
-    cursor = description.get("cursor")
+    cursor = description["cursor"]
     print(f"cursor: {cursor if cursor is not None else '(none)'}")
     print(f"trained: {'yes' if description['trained'] else 'no'}")
-    for name, info in description.get("classes", {}).items():
+    for name, info in description["classes"].items():
         print(
             f"  class {name}: {info['size']} flows,"
             f" threshold {info['threshold']}"
-        )
-    if "training_records" in description:
-        print(
-            f"training records (v1 replay):"
-            f" {description['training_records']}"
         )
     peers = description["peers"]
     blocks = sum(peers.values())
     print(f"peers: {len(peers)} ({blocks} expected blocks)")
     print(f"pending absorptions: {description['pending_absorptions']}")
-    if "scan_buffer" in description:
-        print(f"scan buffer: {description['scan_buffer']} suspect flows")
-    if "alerts" in description:
-        print(f"alerts stored: {description['alerts']}")
+    print(f"scan buffer: {description['scan_buffer']} suspect flows")
+    print(f"alerts stored: {description['alerts']}")
     print(f"alert counter: {description['alert_counter']}")
-    run_stats = description.get("stats")
-    if run_stats:
-        print(
-            "stats: processed={processed} legal={legal} suspects={suspects}"
-            " benign={benign} attacks={attacks}"
-            " absorbed={absorbed}".format(**run_stats)
-        )
+    print(
+        "stats: processed={processed} legal={legal} suspects={suspects}"
+        " benign={benign} attacks={attacks}"
+        " absorbed={absorbed}".format(**description["stats"])
+    )
     return 0
 
 
@@ -1110,14 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine execution mode (implies the engine; default auto)",
     )
     detect.add_argument(
-        "--fastpath",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="vectorized zero-copy data plane (implies the engine; default"
-        " on when the engine runs; --no-fastpath for the memo-free"
-        " baseline)",
-    )
-    detect.add_argument(
         "--checkpoint-every",
         type=int,
         default=None,
@@ -1228,13 +1205,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drain and exit after S seconds without traffic",
     )
     serve.add_argument(
-        "--fastpath",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="columnar zero-copy decode + cross-batch verdict memo"
-        " (default on; --no-fastpath for the record-at-a-time baseline)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -1276,7 +1246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     state_commands = state.add_subparsers(dest="state_command", required=True)
     state_inspect = state_commands.add_parser(
-        "inspect", help="summarize a checkpoint file (either format)"
+        "inspect", help="summarize a checkpoint file"
     )
     state_inspect.add_argument("checkpoint")
     state_inspect.add_argument(

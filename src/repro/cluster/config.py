@@ -53,8 +53,6 @@ class ClusterConfig:
     #: of 1 (every batch boundary) keeps the restart replay window one
     #: batch deep; raising it trades replay length for checkpoint IO.
     checkpoint_every: int = 1
-    #: Drive worker ingest through the vectorized fastpath plane.
-    fastpath: bool = True
     #: Drain the cluster once this many records have been routed.
     max_records: Optional[int] = None
     #: Drain after this long with no front traffic, in seconds.

@@ -398,7 +398,6 @@ class ClusterSupervisor:
             batch_size=self.config.batch_size,
             batch_linger_s=self.config.batch_linger_s,
             checkpoint_every=self.config.checkpoint_every,
-            fastpath=self.config.fastpath,
             recv_buffer_bytes=self.config.recv_buffer_bytes,
         )
 

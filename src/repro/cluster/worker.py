@@ -49,7 +49,6 @@ class WorkerSpec:
     batch_size: int
     batch_linger_s: float
     checkpoint_every: int
-    fastpath: bool
     recv_buffer_bytes: Optional[int]
 
 
@@ -80,7 +79,10 @@ def worker_main(spec: WorkerSpec, conn: Connection) -> None:
     wall.
     """
     try:
-        detector, cursor = load_checkpoint(spec.checkpoint_path)
+        registry = MetricsRegistry()
+        detector, cursor = load_checkpoint(
+            spec.checkpoint_path, registry=registry
+        )
         cursor_base = cursor if cursor is not None else 0
         config = ServeConfig(
             host=spec.host,
@@ -93,13 +95,12 @@ def worker_main(spec: WorkerSpec, conn: Connection) -> None:
             checkpoint_every=spec.checkpoint_every,
             checkpoint_path=spec.checkpoint_path,
             reload_path=spec.checkpoint_path,
-            fastpath=spec.fastpath,
             recv_buffer_bytes=spec.recv_buffer_bytes,
         )
         daemon = ServeDaemon(
             detector,
             config,
-            registry=MetricsRegistry(),
+            registry=registry,
             cursor_base=cursor_base,
         )
     except Exception as error:  # noqa: BLE001 - forwarded to the supervisor

@@ -123,11 +123,14 @@ class BasicInFilter:
         #: checkpoint restore).  Derived bookkeeping for epoch-guarded
         #: caches (``repro.fastpath``); never checkpointed.
         self.mutation_epoch = 0
-        #: Upper bound on the length of any stored prefix.  Within an
-        #: address block of this length every address shares the same
-        #: longest-match result, so ``address >> memo_shift`` is a sound
-        #: verdict-memo key.  Also derived; never checkpointed.
-        self.max_prefix_len = 0
+        #: Right-shift collapsing an address onto its verdict-sharing
+        #: block: 32 minus the longest stored prefix length.  Two
+        #: addresses agreeing above the shift get identical :meth:`check`
+        #: results for a given ingress, so ``address >> memo_shift`` is a
+        #: sound verdict-memo key.  With no prefixes stored the shift is 32
+        #: and every address shares one key, which is exactly right (every
+        #: check is ``UNKNOWN_SOURCE``).  Also derived; never checkpointed.
+        self.memo_shift = 32
         registry = registry if registry is not None else get_registry()
         self._m_blocks = registry.gauge(
             "infilter_eia_blocks",
@@ -187,24 +190,10 @@ class BasicInFilter:
         eia.add(prefix)
         self._owner.insert(prefix, eia.peer)
         self.mutation_epoch += 1
-        if prefix.length > self.max_prefix_len:
-            self.max_prefix_len = prefix.length
+        self.memo_shift = min(self.memo_shift, 32 - prefix.length)
         self._m_blocks.labels(peer=eia.peer).set(len(eia))
 
     # -- the check ----------------------------------------------------------
-
-    @property
-    def memo_shift(self) -> int:
-        """Right-shift collapsing an address onto its verdict-sharing block.
-
-        All stored prefixes are at most ``max_prefix_len`` bits, so two
-        addresses agreeing on their top ``max_prefix_len`` bits get
-        identical :meth:`check` results for a given ingress — the
-        invariant the fastpath verdict memo keys on.  With no prefixes
-        stored the shift is 32 and every address shares one key, which is
-        exactly right (every check is ``UNKNOWN_SOURCE``).
-        """
-        return 32 - self.max_prefix_len
 
     def expected_peer_for(self, address: int) -> Optional[int]:
         """The peer AS whose EIA set covers ``address`` (``ASIP(φ)``)."""
@@ -283,10 +272,10 @@ class BasicInFilter:
 
         The reverse owner index is derived (every block in every set owns
         its entry) and is rebuilt on load rather than stored.  The
-        mutation epoch and prefix-length bound are likewise derived cache
+        mutation epoch and memo shift are likewise derived cache
         bookkeeping and deliberately excluded: a checkpoint must be
-        byte-identical whether or not a fastpath memo was attached, and
-        a restored detector always starts its caches cold.
+        byte-identical whether the verdict memo is hot or cold, and a
+        restored detector always starts its caches cold.
         """
         return {
             "peers": {
@@ -309,15 +298,14 @@ class BasicInFilter:
         # A restore rewrites everything check() depends on: advance the
         # epoch so any attached verdict memo self-invalidates.
         self.mutation_epoch += 1
-        self.max_prefix_len = 0
+        self.memo_shift = 32
         for peer_text, section in state["peers"].items():
             peer = int(peer_text)
             eia = self.ensure_peer(peer)
             eia.load_state(section)
             for prefix in eia.prefixes():
                 self._owner.insert(prefix, peer)
-                if prefix.length > self.max_prefix_len:
-                    self.max_prefix_len = prefix.length
+                self.memo_shift = min(self.memo_shift, 32 - prefix.length)
             self._m_blocks.labels(peer=peer).set(len(eia))
         for entry in state["pending"]:
             key = (int(entry["peer"]), Prefix.parse(entry["prefix"]))

@@ -12,7 +12,7 @@ trains once and restarts many times.  A checkpoint is a JSON document:
   namespaced section per stage-state component (see
   :mod:`repro.core.state`).
 
-Three guarantees the v1 format lacked:
+Three guarantees of the format:
 
 * **lossless** — every component round-trips through its own
   ``state_dict``/``load_state`` pair, so scan suspicion, pending
@@ -26,8 +26,8 @@ Three guarantees the v1 format lacked:
 * **atomic** — file writes go through a temp file and ``os.replace``,
   so a crash mid-write leaves the previous checkpoint intact.
 
-v1 documents still load: the reader rebuilds the model by replaying the
-embedded training records — slower, but the upgrade path costs nothing.
+Any other ``format`` value — including the retired v1 — is rejected
+with :class:`~repro.util.errors.StateError`.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from repro.core.config import (
     ScanConfig,
 )
 from repro.core.pipeline import EnhancedInFilter
-from repro.netflow.records import FlowKey, FlowRecord
+from repro.obs import MetricsRegistry
 from repro.util.errors import StateError
-from repro.util.rng import SeededRng
 
 __all__ = [
     "STATE_FORMAT_VERSION",
@@ -194,23 +193,24 @@ def _read_document(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
 
 
 def load_checkpoint(
-    source: Union[str, Path, TextIO]
+    source: Union[str, Path, TextIO],
+    *,
+    registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[EnhancedInFilter, Optional[int]]:
     """Restore a checkpoint: ``(detector, cursor)``.
 
     ``cursor`` is the committed-record count saved with the checkpoint
-    (``None`` when the checkpoint was a plain save, or v1).  Reads both
-    the v2 format and the legacy v1 format.
+    (``None`` when the checkpoint was a plain save).  ``registry`` is
+    the metrics registry the restored detector reports into (the
+    process-global one when omitted).
     """
     document = _read_document(source)
     version = document.get("format")
     try:
-        if version == 1:
-            return _load_v1(document), None
         if version != STATE_FORMAT_VERSION:
             raise StateError(f"unsupported detector state format {version!r}")
         config = _config_from_dict(document["config"])
-        detector = EnhancedInFilter(config)
+        detector = EnhancedInFilter(config, registry=registry)
         detector.load_state(document["components"])
     except StateError:
         raise
@@ -220,56 +220,13 @@ def load_checkpoint(
     return detector, (int(cursor) if cursor is not None else None)
 
 
-def load_detector(source: Union[str, Path, TextIO]) -> EnhancedInFilter:
-    """Restore just the detector from a checkpoint (either format)."""
-    detector, _ = load_checkpoint(source)
-    return detector
-
-
-def _load_v1(state: Dict[str, Any]) -> EnhancedInFilter:
-    """The legacy reader: rebuild from v1's raw-training-records format.
-
-    v1 stored EIA sets, pending counters, the alert counter, and the
-    training records themselves; the model is rebuilt by retraining —
-    deterministic given the saved seed, just not retrain-free.  All live
-    state v1 never captured (scan buffer, stats, alert history) starts
-    empty, exactly as it did before the v2 format existed.
-    """
-    config = _config_from_dict(state["config"])
-    rng = SeededRng(int(state["rng"]["seed"]), str(state["rng"]["name"]))
-    detector = EnhancedInFilter(config, rng=rng)
-    detector.infilter.load_state(
-        {
-            "peers": {
-                str(peer_text): {
-                    "peer": int(peer_text),
-                    "prefixes": list(prefixes),
-                }
-                for peer_text, prefixes in state["eia_sets"].items()
-            },
-            "pending": state["pending"],
-        }
-    )
-    if state["trained"]:
-        records = [
-            FlowRecord(
-                key=FlowKey(
-                    src_addr=entry["src"],
-                    dst_addr=entry["dst"],
-                    protocol=entry["proto"],
-                    src_port=entry["sport"],
-                    dst_port=entry["dport"],
-                    input_if=entry["iface"],
-                ),
-                packets=entry["packets"],
-                octets=entry["octets"],
-                first=entry["first"],
-                last=entry["last"],
-            )
-            for entry in state["training"]
-        ]
-        detector.train(records)
-    detector.alert_counter = int(state["alert_counter"])
+def load_detector(
+    source: Union[str, Path, TextIO],
+    *,
+    registry: Optional[MetricsRegistry] = None,
+) -> EnhancedInFilter:
+    """Restore just the detector from a checkpoint."""
+    detector, _ = load_checkpoint(source, registry=registry)
     return detector
 
 
@@ -362,24 +319,11 @@ def describe_state(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
     """A cheap, human-oriented summary of a checkpoint document.
 
     Reads the JSON directly — no detector is constructed — so inspection
-    works even when loading would be expensive.  Handles both formats.
+    works even when loading would be expensive.
     """
     document = _read_document(source)
     version = document.get("format")
     try:
-        if version == 1:
-            return {
-                "format": 1,
-                "cursor": None,
-                "trained": bool(document["trained"]),
-                "training_records": len(document["training"]),
-                "peers": {
-                    str(peer): len(prefixes)
-                    for peer, prefixes in sorted(document["eia_sets"].items())
-                },
-                "pending_absorptions": len(document["pending"]),
-                "alert_counter": int(document["alert_counter"]),
-            }
         if version != STATE_FORMAT_VERSION:
             raise StateError(f"unsupported detector state format {version!r}")
         components = document["components"]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.alerts import AlertSink, IdmefAlert
@@ -37,7 +38,7 @@ from repro.core.eia import BasicInFilter, EIACheck
 from repro.core.nns import SearchResult
 from repro.core.scan import ScanAnalyzer, ScanVerdict
 from repro.core.state import StateDict, stateful
-from repro.fastpath.plane import DEFAULT_MEMO_CAPACITY, FastPath
+from repro.fastpath.plane import FastPath
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
 from repro.util.errors import ConfigError, EngineError, TrainingError
@@ -375,9 +376,9 @@ class EnhancedInFilter:
         # and a counter driving the deterministic drop/flag split.
         self._suspect_times: deque = deque()
         self._overload_counter = 0
-        # Batch-path memo of NNS assessments, keyed by (protocol class,
-        # unary encoding).  Valid across batches because the trained model
-        # is immutable; bounded by _NNS_MEMO_CAP.
+        # Memo of NNS assessments, keyed by (protocol class, unary
+        # encoding).  Valid for the detector's lifetime because the
+        # trained model is immutable; bounded by _NNS_MEMO_CAP.
         self._nns_memo: Dict[Tuple[str, int], NnsAssessment] = {}
         # Raw-field front memo over _nns_memo: (protocol, dst_port,
         # packets, octets, duration) fully determine the protocol class
@@ -388,10 +389,12 @@ class EnhancedInFilter:
         self._nns_raw_memo: Dict[
             Tuple[int, int, int, int, int], NnsAssessment
         ] = {}
-        #: Optional cross-batch EIA verdict memo (repro.fastpath).  A
-        #: derived cache like the NNS memo: excluded from state_dict,
-        #: cold after load_state, and epoch-invalidated on EIA mutation.
-        self.fastpath: Optional[FastPath[Tuple[int, int], EIACheck]] = None
+        #: Cross-batch EIA verdict memo (repro.fastpath).  A derived cache
+        #: like the NNS memos: excluded from state_dict, cold after
+        #: load_state, and epoch-invalidated on EIA mutation.
+        self.fastpath: FastPath[Tuple[int, int], EIACheck] = FastPath(
+            registry=registry
+        )
 
     _NNS_MEMO_CAP = 65_536
 
@@ -418,107 +421,21 @@ class EnhancedInFilter:
         self._nns_memo.clear()
         self._nns_raw_memo.clear()
 
-    # -- the fastpath memo ---------------------------------------------------
-
-    def enable_fastpath(
-        self, capacity: int = DEFAULT_MEMO_CAPACITY
-    ) -> "FastPath[Tuple[int, int], EIACheck]":
-        """Attach the cross-batch EIA verdict memo (idempotent).
-
-        With the memo attached, :meth:`process_batch` keys EIA checks by
-        ``(source block, ingress)`` — where the block width tracks the
-        longest stored EIA prefix — and reuses verdicts *across* batches
-        until the :class:`~repro.core.eia.BasicInFilter` mutation epoch
-        moves (absorption, preload, restore).  Decision-equivalence to
-        the serial path is unchanged; only where the check is computed
-        changes.  The serial :meth:`process` path never consults the
-        memo: it stays the measured per-flow baseline.
-        """
-        if self.fastpath is None:
-            self.fastpath = FastPath(capacity, registry=self.registry)
-        return self.fastpath
-
-    def disable_fastpath(self) -> None:
-        """Detach (and drop) the cross-batch EIA verdict memo."""
-        self.fastpath = None
-
     # -- online operation (mode e) ------------------------------------------
 
     def process(self, record: FlowRecord) -> Decision:
-        """Assess one incoming flow and update detector state."""
+        """Assess one incoming flow and update detector state.
+
+        The measured path: the decision carries its own latency and the
+        per-stage latency histograms get one lap per stage reached (the
+        Section 6.4 per-flow numbers).
+        """
         watch = Stopwatch()
-        stage_watch = Stopwatch()
-        eia = self.infilter.check(record)
-        stage_watch.lap_into(self._metrics.eia_latency)
-        if not eia.suspect:
-            decision = Decision(
-                verdict=Verdict.LEGAL,
-                stage=Stage.EIA,
-                eia=eia,
-                latency_s=watch.elapsed_s(),
-            )
-            return self._record(self._maybe_promote(record, decision))
-
-        if not self.config.enhanced:
-            decision = self._attack(
-                record, eia, Stage.EIA, "spoofed-source", watch
-            )
-            return self._record(decision)
-
-        if self._over_capacity(record.last):
-            decision = self._degraded(record, eia, watch)
-            return self._record(decision)
-
-        stage_watch.restart()
-        scan_verdict = self.scan.observe(record)
-        stage_watch.lap_into(self._metrics.scan_latency)
-        if scan_verdict.is_scan:
-            decision = self._attack(
-                record,
-                eia,
-                Stage.SCAN,
-                scan_verdict.kind or "scan",
-                watch,
-                scan=scan_verdict,
-            )
-            return self._record(decision)
-
-        if self.model is None:
-            raise TrainingError(
-                "enhanced pipeline processed a suspect flow before train()"
-            )
-        stage_watch.restart()
-        is_normal, neighbour, class_name = self.model.assess(record)
-        stage_watch.lap_into(self._metrics.nns_latency)
-        if is_normal is None:
-            is_normal = not self.config.flag_unmodelled_classes
-        if is_normal:
-            absorbed = self.infilter.note_benign(record)
-            decision = self._maybe_promote(
-                record,
-                Decision(
-                    verdict=Verdict.BENIGN,
-                    stage=Stage.NNS,
-                    eia=eia,
-                    scan=scan_verdict,
-                    neighbour=neighbour,
-                    protocol_class=class_name,
-                    absorbed=absorbed,
-                    latency_s=watch.elapsed_s(),
-                ),
-            )
-        else:
-            decision = self._attack(
-                record,
-                eia,
-                Stage.NNS,
-                "nns-anomaly",
-                watch,
-                scan=scan_verdict,
-                neighbour=neighbour,
-                protocol_class=class_name,
-            )
-        return self._record(decision)
+        decision = self._commit(record, None, laps=True)
+        object.__setattr__(decision, "latency_s", watch.elapsed_s())
+        self.stats.note(decision)
+        self._metrics.note(decision)
+        return decision
 
     def process_all(self, records: Iterable[FlowRecord]) -> List[Decision]:
         """Convenience: assess a record stream, returning all decisions."""
@@ -530,25 +447,15 @@ class EnhancedInFilter:
         *,
         speculation: Optional[Sequence[Optional[NnsAssessment]]] = None,
     ) -> BatchResult:
-        """Assess a batch of flows with amortised overhead.
+        """Assess a batch of flows with amortised bookkeeping.
 
-        Decision-equivalent to calling :meth:`process` on each record in
-        order — same verdicts, stages, absorptions, and alerts — but the
-        bookkeeping differs in three deliberate ways:
-
-        * one stopwatch brackets the batch; every decision carries the
-          batch's *mean* per-flow latency instead of its own measurement
-          (the Section 6.4 per-flow numbers come from :meth:`process`);
-        * per-stage latency histograms receive no samples (their per-flow
-          laps are exactly the overhead this path removes);
-        * the EIA check is memoised per (source, ingress) within the
-          batch — invalidated whenever an absorption rewrites the sets —
-          and NNS assessments are memoised across batches per (protocol
-          class, unary encoding), both of which are pure given the state
-          they key on.  With :meth:`enable_fastpath` the EIA memo is
-          instead the bounded cross-batch LRU of :mod:`repro.fastpath`,
-          keyed per (source *block*, ingress) and invalidated by the
-          EIA mutation epoch — same verdicts, fewer trie walks.
+        Runs the same per-flow chain as :meth:`process`, in order — same
+        verdicts, stages, absorptions, and alerts — but one stopwatch
+        brackets the batch: every decision carries the batch's *mean*
+        per-flow latency instead of its own measurement, the per-stage
+        latency histograms receive no samples (their per-flow laps are
+        exactly the overhead this path removes), and the verdict counters
+        are bumped once per (verdict, stage) rather than once per flow.
 
         ``speculation``, when given, must align with ``records``; entries
         are :class:`NnsAssessment` results precomputed by shard workers
@@ -562,128 +469,40 @@ class EnhancedInFilter:
                 f"speculation length {len(speculation)} does not match"
                 f" batch length {len(records)}"
             )
+        guesses: Iterable[Optional[NnsAssessment]] = (
+            speculation if speculation is not None else repeat(None)
+        )
         watch = Stopwatch()
-        decisions: List[Decision] = []
-        absorbed: List[Tuple[int, Prefix]] = []
-        eia_memo: Dict[Tuple[int, int], EIACheck] = {}
-        spec_hits = 0
-        spec_misses = 0
-        granularity = self.config.eia.granularity
-        infilter = self.infilter
-        fastpath = self.fastpath
-        # Epoch and key shift are hoisted out of the loop and refreshed
-        # only when an absorption mutates the EIA state mid-batch.
-        fp_epoch = infilter.mutation_epoch if fastpath is not None else 0
-        fp_shift = infilter.memo_shift if fastpath is not None else 0
-        for index, record in enumerate(records):
-            if fastpath is not None:
-                fp_key = (record.key.src_addr >> fp_shift, record.key.input_if)
-                fp_hit = fastpath.lookup(fp_key, fp_epoch)
-                if fp_hit is None:
-                    eia = infilter.check(record)
-                    fastpath.store(fp_key, eia, fp_epoch)
-                else:
-                    eia = fp_hit
-            else:
-                memo_hit = eia_memo.get(
-                    (record.key.src_addr, record.key.input_if)
-                )
-                if memo_hit is None:
-                    eia = infilter.check(record)
-                    eia_memo[(record.key.src_addr, record.key.input_if)] = eia
-                else:
-                    eia = memo_hit
-            if not eia.suspect:
-                decisions.append(
-                    self._maybe_promote(
-                        record,
-                        Decision(verdict=Verdict.LEGAL, stage=Stage.EIA, eia=eia),
-                    )
-                )
-                continue
-            if not self.config.enhanced:
-                decisions.append(
-                    self._attack(record, eia, Stage.EIA, "spoofed-source", None)
-                )
-                continue
-            if self._over_capacity(record.last):
-                decisions.append(self._degraded(record, eia, None))
-                continue
-            scan_verdict = self.scan.observe(record)
-            if scan_verdict.is_scan:
-                decisions.append(
-                    self._attack(
-                        record,
-                        eia,
-                        Stage.SCAN,
-                        scan_verdict.kind or "scan",
-                        None,
-                        scan=scan_verdict,
-                    )
-                )
-                continue
-            if self.model is None:
-                raise TrainingError(
-                    "enhanced pipeline processed a suspect flow before train()"
-                )
-            assessment = speculation[index] if speculation is not None else None
-            if assessment is not None:
-                spec_hits += 1
-            else:
-                spec_misses += 1
-                assessment = self.assess_memoised(record)
-            is_normal = assessment.is_normal
-            if is_normal is None:
-                is_normal = not self.config.flag_unmodelled_classes
-            if is_normal:
-                absorbed_now = self.infilter.note_benign(record)
-                if absorbed_now:
-                    absorbed.append(
-                        (
-                            record.key.input_if,
-                            Prefix.from_address(record.key.src_addr, granularity),
-                        )
-                    )
-                    # Ownership moved; every memoised check may be stale.
-                    eia_memo.clear()
-                    if fastpath is not None:
-                        fp_epoch = infilter.mutation_epoch
-                        fp_shift = infilter.memo_shift
-                decisions.append(
-                    self._maybe_promote(
-                        record,
-                        Decision(
-                            verdict=Verdict.BENIGN,
-                            stage=Stage.NNS,
-                            eia=eia,
-                            scan=scan_verdict,
-                            neighbour=assessment.neighbour,
-                            protocol_class=assessment.protocol_class,
-                            absorbed=absorbed_now,
-                        ),
-                    )
-                )
-            else:
-                decisions.append(
-                    self._attack(
-                        record,
-                        eia,
-                        Stage.NNS,
-                        "nns-anomaly",
-                        None,
-                        scan=scan_verdict,
-                        neighbour=assessment.neighbour,
-                        protocol_class=assessment.protocol_class,
-                    )
-                )
+        commit = self._commit
+        decisions = [
+            commit(record, guess, laps=False)
+            for record, guess in zip(records, guesses)
+        ]
         elapsed = watch.elapsed_s()
         share = elapsed / len(records) if records else 0.0
+        granularity = self.config.eia.granularity
+        absorbed: List[Tuple[int, Prefix]] = []
+        spec_hits = 0
+        spec_misses = 0
         verdict_stage_counts: Dict[Tuple[str, str], int] = {}
-        for decision in decisions:
+        for record, guess, decision in zip(records, guesses, decisions):
             object.__setattr__(decision, "latency_s", share)
             self.stats.note(decision)
             key = (decision.verdict, decision.stage)
             verdict_stage_counts[key] = verdict_stage_counts.get(key, 0) + 1
+            if decision.absorbed:
+                absorbed.append(
+                    (
+                        record.key.input_if,
+                        Prefix.from_address(record.key.src_addr, granularity),
+                    )
+                )
+            # Exactly the flows that reached the NNS stage carry a class.
+            if decision.protocol_class is not None:
+                if guess is not None:
+                    spec_hits += 1
+                else:
+                    spec_misses += 1
         for (verdict, stage), count in verdict_stage_counts.items():
             self._metrics.flows.labels(verdict=verdict, stage=stage).inc(count)
         self._metrics.flow_latency.observe_many(share, len(records))
@@ -695,14 +514,129 @@ class EnhancedInFilter:
             speculation_misses=spec_misses,
         )
 
+    def _commit(
+        self,
+        record: FlowRecord,
+        assessment: Optional[NnsAssessment],
+        *,
+        laps: bool,
+    ) -> Decision:
+        """The Figure 12 chain for one flow, with every side effect.
+
+        EIA check (through the verdict memo) -> overload gate -> Scan
+        Analysis -> NNS -> learning rule; attacks alert and, with an
+        ensemble composed, every verdict is put to the vote.  This is the
+        only committing transcription of the chain: :meth:`process` calls
+        it with per-stage stopwatch ``laps`` on, :meth:`process_batch`
+        loops over it with them off.  ``assessment`` is a caller-supplied
+        NNS result (shard speculation); ``None`` computes it here.
+
+        Every stage is reached through its owner at call time, so a
+        wrapper installed on ``infilter.check``, ``scan.observe`` or
+        ``assess_memoised`` (``benchmarks/e2e`` tracing) sees each call.
+        The returned decision carries no latency; the caller stamps it.
+        """
+        infilter = self.infilter
+        fastpath = self.fastpath
+        lap = Stopwatch() if laps else None
+        # Keyed per (source block, ingress): every address inside one
+        # block of the longest stored prefix length shares a verdict, and
+        # the memo drops itself whenever the EIA mutation epoch moves.
+        epoch = infilter.mutation_epoch
+        memo_key = (record.key.src_addr >> infilter.memo_shift, record.key.input_if)
+        eia = fastpath.lookup(memo_key, epoch)
+        if eia is None:
+            eia = infilter.check(record)
+            fastpath.store(memo_key, eia, epoch)
+        if lap is not None:
+            lap.lap_into(self._metrics.eia_latency)
+        if not eia.suspect:
+            return self._maybe_promote(
+                record, Decision(verdict=Verdict.LEGAL, stage=Stage.EIA, eia=eia)
+            )
+        if not self.config.enhanced:
+            return self._attack(record, eia, Stage.EIA, "spoofed-source")
+        if self._over_capacity(record.last):
+            return self._degraded(record, eia)
+        if lap is not None:
+            lap.restart()
+        scan_verdict = self.scan.observe(record)
+        if lap is not None:
+            lap.lap_into(self._metrics.scan_latency)
+        if scan_verdict.is_scan:
+            return self._attack(
+                record,
+                eia,
+                Stage.SCAN,
+                scan_verdict.kind or "scan",
+                scan=scan_verdict,
+            )
+        if assessment is None:
+            assessment = self.assess_memoised(record)
+        if lap is not None:
+            lap.lap_into(self._metrics.nns_latency)
+        is_normal = assessment.is_normal
+        if is_normal is None:
+            is_normal = not self.config.flag_unmodelled_classes
+        if not is_normal:
+            return self._attack(
+                record,
+                eia,
+                Stage.NNS,
+                "nns-anomaly",
+                scan=scan_verdict,
+                neighbour=assessment.neighbour,
+                protocol_class=assessment.protocol_class,
+            )
+        return self._maybe_promote(
+            record,
+            Decision(
+                verdict=Verdict.BENIGN,
+                stage=Stage.NNS,
+                eia=eia,
+                scan=scan_verdict,
+                neighbour=assessment.neighbour,
+                protocol_class=assessment.protocol_class,
+                absorbed=infilter.note_benign(record),
+            ),
+        )
+
+    def preview(
+        self, record: FlowRecord
+    ) -> Tuple[str, Optional[str], Optional[NnsAssessment]]:
+        """Where the chain would stop for one flow, committing nothing.
+
+        ``(stage, classification, assessment)``: the deciding stage, the
+        attack class the chain would alert with (``None`` when it would
+        pass the flow), and the NNS assessment when the flow got that
+        far.  The read-only walk beside :meth:`_commit`: no verdict memo,
+        overload gate, learning rule, alert, or stats — what shard
+        replicas speculate with and what :class:`InFilterDetector` votes
+        with.  It does feed the scan buffer, so use it on a replica or a
+        dedicated pipeline, not interleaved with :meth:`process` calls.
+        """
+        eia = self.infilter.check(record)
+        if not eia.suspect:
+            return Stage.EIA, None, None
+        if not self.config.enhanced:
+            return Stage.EIA, "spoofed-source", None
+        scan_verdict = self.scan.observe(record)
+        if scan_verdict.is_scan:
+            return Stage.SCAN, scan_verdict.kind or "scan", None
+        assessment = self.assess_memoised(record)
+        is_normal = assessment.is_normal
+        if is_normal is None:
+            is_normal = not self.config.flag_unmodelled_classes
+        return Stage.NNS, None if is_normal else "nns-anomaly", assessment
+
     def assess_memoised(self, record: FlowRecord) -> NnsAssessment:
         """NNS assessment through the (class, encoding) memo.
 
         Equivalent to ``self.model.assess(record)``: the search is a pure
         function of the immutable trained model and the flow's unary
         encoding, so two flows that bin identically share one search.
-        Public because shard workers (:mod:`repro.engine.worker`) run it
-        on their replicas to speculate NNS results ahead of commit.
+        Public because shard replicas reach it (through :meth:`preview`)
+        to speculate NNS results ahead of commit.
         """
         if self.model is None:
             raise TrainingError(
@@ -812,16 +746,9 @@ class EnhancedInFilter:
         # The EIA epoch moved during the restore, so the memo would
         # self-invalidate on first probe anyway; dropping it now keeps
         # restored memory footprints predictable.
-        if self.fastpath is not None:
-            self.fastpath.invalidate()
+        self.fastpath.invalidate()
 
     # -- internals ------------------------------------------------------------
-
-    def _record(self, decision: Decision) -> Decision:
-        """Account one decision in both stats and the metrics registry."""
-        self.stats.note(decision)
-        self._metrics.note(decision)
-        return decision
 
     def _over_capacity(self, now_ms: int) -> bool:
         """The Section 6.3.2 saturation check, in flow time.
@@ -840,9 +767,7 @@ class EnhancedInFilter:
         rate = len(times) * 1000.0 / overload.window_ms
         return rate > overload.suspect_capacity_per_s
 
-    def _degraded(
-        self, record: FlowRecord, eia: EIACheck, watch: Optional[Stopwatch]
-    ) -> Decision:
+    def _degraded(self, record: FlowRecord, eia: EIACheck) -> Decision:
         """Handle an over-capacity suspect: drop or flag unanalysed."""
         overload = self.config.overload
         self._overload_counter += 1
@@ -858,12 +783,7 @@ class EnhancedInFilter:
             )
             return self._maybe_promote(
                 record,
-                Decision(
-                    verdict=Verdict.BENIGN,
-                    stage=Stage.OVERLOAD,
-                    eia=eia,
-                    latency_s=watch.elapsed_s() if watch is not None else 0.0,
-                ),
+                Decision(verdict=Verdict.BENIGN, stage=Stage.OVERLOAD, eia=eia),
             )
         self.stats.overload_flagged += 1
         self._metrics.overload_flagged.inc()
@@ -871,9 +791,7 @@ class EnhancedInFilter:
             "overload: suspect flagged unanalysed",
             extra={"flow_time_ms": record.last, "action": "flagged"},
         )
-        return self._attack(
-            record, eia, Stage.OVERLOAD, "unanalysed-suspect", watch
-        )
+        return self._attack(record, eia, Stage.OVERLOAD, "unanalysed-suspect")
 
     def _attack(
         self,
@@ -881,7 +799,6 @@ class EnhancedInFilter:
         eia: EIACheck,
         stage: str,
         classification: str,
-        watch: Optional[Stopwatch],
         *,
         scan: Optional[ScanVerdict] = None,
         neighbour: Optional[SearchResult] = None,
@@ -894,41 +811,31 @@ class EnhancedInFilter:
         confirm (alert, with attribution) or suppress (benign, stage
         ``ensemble``) it.
         """
-        if self._ensemble is None:
-            return self._emit_attack(
-                record,
-                eia,
-                stage,
-                classification,
-                latency_s=watch.elapsed_s() if watch is not None else 0.0,
-                scan=scan,
-                neighbour=neighbour,
-                protocol_class=protocol_class,
-            )
-        self._metrics.chain_hit.inc()
-        combined = self._combine(record, chain_attack=True)
-        if combined.attack:
+        attribution: Tuple[str, ...] = ()
+        if self._ensemble is not None:
+            self._metrics.chain_hit.inc()
+            combined = self._combine(record, chain_attack=True)
+            if not combined.attack:
+                self._metrics.ensemble_suppressed.inc()
+                return Decision(
+                    verdict=Verdict.BENIGN,
+                    stage=Stage.ENSEMBLE,
+                    eia=eia,
+                    scan=scan,
+                    neighbour=neighbour,
+                    protocol_class=protocol_class,
+                )
             self._metrics.ensemble_confirmed.inc()
-            return self._emit_attack(
-                record,
-                eia,
-                stage,
-                classification,
-                latency_s=watch.elapsed_s() if watch is not None else 0.0,
-                scan=scan,
-                neighbour=neighbour,
-                protocol_class=protocol_class,
-                attribution=combined.attribution,
-            )
-        self._metrics.ensemble_suppressed.inc()
-        return Decision(
-            verdict=Verdict.BENIGN,
-            stage=Stage.ENSEMBLE,
-            eia=eia,
+            attribution = combined.attribution
+        return self._emit_attack(
+            record,
+            eia,
+            stage,
+            classification,
             scan=scan,
             neighbour=neighbour,
             protocol_class=protocol_class,
-            latency_s=watch.elapsed_s() if watch is not None else 0.0,
+            attribution=attribution,
         )
 
     def _maybe_promote(self, record: FlowRecord, decision: Decision) -> Decision:
@@ -958,7 +865,6 @@ class EnhancedInFilter:
             decision.eia,
             Stage.ENSEMBLE,
             classification,
-            latency_s=decision.latency_s,
             scan=decision.scan,
             neighbour=decision.neighbour,
             protocol_class=decision.protocol_class,
@@ -981,7 +887,6 @@ class EnhancedInFilter:
         stage: str,
         classification: str,
         *,
-        latency_s: float,
         scan: Optional[ScanVerdict] = None,
         neighbour: Optional[SearchResult] = None,
         protocol_class: Optional[str] = None,
@@ -1009,23 +914,21 @@ class EnhancedInFilter:
             protocol_class=protocol_class,
             alert=alert,
             absorbed=absorbed,
-            latency_s=latency_s,
         )
 
 
 class InFilterDetector:
     """The paper's EIA + Scan Analysis + NNS chain as a protocol member.
 
-    Adapts one :class:`EnhancedInFilter`'s stages — including the
-    PR-6 fastpath-backed NNS memo (:meth:`EnhancedInFilter.assess_memoised`)
-    — to the uniform :class:`~repro.core.detector.Detector` interface, the
-    same observe chain shard workers speculate on their replicas
-    (:mod:`repro.engine.worker`).  ``observe`` feeds the scan buffer, so
-    use it on a dedicated pipeline (or replica), not interleaved with
-    ``process`` calls on the same one; it deliberately skips the
-    pipeline's own alerting, stats, and overload bookkeeping — those
-    belong to the pipeline that hosts the ensemble, and double-counting
-    is exactly what this split avoids.
+    Adapts :meth:`EnhancedInFilter.preview` — the same read-only walk
+    shard workers speculate with on their replicas
+    (:mod:`repro.engine.worker`) — to the uniform
+    :class:`~repro.core.detector.Detector` interface.  ``observe`` feeds
+    the scan buffer, so use it on a dedicated pipeline (or replica), not
+    interleaved with ``process`` calls on the same one; it deliberately
+    skips the pipeline's own alerting, stats, and overload bookkeeping —
+    those belong to the pipeline that hosts the ensemble, and
+    double-counting is exactly what this split avoids.
     """
 
     name = INFILTER_DETECTOR
@@ -1035,26 +938,10 @@ class InFilterDetector:
 
     def observe(self, record: FlowRecord) -> DetectorVerdict:
         """The chain's verdict for one flow, without pipeline side effects."""
-        pipeline = self._pipeline
-        eia = pipeline.infilter.check(record)
-        if not eia.suspect:
+        _stage, classification, _assessment = self._pipeline.preview(record)
+        if classification is None:
             return DetectorVerdict(self.name, False)
-        if not pipeline.config.enhanced:
-            return DetectorVerdict(
-                self.name, True, score=1.0, reason="spoofed-source"
-            )
-        scan_verdict = pipeline.scan.observe(record)
-        if scan_verdict.is_scan:
-            return DetectorVerdict(
-                self.name, True, score=1.0, reason=scan_verdict.kind or "scan"
-            )
-        assessment = pipeline.assess_memoised(record)
-        is_normal = assessment.is_normal
-        if is_normal is None:
-            is_normal = not pipeline.config.flag_unmodelled_classes
-        if is_normal:
-            return DetectorVerdict(self.name, False)
-        return DetectorVerdict(self.name, True, score=1.0, reason="nns-anomaly")
+        return DetectorVerdict(self.name, True, score=1.0, reason=classification)
 
     def train(self, records: Sequence[FlowRecord]) -> None:
         self._pipeline.train(records)

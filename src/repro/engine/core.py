@@ -107,10 +107,6 @@ class EngineConfig:
     #: Checkpoint the authoritative detector every N committed batches
     #: (0 disables).  Needs a ``checkpoint_path`` on the engine.
     checkpoint_every: int = 0
-    #: Attach the cross-batch EIA verdict memo (``repro.fastpath``) to
-    #: the authoritative detector.  Decision-equivalent either way; off
-    #: exists for apples-to-apples benchmarking and as an escape hatch.
-    fastpath: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -198,11 +194,6 @@ class ShardedIngestEngine:
             self.config.shards, detector.config.eia.granularity
         )
         self.mode = self._resolve_mode(self.config.mode)
-        if self.config.fastpath:
-            # The commit plane is the serial bottleneck; the memo lives
-            # on the authoritative detector only (shard replicas never
-            # run the EIA stage for real).
-            detector.enable_fastpath()
         if self.config.speculate is None:
             self.speculate = self.mode == MODE_PROCESS
         else:

@@ -3,8 +3,9 @@
 A :class:`ShardWorker` owns a *replica* of the authoritative detector —
 same config, same (immutable) trained model, and a copy of the EIA sets
 — and uses it to precompute the NNS assessments a batch will need.  The
-replica runs the cheap stages (EIA check, a shard-local scan filter)
-only to decide *which* records are worth searching; the commit stage on
+replica runs the cheap stages (EIA check, a shard-local scan filter —
+:meth:`~repro.core.pipeline.EnhancedInFilter.preview`) only to decide
+*which* records are worth searching; the commit stage on
 the authoritative detector re-runs those stages serially, so replica
 divergence (a scan buffer that only sees one shard's suspects, say) can
 waste or miss a speculation but can never change a verdict.
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.alerts import AlertSink
 from repro.core.clusters import ClusterModel
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import EnhancedInFilter, NnsAssessment
+from repro.core.pipeline import EnhancedInFilter, NnsAssessment, Stage
 from repro.core.state import StateDict
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, snapshot
@@ -148,26 +149,18 @@ class ShardWorker:
         completed scan pattern).  A wrong guess costs one wasted or one
         inline search at commit — never a different verdict.
         """
-        replica = self.replica
+        preview = self.replica.preview
         assessments: List[Optional[NnsAssessment]] = []
         outcomes = {"assessed": 0, "legal": 0, "scan": 0}
-        enhanced = replica.config.enhanced and replica.model is not None
         for record in records:
-            check = replica.infilter.check(record)
-            if not check.suspect:
-                outcomes["legal"] += 1
-                assessments.append(None)
-                continue
-            if not enhanced:
-                assessments.append(None)
-                continue
-            scan_verdict = replica.scan.observe(record)
-            if scan_verdict.is_scan:
+            stage, classification, assessment = preview(record)
+            assessments.append(assessment)
+            if assessment is not None:
+                outcomes["assessed"] += 1
+            elif stage == Stage.SCAN:
                 outcomes["scan"] += 1
-                assessments.append(None)
-                continue
-            outcomes["assessed"] += 1
-            assessments.append(replica.assess_memoised(record))
+            elif classification is None:
+                outcomes["legal"] += 1
         return SpeculationResult(
             shard=self.shard,
             assessments=assessments,

@@ -7,8 +7,7 @@ package is the documented, benchmarked answer (bench E15, tuning guide
 (:mod:`repro.fastpath.columnar`), bit-packed popcount structures for
 NNS codes and EIA membership (:mod:`repro.fastpath.bitpack`), and an
 epoch-invalidated bounded verdict memo (:mod:`repro.fastpath.lru`,
-:mod:`repro.fastpath.plane`) that the sharded engine and the serving
-daemon drive behind the ``--fastpath`` flag.
+:mod:`repro.fastpath.plane`) that every detector carries.
 
 Layering: imports :mod:`repro.util`, :mod:`repro.obs`, and
 :mod:`repro.netflow` only — never :mod:`repro.core`; the detector

@@ -1,11 +1,11 @@
-"""The fastpath facade: memoised verdicts with epoch invalidation.
+"""The verdict memo: memoised verdicts with epoch invalidation.
 
-:class:`FastPath` ties the pieces of :mod:`repro.fastpath` together for
-the batch data plane: a bounded :class:`~repro.fastpath.lru.VerdictLRU`
-of per-(source block, ingress) verdicts, an *epoch* guard that drops
-the whole memo the moment the authoritative EIA state reports a
-mutation (learning-rule absorption, preload, checkpoint restore, route
-churn), and the observability counters the tuning guide
+:class:`FastPath` is the EIA verdict memo every detector carries: a
+bounded :class:`~repro.fastpath.lru.VerdictLRU` of per-(source block,
+ingress) verdicts, an *epoch* guard that drops the whole memo the
+moment the authoritative EIA state reports a mutation (learning-rule
+absorption, preload, checkpoint restore, route churn), and the
+hit/miss/invalidation counters the tuning guide
 (``docs/performance.md``) is written around.
 
 Deliberately generic and dependency-light: the plane never imports
@@ -38,7 +38,7 @@ DEFAULT_MEMO_CAPACITY = 131_072
 
 
 class FastPath(Generic[K, V]):
-    """Epoch-guarded verdict memo + decode instrumentation.
+    """Epoch-guarded verdict memo.
 
     ``lookup`` must be passed the authoritative state's current
     mutation epoch on every probe; a mismatch invalidates the whole
@@ -69,18 +69,6 @@ class FastPath(Generic[K, V]):
         self._m_invalidations = registry.counter(
             "infilter_fastpath_invalidations_total",
             "Wholesale memo invalidations (EIA mutation epochs).",
-        )
-        self._m_decode_s = registry.histogram(
-            "infilter_fastpath_batch_decode_seconds",
-            "Columnar datagram decode latency.",
-        )
-        self._m_decode_ns = registry.counter(
-            "infilter_fastpath_batch_decode_ns_total",
-            "Cumulative columnar decode time in nanoseconds.",
-        )
-        self._m_decoded_records = registry.counter(
-            "infilter_fastpath_decoded_records_total",
-            "Flow records decoded through the columnar fastpath.",
         )
 
     # -- verdict memo --------------------------------------------------------
@@ -122,14 +110,6 @@ class FastPath(Generic[K, V]):
         if dropped:
             self._m_invalidations.inc()
         return dropped
-
-    # -- decode instrumentation ----------------------------------------------
-
-    def observe_decode(self, elapsed_s: float, n_records: int) -> None:
-        """Record one columnar datagram decode (latency + record count)."""
-        self._m_decode_s.observe(elapsed_s)
-        self._m_decode_ns.inc(elapsed_s * 1e9)
-        self._m_decoded_records.inc(n_records)
 
     # -- stats surface -------------------------------------------------------
 

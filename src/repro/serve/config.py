@@ -63,12 +63,6 @@ class ServeConfig:
     #: Stop (with a drain) after this long with no traffic and an empty
     #: queue — how examples and CI runs bound an otherwise-forever loop.
     idle_exit_s: Optional[float] = None
-    #: Drive ingest through the vectorized zero-copy plane
-    #: (``repro.fastpath``): columnar datagram decode at the router and
-    #: the cross-batch EIA verdict memo on the commit detector.
-    #: Decision-equivalent either way; off is the benchmarking/escape
-    #: hatch.
-    fastpath: bool = True
     #: Ask the kernel for this much UDP receive buffer (``SO_RCVBUF``)
     #: on the ingest socket; ``None`` keeps the system default.  Bursty
     #: exporters overrun small kernel buffers long before the queue's

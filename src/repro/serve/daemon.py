@@ -106,14 +106,10 @@ class ServeDaemon:
             shed_policy=self.config.shed_policy,
             registry=registry,
         )
-        fastpath = (
-            detector.enable_fastpath() if self.config.fastpath else None
-        )
         self.router = DatagramRouter(
             self.queue,
             registry=registry,
             on_activity=self._note_activity,
-            fastpath=fastpath,
         )
         self.worker = CommitWorker(
             detector,

@@ -17,15 +17,14 @@ queue and collector state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple, cast
+from typing import Callable, List, Optional, Tuple, cast
 
 import asyncio
 
 from repro.fastpath.columnar import decode_v1_columnar, decode_v5_columnar
-from repro.fastpath.plane import FastPath
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import FlowRecord
-from repro.netflow.v1 import NETFLOW_V1_VERSION, decode_v1_datagram
+from repro.netflow.v1 import NETFLOW_V1_VERSION
 from repro.netflow.v5 import NETFLOW_V5_VERSION
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
 from repro.serve.queue import IngestQueue
@@ -60,15 +59,9 @@ class DatagramRouter:
         collector: Optional[FlowCollector] = None,
         registry: Optional[MetricsRegistry] = None,
         on_activity: Optional[Callable[[], None]] = None,
-        fastpath: Optional["FastPath[Any, Any]"] = None,
     ) -> None:
         registry = registry if registry is not None else get_registry()
         self.queue = queue
-        #: When set, datagrams decode through the columnar zero-copy
-        #: path (identical records and error handling, timed into the
-        #: fastpath decode metrics); None keeps the record-at-a-time
-        #: decoders.
-        self.fastpath = fastpath
         self.collector = (
             collector if collector is not None else FlowCollector(registry=registry)
         )
@@ -83,6 +76,18 @@ class DatagramRouter:
         self._m_v5 = datagrams.labels(version="v5")
         self._m_v1 = datagrams.labels(version="v1")
         self._m_invalid = datagrams.labels(version="invalid")
+        self._m_decode_s = registry.histogram(
+            "infilter_fastpath_batch_decode_seconds",
+            "Columnar datagram decode latency.",
+        )
+        self._m_decode_ns = registry.counter(
+            "infilter_fastpath_batch_decode_ns_total",
+            "Cumulative columnar decode time in nanoseconds.",
+        )
+        self._m_decoded_records = registry.counter(
+            "infilter_fastpath_decoded_records_total",
+            "Flow records decoded through the columnar fastpath.",
+        )
 
     def _sink(self, record: FlowRecord) -> None:
         self.queue.put(record)
@@ -101,22 +106,14 @@ class DatagramRouter:
         else:
             version = -1
         if version == NETFLOW_V5_VERSION:
-            if self.fastpath is None:
-                records = self.collector.receive(data, source=source)
-            else:
-                records = self._receive_v5_columnar(data, source)
+            records = self._receive_v5(data, source)
             self.stats.v5_datagrams += 1
             self._m_v5.inc()
             return len(records)
         if version == NETFLOW_V1_VERSION:
+            watch = Stopwatch()
             try:
-                if self.fastpath is None:
-                    _uptime, records = decode_v1_datagram(data)
-                else:
-                    watch = Stopwatch()
-                    _uptime, batch = decode_v1_columnar(data)
-                    records = batch.records()
-                    self.fastpath.observe_decode(watch.elapsed_s(), len(records))
+                _uptime, batch = decode_v1_columnar(data)
             except NetFlowError as error:
                 self.stats.invalid_datagrams += 1
                 self._m_invalid.inc()
@@ -125,6 +122,8 @@ class DatagramRouter:
                     extra={"source": source, "reason": str(error)},
                 )
                 return 0
+            records = batch.records()
+            self._observe_decode(watch.elapsed_s(), len(records))
             self.stats.v1_datagrams += 1
             self._m_v1.inc()
             # v1 has no flow_sequence: records bypass loss accounting and
@@ -139,12 +138,11 @@ class DatagramRouter:
         )
         return 0
 
-    def _receive_v5_columnar(self, data: bytes, source: int) -> List[FlowRecord]:
+    def _receive_v5(self, data: bytes, source: int) -> List[FlowRecord]:
         """The zero-copy v5 ingest: columnar decode, then the collector's
         decoded-datagram entry point (sequence tracking and duplicate
         suppression unchanged).  Decode failures land in the collector's
         decode-error accounting exactly as :meth:`FlowCollector.receive`."""
-        assert self.fastpath is not None
         watch = Stopwatch()
         try:
             header, batch = decode_v5_columnar(data)
@@ -152,8 +150,14 @@ class DatagramRouter:
             self.collector.note_decode_error(source, str(error))
             return []
         records = batch.records()
-        self.fastpath.observe_decode(watch.elapsed_s(), len(records))
+        self._observe_decode(watch.elapsed_s(), len(records))
         return self.collector.receive_decoded(header, records, source=source)
+
+    def _observe_decode(self, elapsed_s: float, n_records: int) -> None:
+        """Record one columnar datagram decode (latency + record count)."""
+        self._m_decode_s.observe(elapsed_s)
+        self._m_decode_ns.inc(elapsed_s * 1e9)
+        self._m_decoded_records.inc(n_records)
 
 
 class NetFlowDatagramProtocol(asyncio.DatagramProtocol):

@@ -225,7 +225,10 @@ class CommitWorker:
             )
             return
         try:
-            detector, _cursor = load_checkpoint(path)
+            # On this daemon's registry, so its /metrics keeps moving.
+            detector, _cursor = load_checkpoint(
+                path, registry=self.detector.registry
+            )
         except ReproError as error:
             # A bad reload source must not take the daemon down mid-run;
             # keep serving on the current detector and say so.
@@ -234,15 +237,7 @@ class CommitWorker:
                 extra={"path": path, "reason": str(error)},
             )
             return
-        fastpath = self.detector.fastpath
         self.detector = detector
-        if fastpath is not None:
-            # Carry the verdict memo object (and its counters) over to
-            # the reloaded detector, but drop its contents explicitly:
-            # epoch counters are per-BasicInFilter-instance and could
-            # collide across the swap.
-            fastpath.invalidate()
-            detector.fastpath = fastpath
         self._reloads += 1
         self._m_reloads.inc()
         log.info("detector hot-reloaded", extra={"path": path})

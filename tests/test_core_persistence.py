@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.core import EnhancedInFilter, PipelineConfig, EIAConfig
 from repro.core.clusters import ClusterModel
 from repro.core.persistence import (
@@ -15,7 +16,6 @@ from repro.core.persistence import (
     load_detector,
     render_state,
     save_detector,
-    _config_to_dict,
 )
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.util import Prefix, SeededRng
@@ -230,75 +230,6 @@ class TestNoRetraining:
         assert restored.model.thresholds() == detector.model.thresholds()
 
 
-def v1_document(detector, training, *, rng_seed, rng_name):
-    """A checkpoint in the exact shape the v1 writer emitted."""
-    return {
-        "format": 1,
-        "config": _config_to_dict(detector.config),
-        "rng": {"seed": rng_seed, "name": rng_name},
-        "eia_sets": {
-            str(peer): [
-                str(prefix)
-                for prefix in detector.infilter.eia_set(peer).prefixes()
-            ]
-            for peer in detector.infilter.peers()
-        },
-        "pending": [
-            {"peer": peer, "prefix": str(prefix), "count": count}
-            for (peer, prefix), count in sorted(
-                detector.infilter.pending_counts().items(),
-                key=lambda item: (item[0][0], str(item[0][1])),
-            )
-        ],
-        "alert_counter": detector.alert_counter,
-        "trained": detector.model is not None,
-        "training": [
-            {
-                "src": record.key.src_addr,
-                "dst": record.key.dst_addr,
-                "proto": record.key.protocol,
-                "sport": record.key.src_port,
-                "dport": record.key.dst_port,
-                "iface": record.key.input_if,
-                "packets": record.packets,
-                "octets": record.octets,
-                "first": record.first,
-                "last": record.last,
-            }
-            for record in training
-        ],
-    }
-
-
-class TestV1BackwardCompat:
-    def test_v1_document_still_loads(self):
-        rng = SeededRng(77, "persist")
-        detector, training = build_trained(rng=rng)
-        det_rng = rng.fork("det")
-        document = v1_document(
-            detector, training, rng_seed=det_rng.seed, rng_name=det_rng.name
-        )
-        restored, cursor = load_checkpoint(io.StringIO(json.dumps(document)))
-        assert cursor is None
-        assert restored.model.thresholds() == detector.model.thresholds()
-        assert restored.infilter.peers() == [0, 1]
-        probes = probe_records()
-        assert [restored.process(r).verdict for r in probes] == [
-            detector.process(r).verdict for r in probes
-        ]
-
-    def test_v1_alert_counter_restored(self):
-        rng = SeededRng(81, "persist-v1")
-        detector, training = build_trained(rng=rng)
-        detector.alert_counter = 42
-        det_rng = rng.fork("det")
-        document = v1_document(
-            detector, training, rng_seed=det_rng.seed, rng_name=det_rng.name
-        )
-        restored = load_detector(io.StringIO(json.dumps(document)))
-        assert restored.alert_counter == 42
-
-
 class TestAtomicWrite:
     def test_crash_during_replace_preserves_old_checkpoint(
         self, tmp_path, monkeypatch
@@ -347,19 +278,6 @@ class TestDescribeState:
         assert summary["stats"]["processed"] == detector.stats.processed
         assert summary["alerts"] == len(detector.alert_sink)
 
-    def test_v1_summary(self):
-        rng = SeededRng(77, "persist")
-        detector, training = build_trained(rng=rng)
-        det_rng = rng.fork("det")
-        document = v1_document(
-            detector, training, rng_seed=det_rng.seed, rng_name=det_rng.name
-        )
-        summary = describe_state(io.StringIO(json.dumps(document)))
-        assert summary["format"] == 1
-        assert summary["cursor"] is None
-        assert summary["trained"]
-        assert summary["training_records"] == len(training)
-
 
 class TestErrors:
     def test_malformed_json(self):
@@ -373,6 +291,21 @@ class TestErrors:
     def test_unknown_format_version(self):
         with pytest.raises(ReproError):
             load_detector(io.StringIO('{"format": 99}'))
+
+    def test_retired_format_1_is_rejected(self, tmp_path, capsys):
+        """The v1 reader is gone: both the loader and ``infilter state
+        inspect`` refuse a format-1 document by name."""
+        path = tmp_path / "v1.json"
+        path.write_text('{"format": 1, "trained": false, "training": []}')
+        with pytest.raises(
+            StateError, match="unsupported detector state format 1$"
+        ):
+            load_checkpoint(path)
+        assert main(["state", "inspect", str(path)]) == 2
+        assert (
+            "unsupported detector state format 1"
+            in capsys.readouterr().err
+        )
 
     def test_corrupt_v2_document(self):
         with pytest.raises(StateError):

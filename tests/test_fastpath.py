@@ -5,7 +5,7 @@ popcount distances equal the per-bit reference, columnar datagram
 decode equals the record-at-a-time decoders byte for byte (including
 error messages on malformed input), the cross-batch verdict memo
 changes no decision even across learning-rule absorptions, and a
-checkpoint is byte-identical whether the memo is hot, cold, or absent.
+checkpoint is byte-identical whether the memo is hot or cold.
 Every test here pins one of those equalities.
 """
 
@@ -28,11 +28,16 @@ from repro.fastpath import (
     hamming_per_bit,
 )
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
-from repro.netflow.v1 import decode_v1_datagram, encode_v1_datagram
-from repro.netflow.v5 import decode_datagram, encode_datagram
+from repro.netflow.collector import FlowCollector
+from repro.netflow.v1 import (
+    NETFLOW_V1_VERSION,
+    decode_v1_datagram,
+    encode_v1_datagram,
+)
+from repro.netflow.v5 import NETFLOW_V5_VERSION, decode_datagram, encode_datagram
 from repro.fastpath.columnar import decode_v1_columnar, decode_v5_columnar
 from repro.obs import MetricsRegistry
-from repro.serve.listener import DatagramRouter
+from repro.serve.listener import DatagramRouter, RouterStats
 from repro.serve.queue import IngestQueue
 from repro.util import SeededRng
 from repro.util.errors import ConfigError, NetFlowDecodeError
@@ -342,7 +347,6 @@ class TestVerdictEquivalence:
         # path goes untested and equivalence is vacuous.
         assert serial_detector.stats.absorbed >= 2
         detector = _build_detector(eia_plan, target_prefix)
-        detector.enable_fastpath()
         decisions = []
         for start in range(0, len(fastpath_trace), 97):
             result = detector.process_batch(fastpath_trace[start:start + 97])
@@ -355,7 +359,6 @@ class TestVerdictEquivalence:
                 got.absorbed) == (
             ref.processed, ref.legal, ref.suspects, ref.attacks, ref.absorbed,
         )
-        assert detector.fastpath is not None
         stats = detector.fastpath.stats()
         # The memo must actually carry verdicts across batch boundaries
         # *and* have been dropped by the absorption epoch bumps.
@@ -368,13 +371,11 @@ class TestVerdictEquivalence:
         """The memo is derived state: a checkpoint taken with a hot
         cache and one taken right after a wholesale invalidation must be
         the same bytes; modulo wall-clock latency measurements, both
-        also equal a detector that never had a fastpath at all."""
+        also equal the checkpoint of the serial ``process_all`` run."""
         serial_detector, _ = serial_run
         detector = _build_detector(eia_plan, target_prefix)
-        detector.enable_fastpath()
         for start in range(0, len(fastpath_trace), 97):
             detector.process_batch(fastpath_trace[start:start + 97])
-        assert detector.fastpath is not None
         assert len(detector.fastpath.memo) > 0  # genuinely hot
         hot = render_state(detector)
         detector.fastpath.invalidate()
@@ -389,7 +390,6 @@ class TestVerdictEquivalence:
         self, eia_plan, target_prefix, fastpath_trace
     ):
         detector = _build_detector(eia_plan, target_prefix)
-        detector.enable_fastpath()
         detector.process_batch(fastpath_trace[:100])
         assert not any(
             "fastpath" in key for key in detector.state_dict()
@@ -399,9 +399,7 @@ class TestVerdictEquivalence:
         self, eia_plan, target_prefix, fastpath_trace
     ):
         detector = _build_detector(eia_plan, target_prefix)
-        detector.enable_fastpath()
         detector.process_batch(fastpath_trace[:200])
-        assert detector.fastpath is not None
         assert len(detector.fastpath.memo) > 0
         detector.load_state(detector.state_dict())
         assert len(detector.fastpath.memo) == 0
@@ -434,32 +432,42 @@ class TestPackedNNS:
 
 
 class TestRouterColumnarParity:
-    def _route_all(self, fastpath, datagrams):
-        queue = IngestQueue(100_000, registry=MetricsRegistry())
-        router = DatagramRouter(
-            queue, registry=MetricsRegistry(), fastpath=fastpath
-        )
-        for data in datagrams:
-            router.route(data, source=7)
-        queued = queue.take_nowait(len(queue))
-        return router, queued
-
     @given(st.lists(flow_records(), min_size=1, max_size=6), st.binary(max_size=80))
     @settings(max_examples=40)
-    def test_fastpath_router_equals_serial_router(self, records, garbage):
+    def test_router_equals_record_at_a_time_reference(self, records, garbage):
+        """The (columnar-only) router queues the same records and counts
+        the same fates as the offline decoders driven directly:
+        ``FlowCollector.receive`` for v5, ``decode_v1_datagram`` for v1."""
         v5 = encode_datagram(records, sys_uptime=1, unix_secs=2, flow_sequence=0)
         v1 = encode_v1_datagram(records, sys_uptime=1, unix_secs=2)
         datagrams = [v5, garbage, v1, v5[: len(v5) // 2]]
-        serial_router, serial_records = self._route_all(None, datagrams)
-        plane: FastPath = FastPath(64, registry=MetricsRegistry())
-        fast_router, fast_records = self._route_all(plane, datagrams)
-        assert [q.record for q in fast_records] == [
-            q.record for q in serial_records
-        ]
-        assert fast_router.stats == serial_router.stats
-        fast_c, serial_c = fast_router.collector.stats, serial_router.collector.stats
-        assert (fast_c.datagrams, fast_c.records, fast_c.decode_errors,
-                fast_c.duplicates) == (
-            serial_c.datagrams, serial_c.records, serial_c.decode_errors,
-            serial_c.duplicates,
+
+        queue = IngestQueue(100_000, registry=MetricsRegistry())
+        router = DatagramRouter(queue, registry=MetricsRegistry())
+        reference = FlowCollector(registry=MetricsRegistry())
+        expected: List = []
+        reference.add_sink(expected.append)
+        fates = RouterStats()
+        for data in datagrams:
+            router.route(data, source=7)
+            version = int.from_bytes(data[:2], "big") if len(data) >= 2 else -1
+            if version == NETFLOW_V5_VERSION:
+                reference.receive(data, source=7)
+                fates.v5_datagrams += 1
+            elif version == NETFLOW_V1_VERSION:
+                try:
+                    reference.ingest_records(decode_v1_datagram(data)[1])
+                    fates.v1_datagrams += 1
+                except NetFlowDecodeError:
+                    fates.invalid_datagrams += 1
+            else:
+                fates.invalid_datagrams += 1
+
+        queued = queue.take_nowait(len(queue))
+        assert [q.record for q in queued] == expected
+        assert router.stats == fates
+        got, want = router.collector.stats, reference.stats
+        assert (got.datagrams, got.records, got.decode_errors,
+                got.duplicates) == (
+            want.datagrams, want.records, want.decode_errors, want.duplicates,
         )

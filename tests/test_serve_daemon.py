@@ -34,7 +34,7 @@ import asyncio
 
 import pytest
 
-from repro.core.persistence import load_checkpoint, save_detector
+from repro.core.persistence import load_checkpoint, load_detector, save_detector
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.netflow.records import PROTO_UDP, FlowKey, FlowRecord
 from repro.netflow.v1 import encode_v1_datagram
@@ -136,12 +136,15 @@ def udp_sender(records, *, initial_sequence=0, chunk=20):
     return drive
 
 
-def run_daemon(detector, config, drive, *, cursor_base=0):
+def run_daemon(detector, config, drive, *, cursor_base=0, registry=None):
     """Run a daemon to completion alongside an async drive callback."""
 
     async def main():
         daemon = ServeDaemon(
-            detector, config, registry=MetricsRegistry(), cursor_base=cursor_base
+            detector,
+            config,
+            registry=registry if registry is not None else MetricsRegistry(),
+            cursor_base=cursor_base,
         )
         task = asyncio.ensure_future(daemon.run())
         await asyncio.wait_for(daemon.wait_started(), timeout=10)
@@ -465,6 +468,53 @@ class TestHotReload:
         assert report.reloads == 1
         assert daemon.detector is not detector
         assert report.records_committed == len(records)
+
+    def test_reloaded_detector_stays_on_the_daemons_registry(
+        self, eia_plan, target_prefix, serve_trace, tmp_path
+    ):
+        """A daemon on a private registry (a cluster worker, an embedded
+        daemon) must keep seeing pipeline counters move after a reload:
+        the reloaded detector reports into the registry it replaced."""
+        ckpt = str(tmp_path / "reload.json")
+        save_detector(
+            make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400),
+            ckpt,
+            cursor=0,
+        )
+        registry = MetricsRegistry()
+        detector = load_detector(ckpt, registry=registry)
+        records = serve_trace[:120]
+        config = ServeConfig(
+            port=0,
+            batch_size=32,
+            reload_path=ckpt,
+            max_records=len(records),
+            idle_exit_s=5.0,
+        )
+
+        def flows_total() -> float:
+            family = registry.get("infilter_pipeline_flows_total")
+            assert family is not None
+            return sum(child.value for _labels, child in family.samples())
+
+        before_reload: List[float] = []
+
+        async def drive(daemon: ServeDaemon) -> None:
+            await udp_sender(records[:60])(daemon)
+            while daemon.worker.committed < 60:
+                await asyncio.sleep(0.01)
+            before_reload.append(flows_total())
+            daemon.request_reload()
+            await udp_sender(records[60:], initial_sequence=60)(daemon)
+
+        daemon, report = run_daemon(detector, config, drive, registry=registry)
+        assert report.reloads == 1
+        assert daemon.detector is not detector
+        assert daemon.detector.registry is daemon.registry is registry
+        assert before_reload == [60.0]
+        # The reloaded detector restarts from the checkpoint's stats, but
+        # its 60 flows land in the same registry family.
+        assert flows_total() == float(len(records))
 
 
 class TestHttpEndpoint:
