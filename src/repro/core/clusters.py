@@ -30,7 +30,7 @@ from repro.netflow.records import (
     PROTO_UDP,
     FlowRecord,
 )
-from repro.util.errors import TrainingError
+from repro.util.errors import StateError, TrainingError
 from repro.util.rng import SeededRng
 
 __all__ = [
@@ -212,17 +212,21 @@ class ClusterModel:
         }
 
     def load_state(self, state: StateDict) -> None:
-        self.subclusters = {
-            name: SubCluster(
-                name=name,
-                structure=NNSStructure.from_state(
+        subclusters: Dict[str, SubCluster] = {}
+        for name, section in state["classes"].items():
+            try:
+                structure = NNSStructure.from_state(
                     self.encoder, self.config, section["structure"]
-                ),
+                )
+            except StateError as error:
+                raise StateError(f"model class {name!r}: {error}") from error
+            subclusters[name] = SubCluster(
+                name=name,
+                structure=structure,
                 threshold=int(section["threshold"]),
                 size=int(section["size"]),
             )
-            for name, section in state["classes"].items()
-        }
+        self.subclusters = subclusters
 
     @classmethod
     def from_state(cls, config: NNSConfig, state: StateDict) -> "ClusterModel":

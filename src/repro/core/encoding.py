@@ -67,6 +67,10 @@ class UnaryEncoder:
             lanes.append(_Lane(spec=spec, offset=offset))
             offset += spec.bits
         self._lanes: Tuple[_Lane, ...] = tuple(lanes)
+        #: ``(offset, bits)`` of each feature's lane, in encoding order.
+        self.lane_layout: Tuple[Tuple[int, int], ...] = tuple(
+            (lane.offset, lane.spec.bits) for lane in lanes
+        )
         self.dimension = offset
 
     def interval_index(self, spec: FeatureSpec, value: float) -> int:

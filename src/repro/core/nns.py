@@ -12,28 +12,44 @@ flow is probably within distance ~``t``, so the search continues on
 smaller scales, and the flow in the last non-empty entry visited is
 returned.
 
-Two engineering notes, both behaviour-preserving:
+Three engineering notes, all behaviour-preserving:
 
 * tables store each flow under its *exact* trace and the probe walks the
   radius-``M3`` ball around the query trace — set-equivalent to the
   paper's ball *insertion*, but O(1) instead of O(ball) per flow insert;
 * scales are built lazily on first probe: a binary search touches
   O(log d) of the ``d`` scales, so eager construction of all 720 would be
-  ~70x wasted work.  ``build_all_scales`` exists for exhaustive tests.
+  ~70x wasted work.  ``build_all_scales`` exists for exhaustive tests;
+* the search does only what Figure 8 uses.  *Deferred pick*: the binary
+  search needs one bit per probed scale — is any entry of the query's
+  ``M3``-ball occupied? — so the ball walk stops at the first occupied
+  entry, and the candidates are gathered and the closest one picked
+  once, at the last non-empty scale, which is the only pick Figure 8
+  returns.  *Lane-prefix traces*: a unary code is, per feature lane,
+  ``I`` ones then zeros, so its GF(2) inner product with a test vector
+  is the XOR over lanes of the parity of the vector's first ``I`` lane
+  bits.  Each table keeps those prefix parities — per lane, ``bits + 1``
+  words of ``M2`` bits — and a trace is one lookup per lane XORed
+  together instead of ``M2`` 720-bit ``AND`` + popcounts.  Exact for
+  unary codes and only for them, which is why ``load_state`` refuses
+  any other code.  ``tests/reference_nns.py`` keeps the literal search
+  (parity traces, full ball walk, a pick at every non-empty scale) as
+  the oracle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import NNSConfig
-from repro.core.encoding import UnaryEncoder, hamming, parity_inner_product
+from repro.core.encoding import UnaryEncoder, hamming
 from repro.core.state import StateDict, stateful
 from repro.fastpath.bitpack import PackedCodes
 from repro.netflow.records import FlowStats
-from repro.util.errors import TrainingError
+from repro.util.errors import StateError, TrainingError
 from repro.util.rng import SeededRng
 
 __all__ = ["TrainingFlow", "SearchResult", "NNSStructure"]
@@ -73,43 +89,71 @@ def _ball_deltas(m2: int, m3: int) -> Tuple[int, ...]:
     return tuple(deltas)
 
 
-class _TraceTable:
-    """One T_ij: M2 test vectors plus the trace-keyed flow table."""
+def _lane_columns(
+    test_vectors: Sequence[int], layout: Sequence[Tuple[int, int]]
+) -> Tuple["array[int]", ...]:
+    """Per lane, the trace contribution of every unary prefix length.
 
-    __slots__ = ("test_vectors", "table")
+    Bit ``k`` of ``columns[lane][i]`` is the parity of test vector ``k``
+    over the lane's first ``i`` positions, so the trace of a unary code
+    with interval indices ``(i0, i1, ...)`` is
+    ``columns[0][i0] ^ columns[1][i1] ^ ...``.  Items are 32-bit:
+    ``NNSConfig`` caps ``m2`` at 24.
+    """
+    columns: List["array[int]"] = []
+    for offset, bits in layout:
+        # steps[i]: the vectors with a one at lane position i - 1, i.e.
+        # whose prefix parity flips between lengths i - 1 and i.
+        steps = [0] * (bits + 1)
+        lane_mask = (1 << bits) - 1
+        for bit_index, vector in enumerate(test_vectors):
+            remaining = (vector >> offset) & lane_mask
+            while remaining:
+                lowest = remaining & -remaining
+                steps[lowest.bit_length()] |= 1 << bit_index
+                remaining ^= lowest
+        word = 0
+        for length in range(1, bits + 1):
+            word ^= steps[length]
+            steps[length] = word
+        columns.append(array("I", steps))
+    return tuple(columns)
+
+
+class _TraceTable:
+    """One T_ij: the trace-keyed flow table and its lane-prefix columns.
+
+    The ``M2`` test vectors are drawn, folded into ``columns`` (see
+    :func:`_lane_columns`) and dropped: every trace the table ever
+    needs, a training flow's or a query's, comes from the columns.
+    """
+
+    __slots__ = ("columns", "table")
 
     def __init__(
         self,
         flows: Sequence[TrainingFlow],
+        flow_lanes: Sequence[Tuple[int, ...]],
+        layout: Sequence[Tuple[int, int]],
         dimension: int,
         m2: int,
         b: float,
         rng: SeededRng,
     ) -> None:
-        self.test_vectors = [
-            _random_test_vector(dimension, b / 2.0, rng) for _ in range(m2)
-        ]
+        self.columns = _lane_columns(
+            [_random_test_vector(dimension, b / 2.0, rng) for _ in range(m2)],
+            layout,
+        )
         self.table: Dict[int, List[TrainingFlow]] = {}
-        for flow in flows:
-            trace = self._trace(flow.encoded)
-            self.table.setdefault(trace, []).append(flow)
+        for flow, lanes in zip(flows, flow_lanes):
+            self.table.setdefault(self.trace(lanes), []).append(flow)
 
-    def _trace(self, encoded: int) -> int:
+    def trace(self, lanes: Sequence[int]) -> int:
+        """The M2-bit trace of the unary code with these interval indices."""
         trace = 0
-        for bit_index, vector in enumerate(self.test_vectors):
-            if parity_inner_product(vector, encoded):
-                trace |= 1 << bit_index
+        for column, index in zip(self.columns, lanes):
+            trace ^= column[index]
         return trace
-
-    def probe(self, encoded: int, deltas: Tuple[int, ...]) -> List[TrainingFlow]:
-        """Flows stored within the M3-ball of the query's trace."""
-        trace = self._trace(encoded)
-        hits: List[TrainingFlow] = []
-        for delta in deltas:
-            bucket = self.table.get(trace ^ delta)
-            if bucket:
-                hits.extend(bucket)
-        return hits
 
 
 def _random_test_vector(dimension: int, probability_of_one: float, rng: SeededRng) -> int:
@@ -157,10 +201,12 @@ class NNSStructure:
         self._deltas = _ball_deltas(config.m2, config.m3)
         self._scales: Dict[int, List[_TraceTable]] = {}
         self.scales_built = 0
-        # Derived cache: the training codes bit-packed for popcount
-        # distance sweeps.  Built lazily, never checkpointed, dropped
-        # whenever `flows` is replaced (load_state).
+        # Derived caches over `flows`: the codes bit-packed for popcount
+        # distance sweeps, and each flow's interval indices for filing it
+        # into trace tables.  Built lazily, never checkpointed, dropped
+        # (with the tables) whenever `flows` is replaced (load_state).
         self._packed: Optional[PackedCodes] = None
+        self._flow_lanes: Optional[List[Tuple[int, ...]]] = None
 
     @property
     def dimension(self) -> int:
@@ -169,11 +215,16 @@ class NNSStructure:
     def _tables_for(self, scale: int) -> List[_TraceTable]:
         tables = self._scales.get(scale)
         if tables is None:
+            if self._flow_lanes is None:
+                decode = self.encoder.decode_indices
+                self._flow_lanes = [decode(flow.encoded) for flow in self.flows]
             b = 1.0 / (2.0 * scale)
             scale_rng = self._rng.fork(f"scale-{scale}")
             tables = [
                 _TraceTable(
                     self.flows,
+                    self._flow_lanes,
+                    self.encoder.lane_layout,
                     self.dimension,
                     self.config.m2,
                     b,
@@ -195,10 +246,13 @@ class NNSStructure:
 
         Returns the flow from the last non-empty entry visited, or None
         when every probed scale came up empty (possible only for queries
-        far from all training data at every scale).
+        far from all training data at every scale).  ``encoded`` must be
+        a unary code of this structure's encoder.
         """
+        lanes = self.encoder.decode_indices(encoded)
+        deltas = self._deltas
         low, high = 1, self.dimension
-        best: Optional[Tuple[TrainingFlow, int]] = None
+        last: Optional[Tuple[Dict[int, List[TrainingFlow]], int, int]] = None
         while low <= high:
             scale = (low + high) // 2
             tables = self._tables_for(scale)
@@ -207,20 +261,30 @@ class NNSStructure:
                 if len(tables) == 1
                 else self._pick_rng.choice(tables)
             )
-            hits = table.probe(encoded, self._deltas)
-            if hits:
-                # Deterministic pick inside the entry: the closest by true
-                # Hamming distance, ties to the earliest training index.
-                chosen = min(
-                    hits, key=lambda f: (hamming(f.encoded, encoded), f.index)
-                )
-                best = (chosen, scale)
-                high = scale - 1
+            buckets = table.table
+            trace = table.trace(lanes)
+            # The search only branches on whether the M3-ball of the
+            # trace holds any flow: stop at the first occupied entry.
+            for delta in deltas:
+                if (trace ^ delta) in buckets:
+                    last = (buckets, trace, scale)
+                    high = scale - 1
+                    break
             else:
                 low = scale + 1
-        if best is None:
+        if last is None:
             return None
-        flow, scale = best
+        buckets, trace, scale = last
+        hits: List[TrainingFlow] = []
+        for delta in deltas:
+            bucket = buckets.get(trace ^ delta)
+            if bucket:
+                hits.extend(bucket)
+        # Deterministic pick inside the entry: the closest by true
+        # Hamming distance, ties to the earliest training index.
+        flow = min(
+            hits, key=lambda f: ((f.encoded ^ encoded).bit_count(), f.index)
+        )
         return SearchResult(
             flow=flow, distance=hamming(flow.encoded, encoded), scale=scale
         )
@@ -250,14 +314,25 @@ class NNSStructure:
         }
 
     def load_state(self, state: StateDict) -> None:
-        self.flows = [_flow_from_state(entry) for entry in state["flows"]]
-        if not self.flows:
+        flows = [_flow_from_state(entry) for entry in state["flows"]]
+        if not flows:
             raise TrainingError("cannot restore an NNS structure with no flows")
+        for flow in flows:
+            # Table placement reads a code lane by lane as a unary
+            # prefix; any other bit pattern would be filed silently
+            # under a trace no query can reach.
+            if not self.encoder.is_valid_unary(flow.encoded):
+                raise StateError(
+                    f"training flow {flow.index}: `encoded` is not a unary"
+                    f" code of dimension {self.dimension}"
+                )
+        self.flows = flows
         self._rng.load_state(state["rng"])
         self._pick_rng.load_state(state["pick_rng"])
         self._scales = {}
         self.scales_built = 0
         self._packed = None
+        self._flow_lanes = None
 
     @classmethod
     def from_state(
