@@ -104,8 +104,8 @@ class ClassSymbol:
     #: ``self.<attr> = ...`` assignment -> first line it happens.
     self_attrs: Dict[str, int] = field(default_factory=dict)
     #: attr -> resolved dotted name of the constructor it is assigned
-    #: from (``self.memo = VerdictLRU(...)`` ->
-    #: ``repro.fastpath.lru.VerdictLRU``), when resolvable.
+    #: from (``self.fastpath = FastPath(...)`` ->
+    #: ``repro.fastpath.plane.FastPath``), when resolvable.
     attr_ctors: Dict[str, str] = field(default_factory=dict)
     #: method name -> definition line.
     method_lines: Dict[str, int] = field(default_factory=dict)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.alerts import AlertSink, IdmefAlert
 from repro.core.clusters import ClusterModel, protocol_class
@@ -38,6 +37,7 @@ from repro.core.eia import BasicInFilter, EIACheck
 from repro.core.nns import SearchResult
 from repro.core.scan import ScanAnalyzer, ScanVerdict
 from repro.core.state import StateDict, stateful
+from repro.fastpath.columnar import RecordColumns, RowBatch
 from repro.fastpath.plane import FastPath
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
@@ -443,7 +443,7 @@ class EnhancedInFilter:
 
     def process_batch(
         self,
-        records: Sequence[FlowRecord],
+        rows: Union[RowBatch, Sequence[FlowRecord]],
         *,
         speculation: Optional[Sequence[Optional[NnsAssessment]]] = None,
     ) -> BatchResult:
@@ -457,55 +457,101 @@ class EnhancedInFilter:
         exactly the overhead this path removes), and the verdict counters
         are bumped once per (verdict, stage) rather than once per flow.
 
-        ``speculation``, when given, must align with ``records``; entries
+        ``rows`` is a :class:`~repro.fastpath.columnar.RowBatch` of
+        decoded-datagram column slices (the serve path) or a sequence of
+        records, adapted to one here (the engine).  Either way one loop
+        reads two columns per row: a row whose ``(source block,
+        ingress)`` the verdict memo already answers *legal* gets its
+        decision straight from the memo's dict and never becomes a
+        :class:`FlowRecord`; every other row — memo miss, suspect, or
+        any row at all once auxiliary detectors are composed, since they
+        observe every flow — is materialised by index and goes through
+        :meth:`_commit`.
+
+        ``speculation``, when given, must align with ``rows``; entries
         are :class:`NnsAssessment` results precomputed by shard workers
         (see :mod:`repro.engine`) and are trusted because the trained
         model is immutable.  Missing entries fall back to the memo or an
         inline search, so speculation quality affects speed, never
         outcomes.
         """
-        if speculation is not None and len(speculation) != len(records):
+        batch = (
+            rows if isinstance(rows, RowBatch) else RowBatch.of(RecordColumns(rows))
+        )
+        total = len(batch)
+        if speculation is not None and len(speculation) != total:
             raise EngineError(
                 f"speculation length {len(speculation)} does not match"
-                f" batch length {len(records)}"
+                f" batch length {total}"
             )
-        guesses: Iterable[Optional[NnsAssessment]] = (
-            speculation if speculation is not None else repeat(None)
-        )
         watch = Stopwatch()
         commit = self._commit
-        decisions = [
-            commit(record, guess, laps=False)
-            for record, guess in zip(records, guesses)
-        ]
-        elapsed = watch.elapsed_s()
-        share = elapsed / len(records) if records else 0.0
+        infilter = self.infilter
+        fastpath = self.fastpath
+        memo_clears = self._ensemble is None
         granularity = self.config.eia.granularity
+        legal, at_eia = Verdict.LEGAL, Stage.EIA
+        decisions: List[Decision] = []
+        append = decisions.append
         absorbed: List[Tuple[int, Prefix]] = []
         spec_hits = 0
         spec_misses = 0
+        memo_hits = 0
+        epoch = infilter.mutation_epoch
+        shift = infilter.memo_shift
+        memo = fastpath.entries(epoch)
+        base = 0  # rows of earlier slices: where this slice's guesses start
+        for columns, start, stop in batch.slices:
+            sources = columns.src_addr
+            ingresses = columns.input_if
+            for index in range(start, stop):
+                eia = memo.get((sources[index] >> shift, ingresses[index]))
+                if eia is not None and memo_clears and not eia.suspect:
+                    memo_hits += 1
+                    append(Decision(legal, at_eia, eia))
+                    continue
+                guess = (
+                    speculation[base + index - start]
+                    if speculation is not None
+                    else None
+                )
+                decision = commit(columns.record_at(index), guess, laps=False)
+                append(decision)
+                if decision.absorbed:
+                    absorbed.append(
+                        (
+                            ingresses[index],
+                            Prefix.from_address(sources[index], granularity),
+                        )
+                    )
+                # Exactly the flows that reached the NNS stage carry a class.
+                if decision.protocol_class is not None:
+                    if guess is not None:
+                        spec_hits += 1
+                    else:
+                        spec_misses += 1
+                # An absorption bumps the epoch at the end of _commit, and
+                # the memo only drops itself when asked under the new one:
+                # ask now, or the next row of the absorbed block gets the
+                # verdict from before the mutation.  (After the last row
+                # the next batch asks, as a lookup would have.)
+                if infilter.mutation_epoch != epoch and len(decisions) < total:
+                    epoch = infilter.mutation_epoch
+                    shift = infilter.memo_shift
+                    memo = fastpath.entries(epoch)
+            base += stop - start
+        fastpath.note_hits(memo_hits)
+        elapsed = watch.elapsed_s()
+        share = elapsed / total if total else 0.0
         verdict_stage_counts: Dict[Tuple[str, str], int] = {}
-        for record, guess, decision in zip(records, guesses, decisions):
+        for decision in decisions:
             object.__setattr__(decision, "latency_s", share)
             self.stats.note(decision)
             key = (decision.verdict, decision.stage)
             verdict_stage_counts[key] = verdict_stage_counts.get(key, 0) + 1
-            if decision.absorbed:
-                absorbed.append(
-                    (
-                        record.key.input_if,
-                        Prefix.from_address(record.key.src_addr, granularity),
-                    )
-                )
-            # Exactly the flows that reached the NNS stage carry a class.
-            if decision.protocol_class is not None:
-                if guess is not None:
-                    spec_hits += 1
-                else:
-                    spec_misses += 1
         for (verdict, stage), count in verdict_stage_counts.items():
             self._metrics.flows.labels(verdict=verdict, stage=stage).inc(count)
-        self._metrics.flow_latency.observe_many(share, len(records))
+        self._metrics.flow_latency.observe_many(share, total)
         return BatchResult(
             decisions=decisions,
             absorbed=absorbed,

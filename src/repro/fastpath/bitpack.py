@@ -1,39 +1,24 @@
-"""Bit-packed hot-path data structures (popcount Hamming, EIA membership).
+"""Bit-packed Hamming distances (popcount over packed unary codes).
 
-The data plane's two inner loops are Hamming-distance evaluation over
-d=720-bit unary codes (the [KOR] NNS search, Section 4.2) and EIA
-membership resolution per source block (Section 3).  Both reduce to
-integer bit algebra:
-
-* :class:`PackedCodes` lays a corpus of fixed-width codes side by side in
-  one ``bytes`` buffer; a distance sweep is then one XOR + one
-  ``int.bit_count()`` popcount per code, with no per-code object or
-  attribute traffic.  :func:`hamming_per_bit` is the deliberately naive
-  bit-at-a-time reference the property tests compare against.
-* :class:`BlockBitset` packs a set of address-block indices into a single
-  Python int over a shared compact universe, so membership algebra
-  (union, intersection, cardinality) is word-parallel.
-* :class:`BlockOwnerIndex` flattens same-length EIA prefix tries into an
-  O(1) ``block index -> owning peer`` probe — the constant-time set
-  membership check that replaces the O(32) trie walk on the batch path.
+Exact Hamming-distance sweeps over d=720-bit unary codes (the [KOR] NNS
+structures' calibration and ``nearest_exact``, Section 4.2) reduce to
+integer bit algebra: :class:`PackedCodes` lays a corpus of fixed-width
+codes side by side in one ``bytes`` buffer; a distance sweep is then one
+XOR + one ``int.bit_count()`` popcount per code, with no per-code object
+or attribute traffic.  :func:`hamming_per_bit` is the deliberately naive
+bit-at-a-time reference the property tests compare against.
 
 Everything here is *derived* data: rebuildable from the authoritative
-structures, never checkpointed, and invalidated wholesale when the
-source state mutates (see :mod:`repro.fastpath.plane`).
+structures and never checkpointed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.util.errors import ConfigError
 
-__all__ = [
-    "hamming_per_bit",
-    "PackedCodes",
-    "BlockBitset",
-    "BlockOwnerIndex",
-]
+__all__ = ["hamming_per_bit", "PackedCodes"]
 
 
 def hamming_per_bit(a: int, b: int, dimension: int) -> int:
@@ -116,112 +101,3 @@ class PackedCodes:
             if distance < best_distance:
                 best_index, best_distance = index, distance
         return best_index, best_distance
-
-
-class BlockBitset:
-    """A set of block indices bit-packed into one int over a universe.
-
-    The *universe* maps each admissible block index to a bit position; a
-    set is then a single Python int with those positions set, and the
-    usual set algebra becomes word-parallel integer ops.  Two bitsets
-    must share a universe (by identity of contents) to combine.
-    """
-
-    __slots__ = ("_universe", "mask")
-
-    def __init__(self, universe: Mapping[int, int], mask: int = 0) -> None:
-        self._universe = universe
-        self.mask = mask
-
-    @classmethod
-    def build_universe(cls, indices: Iterable[int]) -> Dict[int, int]:
-        """A shared universe: sorted block indices -> dense bit positions."""
-        return {index: pos for pos, index in enumerate(sorted(set(indices)))}
-
-    @classmethod
-    def from_indices(
-        cls, universe: Mapping[int, int], indices: Iterable[int]
-    ) -> "BlockBitset":
-        mask = 0
-        for index in indices:
-            position = universe.get(index)
-            if position is None:
-                raise ConfigError(f"block index {index} outside the universe")
-            mask |= 1 << position
-        return cls(universe, mask)
-
-    def contains(self, index: int) -> bool:
-        position = self._universe.get(index)
-        return position is not None and bool((self.mask >> position) & 1)
-
-    def __contains__(self, index: int) -> bool:
-        return self.contains(index)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def union(self, other: "BlockBitset") -> "BlockBitset":
-        return BlockBitset(self._universe, self.mask | other.mask)
-
-    def intersection(self, other: "BlockBitset") -> "BlockBitset":
-        return BlockBitset(self._universe, self.mask & other.mask)
-
-    def indices(self) -> List[int]:
-        """The member block indices, ascending."""
-        mask = self.mask
-        by_position = {pos: index for index, pos in self._universe.items()}
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(by_position[low.bit_length() - 1])
-            mask ^= low
-        return sorted(members)
-
-
-class BlockOwnerIndex:
-    """Flat ``source block -> owning peer AS`` probe over uniform prefixes.
-
-    When every EIA prefix has the same length ``L``, the longest-match
-    trie walk collapses to ``owner[address >> (32 - L)]`` — the
-    constant-time set probe.  Construction takes the per-block owner
-    verdicts from an oracle (the authoritative trie), so the index is
-    exact by construction; per-peer membership also lands in
-    :class:`BlockBitset` form for word-parallel set algebra.
-
-    The index is a derived cache: it must be rebuilt (not patched) after
-    any EIA mutation — the plane's epoch tracking enforces that.
-    """
-
-    __slots__ = ("length", "shift", "_owner_by_block", "_peer_bitsets")
-
-    def __init__(self, length: int, owner_by_block: Mapping[int, int]) -> None:
-        if not 0 < length <= 32:
-            raise ConfigError(f"prefix length {length} out of range")
-        self.length = length
-        self.shift = 32 - length
-        self._owner_by_block = dict(owner_by_block)
-        universe = BlockBitset.build_universe(self._owner_by_block)
-        members: Dict[int, List[int]] = {}
-        for block, peer in self._owner_by_block.items():
-            members.setdefault(peer, []).append(block)
-        self._peer_bitsets = {
-            peer: BlockBitset.from_indices(universe, blocks)
-            for peer, blocks in members.items()
-        }
-
-    def owner_of(self, address: int) -> Optional[int]:
-        """The peer whose EIA set covers ``address`` (None: unknown source)."""
-        return self._owner_by_block.get(address >> self.shift)
-
-    def peers(self) -> List[int]:
-        return sorted(self._peer_bitsets)
-
-    def peer_blocks(self, peer: int) -> BlockBitset:
-        """The bit-packed membership of one peer's expected blocks."""
-        bitset = self._peer_bitsets.get(peer)
-        if bitset is None:
-            raise ConfigError(f"no blocks indexed for peer AS {peer}")
-        return bitset
-
-    def __len__(self) -> int:
-        return len(self._owner_by_block)

@@ -22,7 +22,7 @@ the same field order (packets, then octets, then timestamps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Tuple, cast
+from typing import Any, Callable, List, Sequence, Tuple, Union, cast
 
 from repro.netflow.records import FlowKey, FlowRecord
 from repro.netflow.v1 import (
@@ -44,7 +44,14 @@ from repro.netflow.v5 import (
 )
 from repro.util.errors import NetFlowDecodeError
 
-__all__ = ["ColumnarBatch", "decode_v5_columnar", "decode_v1_columnar"]
+__all__ = [
+    "ColumnarBatch",
+    "RecordColumns",
+    "RowColumns",
+    "RowBatch",
+    "decode_v5_columnar",
+    "decode_v1_columnar",
+]
 
 _IntColumn = Tuple[int, ...]
 
@@ -89,71 +96,104 @@ class ColumnarBatch:
         cannot raise; the output is element-for-element identical to the
         record-at-a-time decoder's list.
         """
+        return [self.record_at(index) for index in range(len(self.src_addr))]
+
+    def record_at(self, index: int) -> FlowRecord:
+        """Materialise row ``index`` alone.
+
+        What the commit loop calls for the rows the verdict memo cannot
+        clear; every other row of the datagram stays a column entry.
+        """
+        return FlowRecord(
+            key=FlowKey(
+                src_addr=self.src_addr[index],
+                dst_addr=self.dst_addr[index],
+                protocol=self.protocol[index],
+                src_port=self.src_port[index],
+                dst_port=self.dst_port[index],
+                tos=self.tos[index],
+                input_if=self.input_if[index],
+            ),
+            packets=self.packets[index],
+            octets=self.octets[index],
+            first=self.first[index],
+            last=self.last[index],
+            next_hop=self.next_hop[index],
+            tcp_flags=self.tcp_flags[index],
+            src_as=self.src_as[index],
+            dst_as=self.dst_as[index],
+            src_mask=self.src_mask[index],
+            dst_mask=self.dst_mask[index],
+            output_if=self.output_if[index],
+            ttl=self.ttl[index],
+        )
+
+
+class RecordColumns:
+    """Already-built records behind the two columns the commit loop reads.
+
+    The adapter that lets a ``Sequence[FlowRecord]`` (the offline engine,
+    the oracle tests) ride the same loop as a decoded datagram: the memo
+    key columns are gathered once, ``record_at`` hands back the original
+    object.
+    """
+
+    __slots__ = ("src_addr", "input_if", "_records")
+
+    def __init__(self, records: Sequence[FlowRecord]) -> None:
+        self.src_addr = [record.key.src_addr for record in records]
+        self.input_if = [record.key.input_if for record in records]
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def record_at(self, index: int) -> FlowRecord:
+        return self._records[index]
+
+
+#: One block of rows the commit loop can read: the memo-key columns plus
+#: ``record_at``.
+RowColumns = Union[ColumnarBatch, RecordColumns]
+
+
+class RowBatch:
+    """Flow rows in arrival order: ``(columns, start, stop)`` slices.
+
+    The unit the serve path moves — what the ingest queue hands the
+    commit worker and what :meth:`~repro.core.pipeline.EnhancedInFilter.
+    process_batch` loops over.  A slice is a run of rows of one decoded
+    datagram (a datagram split across two commit batches contributes a
+    slice to each); ``len()`` counts rows, so an empty batch is falsy.
+    """
+
+    __slots__ = ("slices", "_rows")
+
+    def __init__(self) -> None:
+        self.slices: List[Tuple[RowColumns, int, int]] = []
+        self._rows = 0
+
+    @classmethod
+    def of(cls, columns: RowColumns) -> "RowBatch":
+        """Every row of one column block."""
+        batch = cls()
+        batch.append(columns, 0, len(columns))
+        return batch
+
+    def append(self, columns: RowColumns, start: int, stop: int) -> None:
+        self.slices.append((columns, start, stop))
+        self._rows += stop - start
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def records(self) -> List[FlowRecord]:
+        """Every row materialised, in order (tests and diagnostics; the
+        commit loop materialises by index instead)."""
         return [
-            FlowRecord(
-                key=FlowKey(
-                    src_addr=src_addr,
-                    dst_addr=dst_addr,
-                    protocol=protocol,
-                    src_port=src_port,
-                    dst_port=dst_port,
-                    tos=tos,
-                    input_if=input_if,
-                ),
-                packets=packets,
-                octets=octets,
-                first=first,
-                last=last,
-                next_hop=next_hop,
-                tcp_flags=tcp_flags,
-                src_as=src_as,
-                dst_as=dst_as,
-                src_mask=src_mask,
-                dst_mask=dst_mask,
-                output_if=output_if,
-                ttl=ttl,
-            )
-            for (
-                src_addr,
-                dst_addr,
-                protocol,
-                src_port,
-                dst_port,
-                tos,
-                input_if,
-                packets,
-                octets,
-                first,
-                last,
-                next_hop,
-                tcp_flags,
-                src_as,
-                dst_as,
-                src_mask,
-                dst_mask,
-                output_if,
-                ttl,
-            ) in zip(
-                self.src_addr,
-                self.dst_addr,
-                self.protocol,
-                self.src_port,
-                self.dst_port,
-                self.tos,
-                self.input_if,
-                self.packets,
-                self.octets,
-                self.first,
-                self.last,
-                self.next_hop,
-                self.tcp_flags,
-                self.src_as,
-                self.dst_as,
-                self.src_mask,
-                self.dst_mask,
-                self.output_if,
-                self.ttl,
-            )
+            columns.record_at(index)
+            for columns, start, stop in self.slices
+            for index in range(start, stop)
         ]
 
 

@@ -1,12 +1,18 @@
 """The verdict memo: memoised verdicts with epoch invalidation.
 
 :class:`FastPath` is the EIA verdict memo every detector carries: a
-bounded :class:`~repro.fastpath.lru.VerdictLRU` of per-(source block,
-ingress) verdicts, an *epoch* guard that drops the whole memo the
-moment the authoritative EIA state reports a mutation (learning-rule
-absorption, preload, checkpoint restore, route churn), and the
-hit/miss/invalidation counters the tuning guide
-(``docs/performance.md``) is written around.
+bounded dict of per-(source block, ingress) verdicts, an *epoch* guard
+that drops the whole memo the moment the authoritative EIA state
+reports a mutation (learning-rule absorption, preload, checkpoint
+restore, route churn), and the hit/miss/invalidation counters the
+tuning guide (``docs/performance.md``) is written around.
+
+The bound is the NNS memos' policy — a plain dict cleared when it
+reaches capacity — not an LRU: the batch commit loop probes the dict
+directly (:meth:`FastPath.entries`), and recency bookkeeping is exactly
+the per-hit cost that probe exists to avoid.  The default capacity sits
+far above any deployment's (block, peer) key space, so the clear is a
+backstop, not a working-set policy.
 
 Deliberately generic and dependency-light: the plane never imports
 :mod:`repro.core` — the pipeline hands in opaque keys and cached
@@ -22,8 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, Generic, Optional, TypeVar
 
-from repro.fastpath.lru import VerdictLRU
 from repro.obs import MetricsRegistry, get_registry
+from repro.util.errors import ConfigError
 
 __all__ = ["DEFAULT_MEMO_CAPACITY", "FastPath"]
 
@@ -32,8 +38,8 @@ V = TypeVar("V")
 
 #: Default verdict-memo bound.  At two ints per key and one frozen
 #: EIACheck per value this is a few tens of MB worst case — sized so a
-#: serving daemon absorbing the Figure 15 attack mix never evicts the
-#: legal working set (see docs/performance.md for the sizing argument).
+#: serving daemon absorbing the Figure 15 attack mix never reaches it
+#: (see docs/performance.md for the sizing argument).
 DEFAULT_MEMO_CAPACITY = 131_072
 
 
@@ -55,8 +61,15 @@ class FastPath(Generic[K, V]):
         *,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.memo: VerdictLRU[K, V] = VerdictLRU(capacity)
+        if capacity < 1:
+            raise ConfigError(f"memo capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._entries: Dict[K, V] = {}
         self._epoch: Optional[int] = None
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._invalidations = 0
         registry = registry if registry is not None else get_registry()
         self._m_hits = registry.counter(
             "infilter_fastpath_cache_hits_total",
@@ -78,19 +91,41 @@ class FastPath(Generic[K, V]):
         """The state epoch the memo contents are valid for."""
         return self._epoch
 
-    def lookup(self, key: K, epoch: int) -> Optional[V]:
-        """The memoised verdict for ``key`` at ``epoch``; None on miss.
+    def entries(self, epoch: int) -> Dict[K, V]:
+        """The memo's dict, valid for ``epoch``, for direct probing.
 
         Crossing into a new epoch drops every entry first — the memo
-        can only ever answer for the epoch it was filled under.
+        can only ever answer for the epoch it was filled under.  The
+        batch commit loop holds the returned dict across rows and
+        reports what it answered from it through :meth:`note_hits`; it
+        must come back here whenever the authoritative epoch may have
+        moved (after every row it commits), or it serves a verdict from
+        before the mutation.
         """
         if epoch != self._epoch:
             self.invalidate()
             self._epoch = epoch
-        value = self.memo.get(key)
+        return self._entries
+
+    def note_hits(self, count: int) -> None:
+        """Account ``count`` direct probes of :meth:`entries` that hit."""
+        self._hits += count
+        self._m_hits.inc(count)
+
+    def lookup(self, key: K, epoch: int) -> Optional[V]:
+        """The memoised verdict for ``key`` at ``epoch``; None on miss.
+
+        Same epoch rule as :meth:`entries` (inlined: one call per probe).
+        """
+        if epoch != self._epoch:
+            self.invalidate()
+            self._epoch = epoch
+        value = self._entries.get(key)
         if value is None:
+            self._misses += 1
             self._m_misses.inc()
             return None
+        self._hits += 1
         self._m_hits.inc()
         return value
 
@@ -98,16 +133,23 @@ class FastPath(Generic[K, V]):
         """Memoise a freshly computed verdict for ``epoch``.
 
         A store that disagrees with the memo's epoch is dropped rather
-        than poisoning a future epoch's probes.
+        than poisoning a future epoch's probes.  A full memo is cleared
+        (in place: a held :meth:`entries` dict stays the live one).
         """
         if epoch != self._epoch:
             return
-        self.memo.put(key, value)
+        entries = self._entries
+        if len(entries) >= self.capacity and key not in entries:
+            self._evictions += len(entries)
+            entries.clear()
+        entries[key] = value
 
     def invalidate(self) -> int:
         """Drop the memo wholesale; returns the number of entries dropped."""
-        dropped = self.memo.invalidate_all()
+        dropped = len(self._entries)
+        self._entries.clear()
         if dropped:
+            self._invalidations += 1
             self._m_invalidations.inc()
         return dropped
 
@@ -115,12 +157,11 @@ class FastPath(Generic[K, V]):
 
     def stats(self) -> Dict[str, int]:
         """Memo counters for CLI/report surfaces (not the obs registry)."""
-        hits, misses, evictions, invalidations = self.memo.counters()
         return {
-            "size": len(self.memo),
-            "capacity": self.memo.capacity,
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-            "invalidations": invalidations,
+            "size": len(self._entries),
+            "capacity": self.capacity,
+            "hits": self._hits,
+            "misses": self._misses,
+            "evictions": self._evictions,
+            "invalidations": self._invalidations,
         }

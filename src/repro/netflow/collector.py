@@ -10,9 +10,8 @@ destination port to a peer-AS identity and stamping it onto the records
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sized, Tuple
 
 from repro.netflow.records import FlowRecord
 from repro.netflow.v5 import V5Header, decode_datagram
@@ -58,10 +57,12 @@ class FlowCollector:
         self.stats = CollectorStats()
         self._store: List[FlowRecord] = []
         self._retain = False
-        # Recently seen (per source) flow_sequence values: UDP duplicates
-        # re-deliver a datagram verbatim; replaying its records would
-        # double-count flows, so they are dropped here.
-        self._recent_seq: Dict[int, Deque[int]] = {}
+        # Recently seen (per source) datagram headers, oldest first: a
+        # UDP duplicate re-delivers a datagram verbatim; replaying its
+        # records would double-count flows, so it is dropped here.  The
+        # whole header is the key — a restarted exporter reuses sequence
+        # numbers but not (uptime, wall clock), and must be admitted.
+        self._recent_headers: Dict[int, Dict[V5Header, None]] = {}
         registry = registry if registry is not None else get_registry()
         self._m_datagrams = registry.counter(
             "infilter_collector_datagrams_total",
@@ -132,7 +133,11 @@ class FlowCollector:
         except NetFlowError as error:
             self.note_decode_error(source, str(error))
             return []
-        return self.receive_decoded(header, records, source=source)
+        if not self.receive_decoded(header, records, source=source):
+            return []
+        for record in records:
+            self._deliver(record)
+        return records
 
     def note_decode_error(self, source: int, reason: str) -> None:
         """Account one dropped undecodable datagram.
@@ -149,40 +154,48 @@ class FlowCollector:
         )
 
     def receive_decoded(
-        self, header: V5Header, records: List[FlowRecord], source: int = 0
-    ) -> List[FlowRecord]:
-        """Ingest an already-decoded v5 datagram (the zero-copy hand-off).
+        self, header: V5Header, rows: Sized, source: int = 0
+    ) -> bool:
+        """Account an already-decoded v5 datagram; False when it is a
+        duplicate the caller must drop.
 
-        Duplicate suppression, sequence tracking, and sink delivery are
-        identical to :meth:`receive`; only the wire decode has happened
-        elsewhere (e.g. :func:`repro.fastpath.columnar.decode_v5_columnar`).
+        The header-only half of :meth:`receive` — duplicate suppression,
+        sequence tracking, the datagram and record counters — for front
+        ends that decode elsewhere and move the rows themselves (the
+        serve router hands :func:`repro.fastpath.columnar.
+        decode_v5_columnar`'s batch straight to its queue).  Nothing is
+        delivered to sinks here.
         """
         if self._is_duplicate(source, header):
             self.stats.duplicates += 1
             self._m_duplicates.inc()
-            return []
+            return False
         self._track_sequence(source, header)
         self.stats.datagrams += 1
-        self.stats.records += len(records)
         self._m_datagrams.inc()
-        self._m_records.inc(len(records))
-        for record in records:
-            self._deliver(record)
-        return records
+        self.note_records(len(rows))
+        return True
 
     def _is_duplicate(self, source: int, header: V5Header) -> bool:
-        recent = self._recent_seq.get(source)
+        recent = self._recent_headers.get(source)
         if recent is None:
-            self._recent_seq[source] = recent = deque(maxlen=self.DEDUPE_WINDOW)
-        if header.flow_sequence in recent:
+            self._recent_headers[source] = recent = {}
+        seen = len(recent)
+        recent[header] = None  # one hash: a known header adds nothing
+        if len(recent) == seen:
             return True
-        recent.append(header.flow_sequence)
+        if seen >= self.DEDUPE_WINDOW:
+            del recent[next(iter(recent))]
         return False
+
+    def note_records(self, count: int) -> None:
+        """Account ``count`` collected records (no sequence header: v1)."""
+        self.stats.records += count
+        self._m_records.inc(count)
 
     def ingest_records(self, records: List[FlowRecord]) -> None:
         """Bypass the wire format (already-decoded records)."""
-        self.stats.records += len(records)
-        self._m_records.inc(len(records))
+        self.note_records(len(records))
         for record in records:
             self._deliver(record)
 

@@ -24,7 +24,7 @@ from repro.serve.listener import (
     NetFlowDatagramProtocol,
     RouterStats,
 )
-from repro.serve.queue import IngestQueue, QueuedRecord, QueueStats
+from repro.serve.queue import IngestQueue, QueuedBatch, QueueStats
 from repro.serve.worker import CommitWorker
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "NetFlowDatagramProtocol",
     "RouterStats",
     "IngestQueue",
-    "QueuedRecord",
+    "QueuedBatch",
     "QueueStats",
     "CommitWorker",
 ]

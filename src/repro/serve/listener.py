@@ -3,11 +3,12 @@
 :class:`NetFlowDatagramProtocol` is the asyncio ``DatagramProtocol``
 bound to the export socket; it does nothing but hand raw datagrams to a
 :class:`DatagramRouter`.  The router sniffs the NetFlow version word,
-sends v5 datagrams through the :class:`~repro.netflow.collector.
-FlowCollector` (sequence tracking, duplicate suppression, loss
-accounting — the same accounting the offline path uses), decodes v1
-datagrams directly, and pushes every resulting record into the bounded
-ingest queue.
+decodes the datagram column-wise, puts a v5 datagram's header through
+the :class:`~repro.netflow.collector.FlowCollector` (sequence tracking,
+duplicate suppression, loss accounting — the same accounting the
+offline path uses; v1 has no sequence header to account), and hands the
+column block to the bounded ingest queue in one call.  No
+:class:`~repro.netflow.records.FlowRecord` is built here.
 
 Keeping the router a plain synchronous object makes the whole ingress
 testable without a socket: tests feed ``route()`` bytes and assert on
@@ -17,13 +18,12 @@ queue and collector state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, cast
+from typing import Callable, Optional, Tuple, cast
 
 import asyncio
 
 from repro.fastpath.columnar import decode_v1_columnar, decode_v5_columnar
 from repro.netflow.collector import FlowCollector
-from repro.netflow.records import FlowRecord
 from repro.netflow.v1 import NETFLOW_V1_VERSION
 from repro.netflow.v5 import NETFLOW_V5_VERSION
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
@@ -45,7 +45,7 @@ class RouterStats:
 
 
 class DatagramRouter:
-    """Version-sniff NetFlow datagrams and feed records to the queue.
+    """Version-sniff NetFlow datagrams and feed their rows to the queue.
 
     ``on_activity`` (when given) is invoked once per datagram — the
     idle-exit watchdog's pulse.  Records shed by the queue are already
@@ -65,7 +65,6 @@ class DatagramRouter:
         self.collector = (
             collector if collector is not None else FlowCollector(registry=registry)
         )
-        self.collector.add_sink(self._sink)
         self.stats = RouterStats()
         self._on_activity = on_activity
         datagrams = registry.counter(
@@ -89,9 +88,6 @@ class DatagramRouter:
             "Flow records decoded through the columnar fastpath.",
         )
 
-    def _sink(self, record: FlowRecord) -> None:
-        self.queue.put(record)
-
     def route(self, data: bytes, source: int = 0) -> int:
         """Ingest one datagram; returns the number of records queued for
         assessment (before any shed accounting).
@@ -106,10 +102,10 @@ class DatagramRouter:
         else:
             version = -1
         if version == NETFLOW_V5_VERSION:
-            records = self._receive_v5(data, source)
+            queued = self._receive_v5(data, source)
             self.stats.v5_datagrams += 1
             self._m_v5.inc()
-            return len(records)
+            return queued
         if version == NETFLOW_V1_VERSION:
             watch = Stopwatch()
             try:
@@ -122,14 +118,14 @@ class DatagramRouter:
                     extra={"source": source, "reason": str(error)},
                 )
                 return 0
-            records = batch.records()
-            self._observe_decode(watch.elapsed_s(), len(records))
+            self._observe_decode(watch.elapsed_s(), len(batch))
             self.stats.v1_datagrams += 1
             self._m_v1.inc()
-            # v1 has no flow_sequence: records bypass loss accounting and
-            # go through the collector's decoded-record entry point.
-            self.collector.ingest_records(records)
-            return len(records)
+            # v1 has no flow_sequence: nothing for the collector to track
+            # but the record count.
+            self.collector.note_records(len(batch))
+            self.queue.put_batch(batch)
+            return len(batch)
         self.stats.invalid_datagrams += 1
         self._m_invalid.inc()
         log.warning(
@@ -138,20 +134,23 @@ class DatagramRouter:
         )
         return 0
 
-    def _receive_v5(self, data: bytes, source: int) -> List[FlowRecord]:
-        """The zero-copy v5 ingest: columnar decode, then the collector's
-        decoded-datagram entry point (sequence tracking and duplicate
-        suppression unchanged).  Decode failures land in the collector's
-        decode-error accounting exactly as :meth:`FlowCollector.receive`."""
+    def _receive_v5(self, data: bytes, source: int) -> int:
+        """The zero-copy v5 ingest: columnar decode, the collector's
+        header accounting (sequence tracking and duplicate suppression as
+        in :meth:`FlowCollector.receive`), then the whole datagram into
+        the queue.  Decode failures land in the collector's decode-error
+        accounting exactly as they do there."""
         watch = Stopwatch()
         try:
             header, batch = decode_v5_columnar(data)
         except NetFlowError as error:
             self.collector.note_decode_error(source, str(error))
-            return []
-        records = batch.records()
-        self._observe_decode(watch.elapsed_s(), len(records))
-        return self.collector.receive_decoded(header, records, source=source)
+            return 0
+        self._observe_decode(watch.elapsed_s(), len(batch))
+        if not self.collector.receive_decoded(header, batch, source=source):
+            return 0
+        self.queue.put_batch(batch)
+        return len(batch)
 
     def _observe_decode(self, elapsed_s: float, n_records: int) -> None:
         """Record one columnar datagram decode (latency + record count)."""

@@ -7,8 +7,17 @@ when ingest outruns commit the queue sheds load by policy instead of
 growing without limit, and every shed is counted so operators can see
 exactly what was sacrificed (``infilter_serve_shed_total``).
 
-The queue is single-loop: producers call :meth:`put` from event-loop
-callbacks (the datagram protocol), the one consumer awaits
+What it stores is decoded *datagrams*, not records: one entry per
+admitted datagram — its column block, the row range still queued, and
+the instant it arrived.  What it counts is *records*, everywhere:
+``len(queue)``, ``capacity``, the shed policies and every statistic
+behave exactly as if the rows had been put one at a time (a datagram
+larger than the free space is admitted or evicted row by row, and a
+commit batch that ends mid-datagram takes only the rows it has room
+for).
+
+The queue is single-loop: producers call :meth:`put_batch` from
+event-loop callbacks (the datagram protocol), the one consumer awaits
 :meth:`get_batch`.  No locks are needed because asyncio callbacks and
 coroutine steps interleave only at await points.
 """
@@ -18,29 +27,33 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 import asyncio
 
+from repro.fastpath.columnar import RecordColumns, RowBatch, RowColumns
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, get_registry
 from repro.serve.config import SHED_DROP_OLDEST, SHED_POLICIES
 from repro.util.errors import ConfigError, ServeError
 
-__all__ = ["QueuedRecord", "QueueStats", "IngestQueue"]
+__all__ = ["QueuedBatch", "QueueStats", "IngestQueue"]
 
 
-@dataclass(frozen=True)
-class QueuedRecord:
-    """One admitted flow record plus its ingest timestamp.
+class QueuedBatch(RowBatch):
+    """The rows of one commit batch, each slice with its ingest instant.
 
-    ``enqueued_s`` is a monotonic (``perf_counter``) instant, used only
-    to measure ingest-to-verdict latency — observability, not simulation
-    input, so it never feeds a detector decision.
+    ``enqueued_s`` parallels ``slices``: the monotonic
+    (``perf_counter``) instant the slice's datagram was admitted, used
+    only to measure ingest-to-verdict latency — observability, not
+    simulation input, so it never feeds a detector decision.
     """
 
-    record: FlowRecord
-    enqueued_s: float
+    __slots__ = ("enqueued_s",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.enqueued_s: List[float] = []
 
 
 @dataclass
@@ -57,11 +70,11 @@ class QueueStats:
 class IngestQueue:
     """Bounded record queue with an explicit load-shedding policy.
 
-    ``drop-oldest`` evicts the head to admit the newest record (the
+    ``drop-oldest`` evicts rows from the head to admit the newest (the
     detector tracks the live edge of the traffic); ``reject-newest``
-    refuses the incoming record (everything already admitted commits in
-    order).  Both count into ``stats.shed`` and the shed counter metric,
-    labelled by policy.
+    refuses the incoming rows that do not fit (everything already
+    admitted commits in order).  Both count into ``stats.shed`` and the
+    shed counter metric, labelled by policy.
     """
 
     def __init__(
@@ -81,7 +94,10 @@ class IngestQueue:
         self.capacity = capacity
         self.shed_policy = shed_policy
         self.stats = QueueStats()
-        self._items: Deque[QueuedRecord] = deque()
+        # (columns, start, stop, enqueued_s): the rows [start, stop) of
+        # one datagram still queued.  _depth is their total.
+        self._items: Deque[Tuple[RowColumns, int, int, float]] = deque()
+        self._depth = 0
         self._closed = False
         self._wakeup: Optional[asyncio.Event] = None
         registry = registry if registry is not None else get_registry()
@@ -100,7 +116,7 @@ class IngestQueue:
         )
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._depth
 
     @property
     def closed(self) -> bool:
@@ -114,33 +130,57 @@ class IngestQueue:
             self._wakeup = asyncio.Event()
         return self._wakeup
 
-    def put(self, record: FlowRecord) -> bool:
-        """Admit one record; returns False when it was shed.
+    def put_batch(self, columns: RowColumns) -> int:
+        """Admit one decoded datagram; returns how many rows got in.
 
-        A full queue invokes the shed policy: ``drop-oldest`` evicts the
-        head and admits ``record`` (returns True — the *new* record was
-        admitted); ``reject-newest`` counts ``record`` as shed and
-        returns False.  Putting into a closed queue is a contract
-        violation — the listener must be stopped before the drain.
+        Row for row what putting them one at a time would do.  A full
+        queue invokes the shed policy: ``drop-oldest`` admits every row
+        and evicts as many from the head (rows of this very datagram
+        when it alone exceeds the capacity); ``reject-newest`` admits
+        the rows that fit and counts the rest as shed.  Putting into a
+        closed queue is a contract violation — the listener must be
+        stopped before the drain.
         """
         if self._closed:
             raise ServeError("cannot enqueue into a closed ingest queue")
-        if len(self._items) >= self.capacity:
-            self.stats.shed += 1
-            self._m_shed.inc()
-            if self.shed_policy == SHED_DROP_OLDEST:
-                self._items.popleft()
+        stats = self.stats
+        admitted = len(columns)
+        overflow = self._depth + admitted - self.capacity
+        if overflow > 0:
+            stats.shed += overflow
+            self._m_shed.inc(overflow)
+            if self.shed_policy != SHED_DROP_OLDEST:
+                admitted -= overflow
+                overflow = 0
+        if admitted:
+            self._items.append((columns, 0, admitted, time.perf_counter()))
+            self._depth += admitted
+            stats.enqueued += admitted
+            self._m_enqueued.inc(admitted)
+            if overflow > 0:
+                self._discard_head(overflow)
+            if self._depth > stats.high_watermark:
+                stats.high_watermark = self._depth
+            self._m_depth.set(self._depth)
+            self._event().set()
+        return admitted
+
+    def put(self, record: FlowRecord) -> bool:
+        """Admit one record (a one-row batch); False when it was shed."""
+        return self.put_batch(RecordColumns((record,))) == 1
+
+    def _discard_head(self, rows: int) -> None:
+        """Evict the ``rows`` oldest queued rows (drop-oldest)."""
+        items = self._items
+        self._depth -= rows
+        while rows:
+            columns, start, stop, enqueued_s = items[0]
+            if stop - start <= rows:
+                items.popleft()
+                rows -= stop - start
             else:
-                return False
-        self._items.append(QueuedRecord(record, time.perf_counter()))
-        self.stats.enqueued += 1
-        self._m_enqueued.inc()
-        depth = len(self._items)
-        if depth > self.stats.high_watermark:
-            self.stats.high_watermark = depth
-        self._m_depth.set(depth)
-        self._event().set()
-        return True
+                items[0] = (columns, start + rows, stop, enqueued_s)
+                rows = 0
 
     def close(self) -> None:
         """Enter drain mode: no new records, consumers see the rest.
@@ -152,21 +192,36 @@ class IngestQueue:
         self._closed = True
         self._event().set()
 
-    def take_nowait(self, limit: int) -> List[QueuedRecord]:
-        """Dequeue up to ``limit`` records without waiting."""
-        taken: List[QueuedRecord] = []
-        while self._items and len(taken) < limit:
-            taken.append(self._items.popleft())
+    def take_nowait(self, limit: int) -> QueuedBatch:
+        """Dequeue up to ``limit`` records without waiting.
+
+        A datagram with more rows than the batch has room for is split:
+        the rest stays at the head for the next batch.
+        """
+        taken = QueuedBatch()
+        items = self._items
+        room = limit
+        while items and room > 0:
+            columns, start, stop, enqueued_s = items[0]
+            if stop - start > room:
+                items[0] = (columns, start + room, stop, enqueued_s)
+                stop = start + room
+            else:
+                items.popleft()
+            taken.append(columns, start, stop)
+            taken.enqueued_s.append(enqueued_s)
+            room -= stop - start
         if taken:
+            self._depth -= len(taken)
             self.stats.dequeued += len(taken)
-            self._m_depth.set(len(self._items))
-        if not self._items and not self._closed:
+            self._m_depth.set(self._depth)
+        if not items and not self._closed:
             self._event().clear()
         return taken
 
     async def get_batch(
         self, max_batch: int, *, linger_s: float = 0.0
-    ) -> List[QueuedRecord]:
+    ) -> QueuedBatch:
         """Await the next micro-batch (empty batch = closed and drained).
 
         Waits until at least one record is queued (or the queue closes),
@@ -180,13 +235,13 @@ class IngestQueue:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         while not self._items:
             if self._closed:
-                return []
+                return QueuedBatch()
             event = self._event()
             event.clear()
             await event.wait()
         if (
             linger_s > 0
-            and len(self._items) < max_batch
+            and self._depth < max_batch
             and not self._closed
         ):
             await asyncio.sleep(linger_s)

@@ -1,7 +1,8 @@
 """The micro-batching commit plane of the serving daemon.
 
 One :class:`CommitWorker` coroutine owns the authoritative detector: it
-awaits micro-batches from the ingest queue and commits each through
+awaits micro-batches from the ingest queue — column slices of decoded
+datagrams, never a list of records — and commits each through
 :meth:`~repro.core.pipeline.EnhancedInFilter.process_batch` — the same
 memoised batch path the offline sharded engine drives, so verdicts,
 absorptions, alerts and stats are exactly what serial processing would
@@ -25,7 +26,7 @@ from repro.core.persistence import load_checkpoint, save_detector
 from repro.core.pipeline import EnhancedInFilter
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
 from repro.serve.config import ServeConfig
-from repro.serve.queue import IngestQueue, QueuedRecord
+from repro.serve.queue import IngestQueue, QueuedBatch
 from repro.util.errors import ReproError, ServeError
 from repro.util.rng import SeededRng
 
@@ -164,14 +165,18 @@ class CommitWorker:
         if self.config.checkpoint_path is not None:
             self.checkpoint()
 
-    def commit(self, batch: List[QueuedRecord]) -> None:
+    def commit(self, batch: QueuedBatch) -> None:
         """Commit one micro-batch synchronously (a batch boundary)."""
         watch = Stopwatch()
-        self.detector.process_batch([queued.record for queued in batch])
+        self.detector.process_batch(batch)
         elapsed = watch.elapsed_s()
         done = time.perf_counter()
-        for queued in batch:
-            self._sample_latency(done - queued.enqueued_s)
+        # Ingest latency is stamped per datagram: one sample per slice,
+        # with the slice's row count as its multiplicity.
+        for (_columns, start, stop), enqueued_s in zip(
+            batch.slices, batch.enqueued_s
+        ):
+            self._sample_latency(done - enqueued_s, stop - start)
         self._batches += 1
         self._committed += len(batch)
         self._cursor += len(batch)
@@ -186,15 +191,19 @@ class CommitWorker:
         if self._on_progress is not None:
             self._on_progress()
 
-    def _sample_latency(self, latency_s: float) -> None:
-        self._m_ingest_latency.observe(latency_s)
-        self._latency_seen += 1
-        if len(self._latency_reservoir) < _LATENCY_RESERVOIR:
-            self._latency_reservoir.append(latency_s)
-            return
-        slot = self._latency_rng.randrange(self._latency_seen)
-        if slot < _LATENCY_RESERVOIR:
-            self._latency_reservoir[slot] = latency_s
+    def _sample_latency(self, latency_s: float, records: int) -> None:
+        """Offer ``records`` identical latencies to the histogram and,
+        one by one, to the reservoir (it still sees every record)."""
+        self._m_ingest_latency.observe_many(latency_s, records)
+        reservoir = self._latency_reservoir
+        for _ in range(records):
+            self._latency_seen += 1
+            if len(reservoir) < _LATENCY_RESERVOIR:
+                reservoir.append(latency_s)
+                continue
+            slot = self._latency_rng.randrange(self._latency_seen)
+            if slot < _LATENCY_RESERVOIR:
+                reservoir[slot] = latency_s
 
     def checkpoint(self) -> int:
         """Write an atomic checkpoint at the current cursor."""

@@ -6,15 +6,24 @@ it — serial, batched at three sizes, with and without full NNS
 speculation — is compared flow for flow with the memo-free transcription
 of Figure 12 in :mod:`tests.reference_chain`, over the configurations
 that steer the chain down each of its branches.
+
+``process_batch`` has two doors — a record list (the engine) and column
+slices of decoded datagrams (the serve path), where a row the verdict
+memo clears never becomes a record.  Both are run against the oracle,
+and against each other's memo counters.
 """
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 import pytest
 
 from repro.core import EIAConfig, OverloadConfig, PipelineConfig
+from repro.fastpath.columnar import ColumnarBatch, RowBatch, decode_v5_columnar
+from repro.flowgen import Dagflow, synthesize_trace
 from repro.netflow.records import FlowRecord
+from repro.netflow.v5 import datagrams_for
+from repro.util import Prefix, SeededRng
 
 from tests.conftest import make_detector
 from tests.reference_chain import Outcome, outcome_of, reference_chain
@@ -139,3 +148,148 @@ def test_every_runner_matches_the_reference_chain(
             )
             got.extend(outcome_of(d) for d in result.decisions)
     assert got == expected
+
+
+# -- the column door ------------------------------------------------------------
+
+
+def _decoded(records: List[FlowRecord]) -> List[ColumnarBatch]:
+    """``records`` as the serve path sees them: v5 datagrams of up to 30
+    rows, decoded column-wise."""
+    blocks = [
+        decode_v5_columnar(datagram)[1]
+        for datagram in datagrams_for(records, sys_uptime=0, unix_secs=0)
+    ]
+    assert [r for block in blocks for r in block.records()] == records
+    return blocks
+
+
+def _row_batches(blocks: List[ColumnarBatch], size: int) -> Iterator[RowBatch]:
+    """Commit batches of ``size`` rows cut across the datagram
+    boundaries, the way ``IngestQueue.take_nowait`` cuts them."""
+    batch = RowBatch()
+    for block in blocks:
+        start = 0
+        while start < len(block):
+            stop = min(len(block), start + size - len(batch))
+            batch.append(block, start, stop)
+            start = stop
+            if len(batch) == size:
+                yield batch
+                batch = RowBatch()
+    if batch:
+        yield batch
+
+
+@pytest.fixture(scope="module")
+def oracle_blocks(oracle_trace) -> List[ColumnarBatch]:
+    return _decoded(oracle_trace)
+
+
+@pytest.mark.parametrize("speculate", [False, True], ids=["inline", "speculated"])
+@pytest.mark.parametrize("size", [1, 97, 10_000])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_column_batches_match_the_reference_chain(
+    eia_plan, target_prefix, oracle_trace, oracle_blocks, oracle, name, size,
+    speculate,
+):
+    """Every configuration through the column door — ``any-ensemble``
+    included, where a legal row must still reach the auxiliary
+    detectors — and the verdict memo asked exactly as often, with
+    exactly the same answers, as through the record door."""
+    expected, speculation = oracle(name)
+
+    def guesses(start: int, rows: int):
+        return speculation[start:start + rows] if speculate else None
+
+    columns = _build(eia_plan, target_prefix, name)
+    got: List[Outcome] = []
+    for batch in _row_batches(oracle_blocks, size):
+        result = columns.process_batch(
+            batch, speculation=guesses(len(got), len(batch))
+        )
+        assert len(result.decisions) == len(batch)
+        got.extend(outcome_of(d) for d in result.decisions)
+    assert got == expected
+
+    records = _build(eia_plan, target_prefix, name)
+    for start in range(0, len(oracle_trace), size):
+        records.process_batch(
+            oracle_trace[start:start + size], speculation=guesses(start, size)
+        )
+    memo = columns.fastpath.stats()
+    assert memo["hits"] + memo["misses"] == len(oracle_trace)
+    assert memo == records.fastpath.stats()
+    assert columns.stats.state_dict().keys() == records.stats.state_dict().keys()
+    assert (columns.stats.legal, columns.stats.suspects, columns.stats.absorbed) == (
+        records.stats.legal, records.stats.suspects, records.stats.absorbed
+    )
+
+
+def _normal_donors(eia_plan, target_prefix, config, count: int) -> List[FlowRecord]:
+    """Training-shaped flows the trained model assesses as normal."""
+    rng = SeededRng(_SEED, "oracle-donors")
+    dagflow = Dagflow(
+        "donors", target_prefix=target_prefix, udp_port=9000,
+        source_blocks=eia_plan[0], rng=rng.fork("df"),
+    )
+    twin = make_detector(
+        eia_plan, target_prefix, seed=_SEED, config=config, n_train=900
+    )
+    donors = [
+        lr.record for lr in dagflow.replay(synthesize_trace(80, rng=rng.fork("t")))
+        if twin.assess_memoised(lr.record).is_normal
+    ]
+    assert len(donors) >= count
+    return donors[:count]
+
+
+@pytest.mark.parametrize(
+    "granularity", [11, 24], ids=["same-length", "memo-shift-shrinks"]
+)
+def test_absorption_mid_datagram_is_seen_by_the_next_row(
+    eia_plan, target_prefix, granularity
+):
+    """The stale-memo hazard.  Row 3 of one datagram absorbs a block of
+    peer 0's into peer 3's EIA set — which *moves* it, so the (block,
+    peer 0) verdict the memo holds as legal since row 0 is wrong from
+    row 4 on.  The epoch moves at the end of ``_commit`` and the memo
+    only drops itself when asked: a loop that keeps probing the dict it
+    fetched before row 3 calls row 4 legal.  At granularity /24 the
+    absorbed block is a longer prefix than anything stored, so the memo
+    key's shift changes in the same step: row 6, in the old /11 but
+    outside the moved /24, stays legal and must not share row 4's key."""
+    config = PipelineConfig(
+        eia=EIAConfig(granularity=granularity, learning_threshold=3)
+    )
+    block: Prefix = eia_plan[0][0]
+    inside = block.network + 0x0105  # the /24 that moves, when /24 it is
+    outside = block.network + 0x0A0005  # same /11, another /24
+    donors = _normal_donors(eia_plan, target_prefix, config, 7)
+    placed = [
+        (inside, 0), (inside + 1, 3), (inside + 2, 3), (inside + 3, 3),
+        (inside + 4, 0), (inside + 5, 3), (outside, 0),
+    ]
+    rows = [
+        donor.with_key(src_addr=address, input_if=peer)
+        for donor, (address, peer) in zip(donors, placed)
+    ]
+    expected = reference_chain(
+        make_detector(eia_plan, target_prefix, seed=_SEED, config=config, n_train=900),
+        rows,
+    )
+    verdicts = [verdict for verdict, *_ in expected]
+    assert verdicts[0] == "legal" and expected[3][2], "row 3 must absorb"
+    assert verdicts[4] != "legal" and verdicts[5] == "legal"
+    assert (verdicts[6] == "legal") == (granularity == 24)
+
+    (datagram,) = _decoded(rows)
+    for batch in (RowBatch.of(datagram), rows):
+        detector = make_detector(
+            eia_plan, target_prefix, seed=_SEED, config=config, n_train=900
+        )
+        result = detector.process_batch(batch)
+        assert [outcome_of(d) for d in result.decisions] == expected
+        assert [peer for peer, _block in result.absorbed] == [3]
+        if granularity == 24:
+            assert detector.infilter.memo_shift == 8

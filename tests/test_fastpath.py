@@ -19,14 +19,7 @@ from hypothesis import strategies as st
 from repro.core import EIAConfig, PipelineConfig
 from repro.core.encoding import hamming
 from repro.core.persistence import render_state
-from repro.fastpath import (
-    BlockBitset,
-    BlockOwnerIndex,
-    FastPath,
-    PackedCodes,
-    VerdictLRU,
-    hamming_per_bit,
-)
+from repro.fastpath import FastPath, PackedCodes, hamming_per_bit
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.netflow.collector import FlowCollector
 from repro.netflow.v1 import (
@@ -92,50 +85,7 @@ class TestPackedCodes:
             PackedCodes([], 8).argmin(0)
 
 
-class TestBlockBitset:
-    @given(st.sets(st.integers(min_value=0, max_value=4096), max_size=64),
-           st.sets(st.integers(min_value=0, max_value=4096), max_size=64))
-    @settings(max_examples=80)
-    def test_set_algebra_matches_python_sets(self, left, right):
-        universe = BlockBitset.build_universe(left | right)
-        a = BlockBitset.from_indices(universe, left)
-        b = BlockBitset.from_indices(universe, right)
-        assert set(a.indices()) == left and len(a) == len(left)
-        assert set(a.union(b).indices()) == (left | right)
-        assert set(a.intersection(b).indices()) == (left & right)
-        for index in left | right:
-            assert (index in a) == (index in left)
-
-    def test_owner_index_is_flat_longest_match(self):
-        owners = {0b101: 7, 0b110: 9}
-        index = BlockOwnerIndex(3, owners)
-        assert index.owner_of(0b101 << 29) == 7
-        assert index.owner_of((0b110 << 29) | 12345) == 9
-        assert index.owner_of(0) is None
-        assert index.peers() == [7, 9]
-        assert index.peer_blocks(7).indices() == [0b101]
-
-
 # -- the verdict memo ---------------------------------------------------------
-
-
-class TestVerdictLRU:
-    def test_bounded_with_lru_eviction(self):
-        lru: VerdictLRU[int, str] = VerdictLRU(2)
-        lru.put(1, "a")
-        lru.put(2, "b")
-        assert lru.get(1) == "a"  # refreshes 1; 2 is now oldest
-        lru.put(3, "c")
-        assert lru.get(2) is None
-        assert lru.get(1) == "a" and lru.get(3) == "c"
-        assert lru.counters() == (3, 1, 1, 0)
-
-    def test_invalidate_all_counts(self):
-        lru: VerdictLRU[int, int] = VerdictLRU(8)
-        for i in range(5):
-            lru.put(i, i)
-        assert lru.invalidate_all() == 5
-        assert len(lru) == 0 and lru.get(0) is None
 
 
 class TestFastPathEpochs:
@@ -153,6 +103,44 @@ class TestFastPathEpochs:
         plane.lookup(1, epoch=5)
         plane.store(1, "stale", epoch=4)
         assert plane.lookup(1, epoch=5) is None
+
+    def test_bounded_by_clearing_at_capacity(self):
+        with pytest.raises(ConfigError):
+            FastPath(0, registry=MetricsRegistry())
+        plane: FastPath[int, str] = FastPath(2, registry=MetricsRegistry())
+        held = plane.entries(0)
+        plane.store(1, "a", epoch=0)
+        plane.store(2, "b", epoch=0)
+        plane.store(2, "b2", epoch=0)  # an overwrite is not growth
+        assert plane.stats()["size"] == 2 and plane.lookup(2, epoch=0) == "b2"
+        plane.store(3, "c", epoch=0)  # full: cleared, then stored
+        assert plane.stats()["size"] == 1 and plane.lookup(1, epoch=0) is None
+        assert plane.lookup(3, epoch=0) == "c"
+        # Cleared in place: a dict handed out earlier is still the memo.
+        assert held is plane.entries(0) and held == {3: "c"}
+        stats = plane.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (2, 1, 2)
+        assert stats["invalidations"] == 0
+
+    def test_invalidate_counts_only_real_drops(self):
+        plane: FastPath[int, int] = FastPath(8, registry=MetricsRegistry())
+        plane.entries(0)
+        for i in range(5):
+            plane.store(i, i, epoch=0)
+        assert plane.invalidate() == 5
+        assert plane.invalidate() == 0
+        assert plane.stats()["size"] == 0 and plane.lookup(0, epoch=0) is None
+        assert plane.stats()["invalidations"] == 1
+
+    def test_direct_probes_are_accounted_through_note_hits(self):
+        plane: FastPath[int, str] = FastPath(8, registry=MetricsRegistry())
+        entries = plane.entries(3)
+        plane.store(1, "v", epoch=3)
+        assert entries.get(1) == "v"
+        plane.note_hits(1)
+        assert plane.stats()["hits"] == 1
+        # A new epoch empties the very dict the caller holds.
+        assert plane.entries(4) is entries and not entries
 
 
 # -- columnar decode == record-at-a-time decode -------------------------------
@@ -376,7 +364,7 @@ class TestVerdictEquivalence:
         detector = _build_detector(eia_plan, target_prefix)
         for start in range(0, len(fastpath_trace), 97):
             detector.process_batch(fastpath_trace[start:start + 97])
-        assert len(detector.fastpath.memo) > 0  # genuinely hot
+        assert detector.fastpath.stats()["size"] > 0  # genuinely hot
         hot = render_state(detector)
         detector.fastpath.invalidate()
         cold = render_state(detector)
@@ -400,9 +388,9 @@ class TestVerdictEquivalence:
     ):
         detector = _build_detector(eia_plan, target_prefix)
         detector.process_batch(fastpath_trace[:200])
-        assert len(detector.fastpath.memo) > 0
+        assert detector.fastpath.stats()["size"] > 0
         detector.load_state(detector.state_dict())
-        assert len(detector.fastpath.memo) == 0
+        assert detector.fastpath.stats()["size"] == 0
 
 
 # -- NNS packed sweeps match the min() formulation ----------------------------
@@ -464,7 +452,7 @@ class TestRouterColumnarParity:
                 fates.invalid_datagrams += 1
 
         queued = queue.take_nowait(len(queue))
-        assert [q.record for q in queued] == expected
+        assert queued.records() == expected
         assert router.stats == fates
         got, want = router.collector.stats, reference.stats
         assert (got.datagrams, got.records, got.decode_errors,

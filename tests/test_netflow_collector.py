@@ -4,7 +4,7 @@ import pytest
 
 from repro.netflow.collector import FlowCollector, PortMux
 from repro.netflow.records import FlowKey, FlowRecord
-from repro.netflow.v5 import encode_datagram
+from repro.netflow.v5 import decode_datagram, encode_datagram
 from repro.util.errors import NetFlowError
 
 
@@ -94,6 +94,54 @@ class TestFlowCollector:
         # Sequence 0 has aged out of the window: replay is accepted again
         # (and shows up as a sequence reset instead).
         assert len(collector.receive(first, source=1)) == 1
+
+    def test_restarted_exporter_reusing_a_sequence_is_admitted(self):
+        """A UDP duplicate is a *verbatim* re-delivery.  A restarted
+        exporter counts from zero again — a sequence number still in the
+        window — but with a younger uptime and a later wall clock, and
+        its flows must reach the detector (as a sequence reset)."""
+        collector = FlowCollector()
+        delivered = []
+        collector.add_sink(delivered.append)
+        batch = [record(i) for i in range(30)]
+
+        def export(sequence, *, sys_uptime, unix_secs):
+            return encode_datagram(
+                batch, sys_uptime=sys_uptime, unix_secs=unix_secs,
+                flow_sequence=sequence,
+            )
+
+        first = export(0, sys_uptime=90_000, unix_secs=1_000)
+        assert len(collector.receive(first, source=1)) == 30
+        assert len(collector.receive(
+            export(30, sys_uptime=91_000, unix_secs=1_001), source=1
+        )) == 30
+        restart = export(0, sys_uptime=500, unix_secs=1_060)
+        assert len(collector.receive(restart, source=1)) == 30
+        stats = collector.stats
+        assert (stats.duplicates, stats.sequence_resets) == (0, 1)
+        # A verbatim re-delivery of either incarnation is still dropped.
+        assert collector.receive(first, source=1) == []
+        assert collector.receive(restart, source=1) == []
+        assert stats.duplicates == 2
+        # Record fates reconcile: everything counted was delivered, no
+        # flow was declared lost, nothing was delivered twice.
+        assert stats.datagrams == 3
+        assert stats.records == len(delivered) == 90
+        assert stats.lost_flows == 0
+
+    def test_receive_decoded_accounts_and_delivers_nothing(self):
+        """The header-only entry the serve router uses: same counters
+        and duplicate verdicts as ``receive``, no sink traffic."""
+        collector = FlowCollector()
+        delivered = []
+        collector.add_sink(delivered.append)
+        header, records = decode_datagram(datagram([record(), record(1)]))
+        assert collector.receive_decoded(header, records, source=1) is True
+        assert collector.receive_decoded(header, records, source=1) is False
+        stats = collector.stats
+        assert (stats.datagrams, stats.records, stats.duplicates) == (1, 2, 1)
+        assert delivered == []
 
     def test_ingest_records_bypasses_wire(self):
         collector = FlowCollector()

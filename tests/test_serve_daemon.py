@@ -218,7 +218,7 @@ class TestShedAccounting:
         assert queue.stats.shed == collected - queue.capacity
         assert queue.stats.enqueued - queue.stats.shed == len(queue)
         # The live edge survives: the newest records are the ones queued.
-        kept = [q.record.key.src_addr for q in queue.take_nowait(100)]
+        kept = [r.key.src_addr for r in queue.take_nowait(100).records()]
         assert kept == list(range(26, 36))
 
     def test_reject_newest_reconciles(self):
@@ -227,7 +227,7 @@ class TestShedAccounting:
         # reject-newest admits only up to capacity; the rest are shed.
         assert queue.stats.enqueued == queue.capacity
         assert queue.stats.enqueued + queue.stats.shed == collected
-        kept = [q.record.key.src_addr for q in queue.take_nowait(100)]
+        kept = [r.key.src_addr for r in queue.take_nowait(100).records()]
         assert kept == list(range(1, 11))
 
 
@@ -332,8 +332,25 @@ class TestDaemonLoopback:
     def test_shutdown_mid_ingest_drains_admitted_records(
         self, eia_plan, target_prefix, serve_trace
     ):
+        self._shutdown_mid_ingest(eia_plan, target_prefix, serve_trace, 32)
+
+    def test_shutdown_mid_ingest_with_every_datagram_split_across_commits(
+        self, eia_plan, target_prefix, serve_trace
+    ):
+        """``batch_size=7``: no 30-row datagram fits one commit, so the
+        drain runs through the queue's split path for every one."""
+        report = self._shutdown_mid_ingest(
+            eia_plan, target_prefix, serve_trace, 7
+        )
+        # Batches, cursor and committed all count records, not datagrams.
+        assert report.cursor == report.records_committed
+        assert report.batches == -(-report.records_committed // 7)
+
+    def _shutdown_mid_ingest(
+        self, eia_plan, target_prefix, serve_trace, batch_size
+    ):
         detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=600)
-        config = ServeConfig(port=0, batch_size=32, idle_exit_s=10.0)
+        config = ServeConfig(port=0, batch_size=batch_size, idle_exit_s=10.0)
 
         async def drive(daemon: ServeDaemon) -> None:
             await udp_sender(serve_trace)(daemon)
@@ -352,6 +369,7 @@ class TestDaemonLoopback:
         assert report.records_committed == report.records_enqueued
         assert report.records_committed > 0
         assert daemon.health()["state"] == "stopped"
+        return report
 
     def test_idle_exit_stops_an_untouched_daemon(
         self, eia_plan, target_prefix
@@ -395,6 +413,30 @@ class TestWarmRestart:
         """The acceptance property: drain at the halfway cursor, restore
         the checkpoint into a fresh daemon, replay the rest — the alert
         stream must be indistinguishable from one uninterrupted run."""
+        # A different batch size on the resumed run: batching must stay
+        # invisible in the output.
+        self._resume_and_compare(
+            eia_plan, target_prefix, serve_trace, tmp_path, 64, 96
+        )
+
+    def test_resumed_run_with_every_datagram_split_across_commits(
+        self, eia_plan, target_prefix, serve_trace, tmp_path
+    ):
+        """The same property at ``batch_size=7``: every datagram is
+        committed in pieces, and the cursor, the committed count and the
+        checkpoints still count records."""
+        report1, report2 = self._resume_and_compare(
+            eia_plan, target_prefix, serve_trace, tmp_path, 7, 7
+        )
+        half = len(serve_trace) // 2
+        assert report1.batches == -(-half // 7)
+        assert report1.checkpoints >= report1.batches // 3
+        assert report2.records_committed == len(serve_trace) - half
+
+    def _resume_and_compare(
+        self, eia_plan, target_prefix, serve_trace, tmp_path, first_batch,
+        second_batch,
+    ):
         reference = make_detector(
             eia_plan, target_prefix, seed=_SEED, n_train=600
         )
@@ -407,7 +449,7 @@ class TestWarmRestart:
         first = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=600)
         config1 = ServeConfig(
             port=0,
-            batch_size=64,
+            batch_size=first_batch,
             checkpoint_path=ckpt,
             checkpoint_every=3,
             max_records=half,
@@ -421,11 +463,9 @@ class TestWarmRestart:
 
         restored, cursor = load_checkpoint(ckpt)
         assert cursor == half
-        # A different batch size on the resumed run: batching must stay
-        # invisible in the output.
         config2 = ServeConfig(
             port=0,
-            batch_size=96,
+            batch_size=second_batch,
             checkpoint_path=ckpt,
             max_records=len(serve_trace) - half,
             idle_exit_s=5.0,
@@ -441,6 +481,7 @@ class TestWarmRestart:
         assert got == expected
         _final, final_cursor = load_checkpoint(ckpt)
         assert final_cursor == len(serve_trace)
+        return report1, report2
 
 
 class TestHotReload:

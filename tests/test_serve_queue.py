@@ -10,14 +10,19 @@ counters with the record-fate totals in :class:`ServeReport`.
 from __future__ import annotations
 
 import socket
+from collections import deque
+from dataclasses import asdict
 
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EnhancedInFilter, PipelineConfig
+from repro.fastpath.columnar import RecordColumns, decode_v5_columnar
 from repro.netflow.records import PROTO_UDP, FlowKey, FlowRecord
-from repro.netflow.v5 import datagrams_for
+from repro.netflow.v5 import datagrams_for, encode_datagram
 from repro.obs import MetricsRegistry
 from repro.serve import ServeDaemon
 from repro.serve.config import (
@@ -25,7 +30,7 @@ from repro.serve.config import (
     SHED_REJECT_NEWEST,
     ServeConfig,
 )
-from repro.serve.queue import IngestQueue
+from repro.serve.queue import IngestQueue, QueueStats
 from repro.util.errors import ConfigError, ServeError
 
 
@@ -99,7 +104,7 @@ class TestIngestQueue:
             assert queue.put(record(i)) is True
         assert queue.stats.shed == 1
         # The head (record 0) was sacrificed; the live edge survives.
-        kept = [q.record.key.src_addr for q in queue.take_nowait(10)]
+        kept = [r.key.src_addr for r in queue.take_nowait(10).records()]
         assert kept == [2, 3]
 
     def test_reject_newest_refuses_the_incoming_record(self):
@@ -108,7 +113,7 @@ class TestIngestQueue:
         assert queue.put(record(1)) is True
         assert queue.put(record(2)) is False
         assert queue.stats.shed == 1
-        kept = [q.record.key.src_addr for q in queue.take_nowait(10)]
+        kept = [r.key.src_addr for r in queue.take_nowait(10).records()]
         assert kept == [1, 2]
 
     def test_put_after_close_is_a_contract_violation(self):
@@ -116,13 +121,15 @@ class TestIngestQueue:
         queue.close()
         with pytest.raises(ServeError):
             queue.put(record())
+        with pytest.raises(ServeError):
+            queue.put_batch(RecordColumns([record(), record(1)]))
 
     def test_take_nowait_respects_limit_and_counts(self):
         queue = make_queue(capacity=8)
         for i in range(5):
             queue.put(record(i))
         first = queue.take_nowait(3)
-        assert [q.record.key.src_addr for q in first] == [1, 2, 3]
+        assert [r.key.src_addr for r in first.records()] == [1, 2, 3]
         assert queue.stats.dequeued == 3
         assert len(queue) == 2
 
@@ -149,7 +156,7 @@ class TestIngestQueue:
             return batch
 
         batch = asyncio.run(main())
-        assert [q.record.key.src_addr for q in batch] == [8]
+        assert [r.key.src_addr for r in batch.records()] == [8]
 
     def test_get_batch_lingers_to_fill(self):
         async def main():
@@ -180,7 +187,7 @@ class TestIngestQueue:
                 batch = await queue.get_batch(2)
                 if not batch:
                     break
-                batches.append([q.record.key.src_addr for q in batch])
+                batches.append([r.key.src_addr for r in batch.records()])
             return batches, queue.stats
 
         batches, stats = asyncio.run(main())
@@ -195,14 +202,118 @@ class TestIngestQueue:
             queue.close()
             return await asyncio.wait_for(queue.get_batch(4), timeout=5)
 
-        assert asyncio.run(main()) == []
+        batch = asyncio.run(main())
+        assert not batch and len(batch) == 0
 
     def test_enqueued_timestamps_are_monotonic(self):
         queue = make_queue(capacity=8)
         for i in range(3):
             queue.put(record(i))
-        stamps = [q.enqueued_s for q in queue.take_nowait(8)]
+        batch = queue.take_nowait(8)
+        stamps = batch.enqueued_s
+        # One stamp per slice (here: per one-row put), oldest first.
+        assert len(stamps) == len(batch.slices) == 3
         assert stamps == sorted(stamps)
+
+
+class _RecordAtATimeQueue:
+    """The queue as it was before it moved datagrams: a deque of
+    records, one ``put`` per record.  The reference the datagram queue
+    must be indistinguishable from, row for row."""
+
+    def __init__(self, capacity, shed_policy):
+        self.capacity = capacity
+        self.shed_policy = shed_policy
+        self.stats = QueueStats()
+        self.items = deque()
+        self.closed = False
+
+    def __len__(self):
+        return len(self.items)
+
+    def put(self, item):
+        if self.closed:
+            raise ServeError("cannot enqueue into a closed ingest queue")
+        if len(self.items) >= self.capacity:
+            self.stats.shed += 1
+            if self.shed_policy == SHED_DROP_OLDEST:
+                self.items.popleft()
+            else:
+                return False
+        self.items.append(item)
+        self.stats.enqueued += 1
+        self.stats.high_watermark = max(
+            self.stats.high_watermark, len(self.items)
+        )
+        return True
+
+    def take_nowait(self, limit):
+        taken = []
+        while self.items and len(taken) < limit:
+            taken.append(self.items.popleft())
+        self.stats.dequeued += len(taken)
+        return taken
+
+
+_QUEUE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(min_value=1, max_value=30)),
+        st.tuples(st.just("take"), st.integers(min_value=1, max_value=70)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestQueueAgainstItsOldSelf:
+    @given(
+        capacity=st.one_of(
+            st.integers(min_value=1, max_value=40),  # smaller than a datagram
+            st.integers(min_value=41, max_value=600),
+        ),
+        shed_policy=st.sampled_from([SHED_DROP_OLDEST, SHED_REJECT_NEWEST]),
+        steps=_QUEUE_STEPS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_datagram_puts_equal_record_puts(self, capacity, shed_policy, steps):
+        """Any interleaving of datagram puts (1–30 rows, decoded by the
+        real columnar decoder) and ``take_nowait(limit)``: same rows out
+        in the same order, same depth, same statistics after every step
+        as the record-at-a-time queue fed the same rows one by one."""
+        queue = make_queue(capacity, shed_policy=shed_policy)
+        reference = _RecordAtATimeQueue(capacity, shed_policy)
+        sent = 0
+        for action, size in steps:
+            if action == "put":
+                rows = [record(sent + i) for i in range(size)]
+                sent += size
+                _header, columns = decode_v5_columnar(
+                    encode_datagram(
+                        rows, sys_uptime=0, unix_secs=0, flow_sequence=sent
+                    )
+                )
+                admitted = queue.put_batch(columns)
+                assert admitted == sum(reference.put(row) for row in rows)
+            else:
+                batch = queue.take_nowait(size)
+                want = reference.take_nowait(size)
+                assert batch.records() == want
+                assert len(batch) == len(want) and bool(batch) == bool(want)
+                assert len(batch.enqueued_s) == len(batch.slices)
+            assert len(queue) == len(reference)
+            assert asdict(queue.stats) == asdict(reference.stats)
+        # One-row admission is the same code path and the same answer.
+        assert queue.put(record(sent)) == reference.put(record(sent))
+        assert len(queue) == len(reference)
+        assert asdict(queue.stats) == asdict(reference.stats)
+        assert queue.take_nowait(capacity).records() == reference.take_nowait(
+            capacity
+        )
+        queue.close()
+        reference.closed = True
+        for closed in (queue, reference):
+            with pytest.raises(ServeError):
+                closed.put(record())
 
 
 class TestShedPoliciesUnderBurst:
@@ -245,7 +356,7 @@ class TestShedPoliciesUnderBurst:
                     batch = await queue.get_batch(4)
                     if not batch:
                         return
-                    delivered.extend(batch)
+                    delivered.extend(batch.records())
                     await asyncio.sleep(0)
 
             task = asyncio.ensure_future(consumer())
