@@ -18,6 +18,7 @@ REP008    ``type: ignore`` must be error-code-scoped
 REP009    stateful components implement the full stage-state protocol
           (``state_dict(self)`` / ``load_state(self, state)``), and
           ``core/persistence.py`` never reaches into private attributes
+          (its own objects' ``self._x`` excepted)
 REP010    no blocking calls (``time.sleep``, synchronous socket
           receives/accepts, subprocess waits, console reads) inside
           ``async def`` bodies — event-loop code must stay non-blocking
@@ -613,6 +614,10 @@ def _check_state_protocol(info: ModuleInfo) -> Iterator[Finding]:
                 and node.attr.startswith("_")
                 and not (
                     node.attr.startswith("__") and node.attr.endswith("__")
+                )
+                # The writer's own memo is not a component's state.
+                and not (
+                    isinstance(node.value, ast.Name) and node.value.id == "self"
                 )
             ):
                 yield _finding(

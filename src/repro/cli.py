@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.cluster import ClusterReport, ClusterSupervisor
+    from repro.core.persistence import CheckpointWriter
     from repro.serve import ServeDaemon, ServeReport
 
 from repro.core import (
@@ -236,6 +237,25 @@ def _write_metrics(registry: MetricsRegistry, path: str) -> None:
         Path(path).write_text(render_prometheus(registry))
 
 
+def _open_state(
+    load_state: Optional[str], save_state: Optional[str]
+) -> Tuple[Optional[EnhancedInFilter], Optional[int], Optional["CheckpointWriter"]]:
+    """``--load-state`` / ``--save-state``: ``(detector, cursor, writer)``.
+
+    A run that saves where it loaded from loads *through* the writer it
+    will keep saving with, so its checkpoints append to the alert
+    journal the load verified instead of rewriting it.
+    """
+    from repro.core.persistence import CheckpointWriter, load_checkpoint
+
+    writer = CheckpointWriter(save_state) if save_state else None
+    if not load_state:
+        return None, None, writer
+    if writer is not None and Path(load_state).resolve() == writer.path.resolve():
+        return (*writer.load(), writer)
+    return (*load_checkpoint(load_state), writer)
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     # A fresh registry per run isolates the snapshot from anything else
     # the process counted; components pick it up as the default.
@@ -268,10 +288,9 @@ def _run_detect(args: argparse.Namespace) -> int:
     records = _load_flows(args.flow_file)
     resume_cursor = 0
     training: List[FlowRecord] = []
-    if args.load_state:
-        from repro.core.persistence import load_checkpoint
-
-        detector, saved_cursor = load_checkpoint(args.load_state)
+    restored, saved_cursor, writer = _open_state(args.load_state, args.save_state)
+    if restored is not None:
+        detector = restored
         if args.eia_plan:
             print(
                 "note: --load-state supplied; ignoring the EIA plan file",
@@ -355,7 +374,7 @@ def _run_detect(args: argparse.Namespace) -> int:
                 mode=args.engine_mode if args.engine_mode is not None else "auto",
                 checkpoint_every=checkpoint_every,
             ),
-            checkpoint_path=args.save_state if checkpoint_every else None,
+            checkpoint_path=writer if checkpoint_every else None,
             cursor_base=resume_cursor,
         )
         with engine:
@@ -364,16 +383,14 @@ def _run_detect(args: argparse.Namespace) -> int:
             for alert in detector.alert_sink.alerts[alerts_before:]:
                 print(alert.to_xml())
     else:
-        from repro.core.persistence import save_detector
-
         for offset, record in enumerate(run_records, start=1):
             decision = detector.process(record)
             if decision.is_attack and args.idmef and decision.alert is not None:
                 print(decision.alert.to_xml())
-            if checkpoint_every and offset % checkpoint_every == 0:
-                save_detector(
-                    detector, args.save_state, cursor=resume_cursor + offset
-                )
+            if writer is not None and checkpoint_every and (
+                offset % checkpoint_every == 0
+            ):
+                writer.save(detector, cursor=resume_cursor + offset)
     run_processed = stats.processed - base_processed
     run_latency_s = stats.latency_total_s - base_latency_s
     mean_latency_s = run_latency_s / run_processed if run_processed else 0.0
@@ -399,15 +416,13 @@ def _run_detect(args: argparse.Namespace) -> int:
     analyzer.consume_all(detector.alert_sink.alerts[alerts_before:])
     if len(analyzer):
         print(f"trace-back: {analyzer.report().summary()}", file=out)
-    if args.save_state:
-        from repro.core.persistence import save_detector
-
+    if writer is not None:
         # A periodic-checkpoint run records its final cursor so --resume
         # can skip the whole committed stream; a plain save carries none.
         final_cursor = (
             resume_cursor + len(run_records) if checkpoint_every else None
         )
-        save_detector(detector, args.save_state, cursor=final_cursor)
+        writer.save(detector, cursor=final_cursor)
         print(f"detector state saved to {args.save_state}", file=out)
     return 0
 
@@ -463,10 +478,9 @@ def _run_serve(args: argparse.Namespace, registry: MetricsRegistry) -> int:
         print("error: --resume needs --load-state", file=sys.stderr)
         return 2
     cursor_base = 0
-    if args.load_state:
-        from repro.core.persistence import load_checkpoint
-
-        detector, saved_cursor = load_checkpoint(args.load_state)
+    restored, saved_cursor, writer = _open_state(args.load_state, args.save_state)
+    if restored is not None:
+        detector = restored
         if args.eia_plan:
             print(
                 "note: --load-state supplied; ignoring the EIA plan file",
@@ -526,7 +540,11 @@ def _run_serve(args: argparse.Namespace, registry: MetricsRegistry) -> int:
         idle_exit_s=args.idle_exit_s,
     )
     daemon = ServeDaemon(
-        detector, serve_config, registry=registry, cursor_base=cursor_base
+        detector,
+        serve_config,
+        registry=registry,
+        cursor_base=cursor_base,
+        writer=writer,
     )
     alerts_before = 0 if args.resume else len(detector.alert_sink.alerts)
     report = asyncio.run(_serve_and_announce(daemon))
@@ -736,6 +754,22 @@ def _cmd_state_inspect(args: argparse.Namespace) -> int:
     print(f"pending absorptions: {description['pending_absorptions']}")
     print(f"scan buffer: {description['scan_buffer']} suspect flows")
     print(f"alerts stored: {description['alerts']}")
+    parts, verified = description["parts"], description["verified"]
+    if parts is None:
+        print("files: one inline document")
+    else:
+
+        def part(name: str) -> str:
+            size = parts[name]
+            if size is None:
+                return f"{name} missing"
+            text = f"{name} {size} bytes"
+            if name in verified:
+                text += " (verifies)" if verified[name] else " (DOES NOT VERIFY)"
+            return text
+
+        base = part("base") if description["trained"] else "no base (untrained)"
+        print(f"files: {part('head')}; {base}; {part('journal')}")
     print(f"alert counter: {description['alert_counter']}")
     print(
         "stats: processed={processed} legal={legal} suspects={suspects}"

@@ -4,7 +4,7 @@ E14 showed the single-asyncio-loop daemon tops out around ~53k
 records/s; carrier-scale ingress filtering needs throughput that grows
 with cores.  This package runs N shared-nothing worker processes — each
 owning one shard of the splitmix64 source-block space, its own
-EIA/NNS/detector state, its own batch-boundary v2 checkpoint, and its
+EIA/NNS/detector state, its own batch-boundary checkpoint, and its
 own ingest loop — behind a flow director that steers raw NetFlow v5
 record slices to the owning worker without decoding them.
 

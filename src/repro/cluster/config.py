@@ -4,7 +4,7 @@ One frozen dataclass holds every knob of ``infilter serve --workers N``:
 where the flow director listens, how many shard-affine workers to run,
 the per-worker serving parameters forwarded into each worker's
 :class:`~repro.serve.config.ServeConfig`, the state directory that holds
-one v2 checkpoint per worker plus the composition manifest, and the
+one checkpoint per worker plus the composition manifest, and the
 supervisor's own policies (federation poll cadence, restart budget,
 drain timeout).  Validation happens at construction so a supervisor
 never starts with a contradictory configuration.

@@ -3,7 +3,7 @@
 :class:`ClusterSupervisor` owns the whole multi-process deployment:
 
 * it spawns one :mod:`repro.cluster.worker` process per shard, each
-  restored from its own v2 checkpoint under the cluster state dir;
+  restored from its own checkpoint under the cluster state dir;
 * it binds the front UDP socket and steers every incoming NetFlow v5
   datagram through the :class:`~repro.cluster.director.FlowDirector`,
   so each record reaches the worker that owns its source block;

@@ -2,7 +2,7 @@
 
 A worker is deliberately nothing new — it is the single-process
 :class:`~repro.serve.daemon.ServeDaemon` (PR 6), loaded from the
-worker's own v2 checkpoint and bound to ephemeral localhost sockets,
+worker's own checkpoint and bound to ephemeral localhost sockets,
 wrapped in a child-process entry point.  Start and supervised restart
 are therefore the *same* code path: every incarnation restores its
 checkpoint, reports the restored cursor through the handshake pipe, and
@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import asyncio
 
-from repro.core.persistence import load_checkpoint
+from repro.core.persistence import CheckpointWriter
 from repro.obs import MetricsRegistry
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeDaemon, ServeReport
@@ -80,9 +80,9 @@ def worker_main(spec: WorkerSpec, conn: Connection) -> None:
     """
     try:
         registry = MetricsRegistry()
-        detector, cursor = load_checkpoint(
-            spec.checkpoint_path, registry=registry
-        )
+        # The writer that loads the checkpoint keeps appending to it.
+        writer = CheckpointWriter(spec.checkpoint_path, registry=registry)
+        detector, cursor = writer.load()
         cursor_base = cursor if cursor is not None else 0
         config = ServeConfig(
             host=spec.host,
@@ -102,6 +102,7 @@ def worker_main(spec: WorkerSpec, conn: Connection) -> None:
             config,
             registry=registry,
             cursor_base=cursor_base,
+            writer=writer,
         )
     except Exception as error:  # noqa: BLE001 - forwarded to the supervisor
         conn.send(("failed", {"error": f"{type(error).__name__}: {error}"}))

@@ -10,7 +10,7 @@ back, which is what the Alert UI / downstream trace-back systems would do.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.state import StateDict, stateful
@@ -19,7 +19,7 @@ from repro.obs import MetricsRegistry, get_logger, get_registry
 from repro.util.errors import ReproError
 from repro.util.ip import format_ipv4, parse_ipv4
 
-__all__ = ["IdmefAlert", "AlertSink", "parse_idmef"]
+__all__ = ["IdmefAlert", "AlertSink", "alert_state", "parse_idmef"]
 
 log = get_logger(__name__)
 
@@ -133,6 +133,30 @@ class IdmefAlert:
         return ET.tostring(message, encoding="unicode")
 
 
+def alert_state(alert: IdmefAlert) -> StateDict:
+    """One alert as its checkpoint dict (every field, keys sorted).
+
+    The inline ``alerts`` section and the checkpoint's alert journal
+    both serialise exactly this dict, so the two cannot drift.  Built
+    by hand: ``dataclasses.asdict`` deep-copies recursively and cost
+    more than the rest of a checkpoint put together.
+    """
+    return {
+        "attribution": list(alert.attribution),
+        "classification": alert.classification,
+        "detect_time_ms": alert.detect_time_ms,
+        "expected_peer": alert.expected_peer,
+        "ident": alert.ident,
+        "observed_peer": alert.observed_peer,
+        "protocol": alert.protocol,
+        "severity": alert.severity,
+        "source_address": alert.source_address,
+        "stage": alert.stage,
+        "target_address": alert.target_address,
+        "target_port": alert.target_port,
+    }
+
+
 def parse_idmef(xml_text: str) -> IdmefAlert:
     """Parse an IDMEF-Message back into an :class:`IdmefAlert`."""
     try:
@@ -228,7 +252,7 @@ class AlertSink:
         load: counters describe this process's lifetime, state describes
         the detector's.
         """
-        return {"alerts": [asdict(alert) for alert in self.alerts]}
+        return {"alerts": [alert_state(alert) for alert in self.alerts]}
 
     def load_state(self, state: StateDict) -> None:
         # JSON round-trips the attribution tuple as a list; normalise it

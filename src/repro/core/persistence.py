@@ -1,43 +1,65 @@
-"""Versioned, atomic detector checkpoints (the v2 state format).
+"""Versioned, atomic detector checkpoints (state format 3).
 
 Section 4.2: "the search data structure may be constructed off-line;
 without requiring access to network traffic" — an operational deployment
-trains once and restarts many times.  A checkpoint is a JSON document:
+trains once and restarts many times, and Section 5.1.4 treats alerts as
+an *output* handed to an IDMEF consumer.  So a checkpoint at ``<path>``
+is three files, each costing what changed since the last one:
 
-* ``format`` — the format version (currently 2);
-* ``config`` — the full configuration (every dataclass knob);
-* ``cursor`` — how many records of the input stream were committed when
-  the checkpoint was taken (``None`` for plain save/load round trips);
-* ``components`` — the detector's composed :meth:`state_dict`, one
-  namespaced section per stage-state component (see
-  :mod:`repro.core.state`).
+* the **base** ``<path>.base-<sha256 prefix>`` — the trained model,
+  immutable after ``train()``, named by its content digest and written
+  only when the detector's model object changes;
+* the **alert journal** ``<path>.alerts`` — one canonical JSON line per
+  alert, append-only: a save appends the alerts consumed since the
+  previous save;
+* the **head** ``<path>`` — ``format``, ``config``, ``cursor`` (how many
+  input records were committed; ``None`` for plain saves), every mutable
+  component section, the base's SHA-256, and the journal's *extent*
+  ``(alerts, bytes, sha256)``.
 
-Three guarantees of the format:
+They are written in that order and the head is replaced last, so a
+crash anywhere leaves the previous head with a base it still names and
+a journal that still starts with its extent (bytes past the extent are
+a dead writer's tail: ignored on load, truncated by the next save).
+:class:`CheckpointWriter` carries the incremental memory between saves;
+:func:`save_detector` to a path is the one-shot full write.
+
+The same state as one **inline** document (``components`` then also
+holds ``model`` and ``alerts``) is what :func:`render_state` and stream
+destinations produce and what every equivalence test compares.
+
+Guarantees of the format:
 
 * **lossless** — every component round-trips through its own
   ``state_dict``/``load_state`` pair, so scan suspicion, pending
   absorptions, stats, alert history, and RNG cursors all survive a
   restart; the trained model serializes its *derived* statistics, so
   loading never replays training records;
-* **byte-identical** — :func:`render_state` emits canonical JSON
-  (sorted keys, compact separators, deterministically ordered derived
-  collections), so ``save(load(save(d)))`` equals ``save(d)`` byte for
-  byte;
-* **atomic** — file writes go through a temp file and ``os.replace``,
-  so a crash mid-write leaves the previous checkpoint intact.
+* **byte-identical** — canonical JSON everywhere (sorted keys, compact
+  separators, deterministically ordered derived collections), so
+  ``save(load(save(d)))`` equals ``save(d)`` byte for byte, file by file;
+* **atomic** — head and base go through a temp file and ``os.replace``;
+* **never silently shorter** — a missing or digest-mismatched base, a
+  journal shorter than its extent, or an extent whose line count or
+  digest disagrees with the head is a
+  :class:`~repro.util.errors.StateError` on load.
 
-Any other ``format`` value — including the retired v1 — is rejected
-with :class:`~repro.util.errors.StateError`.
+Any other ``format`` value — including the retired v1 and v2 — is
+rejected with :class:`~repro.util.errors.StateError`.
 """
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import json
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, TextIO, Tuple, Union
 
+from repro.core.alerts import AlertSink, IdmefAlert, alert_state
+from repro.core.clusters import ClusterModel
 from repro.core.config import (
     EIAConfig,
     FeatureSpec,
@@ -47,12 +69,13 @@ from repro.core.config import (
     ScanConfig,
 )
 from repro.core.pipeline import EnhancedInFilter
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Stopwatch, get_registry
 from repro.util.errors import StateError
 
 __all__ = [
     "STATE_FORMAT_VERSION",
     "CLUSTER_MANIFEST_VERSION",
+    "CheckpointWriter",
     "render_state",
     "save_detector",
     "load_checkpoint",
@@ -64,8 +87,16 @@ __all__ = [
     "load_cluster_manifest",
 ]
 
-STATE_FORMAT_VERSION = 2
+STATE_FORMAT_VERSION = 3
 CLUSTER_MANIFEST_VERSION = 1
+
+#: How much of a journal is read and hashed at a time while verifying
+#: its extent.
+_JOURNAL_CHUNK = 1 << 20
+
+#: What a verified three-file load hands a writer:
+#: ``(base sha256, journal alerts, journal bytes, running digest)``.
+_Verified = Tuple[Optional[str], int, int, Any]
 
 
 def _config_to_dict(config: PipelineConfig) -> Dict[str, Any]:
@@ -114,34 +145,39 @@ def _config_from_dict(data: Dict[str, Any]) -> PipelineConfig:
     )
 
 
+def _canonical(document: Any) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
 def render_state(
     detector: EnhancedInFilter, *, cursor: Optional[int] = None
 ) -> str:
-    """The canonical v2 checkpoint text for a detector.
+    """The canonical inline checkpoint text for a detector.
 
     Canonical means byte-stable: sorted keys and compact separators here,
     deterministic ordering of derived collections inside each component's
     ``state_dict``.
     """
-    document = {
-        "format": STATE_FORMAT_VERSION,
-        "config": _config_to_dict(detector.config),
-        "cursor": cursor,
-        "components": detector.state_dict(),
-    }
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return _canonical(
+        {
+            "format": STATE_FORMAT_VERSION,
+            "config": _config_to_dict(detector.config),
+            "cursor": cursor,
+            "components": detector.state_dict(),
+        }
+    )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` crash-safely (temp file + rename).
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` crash-safely (temp file + rename).
 
     ``os.replace`` is atomic on POSIX and Windows alike, so a reader — or
-    a crash — either sees the previous complete checkpoint or the new
-    complete checkpoint, never a torn write.
+    a crash — either sees the previous complete file or the new complete
+    file, never a torn write.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as error:
         try:
@@ -153,24 +189,211 @@ def _write_atomic(path: Path, text: str) -> None:
         ) from error
 
 
+def _journal_path(path: Path) -> Path:
+    return path.with_name(path.name + ".alerts")
+
+
+def _base_path(path: Path, sha256: str) -> Path:
+    return path.with_name(f"{path.name}.base-{sha256[:16]}")
+
+
+def _append_at(journal: Path, extent: int, data: bytes) -> None:
+    """Cut ``journal`` back to ``extent`` bytes — dropping whatever a
+    save that died before its head left there — and append ``data``."""
+    with open(journal, "r+b") as handle:
+        handle.truncate(extent)
+        handle.seek(extent)
+        handle.write(data)
+
+
+def _journal_lines(alerts: Iterable[IdmefAlert]) -> bytes:
+    """Canonical journal text: one ``alert_state`` JSON line per alert."""
+    return "".join(
+        _canonical(alert_state(alert)) + "\n" for alert in alerts
+    ).encode("ascii")
+
+
+class CheckpointWriter:
+    """Repeated checkpoints to one path, each costing what changed.
+
+    The writer remembers what its last successful :meth:`save` left on
+    disk — which model object the base holds, and for which
+    :class:`AlertSink` the journal holds how many alerts in how many
+    bytes under which running SHA-256 — so the next save renders the
+    model only if ``detector.model`` is a different object, appends only
+    the new alerts, and always rewrites the (small) head.
+
+    The journal memo describes one sink: it is used only while
+    ``detector.alert_sink`` *is* that sink and has not shrunk.  Any
+    other history (a hot reload swapped the detector, a first save) is
+    not a prefix-extension of the journal as far as the writer can know
+    cheaply — equal counts prove nothing and the running hash is
+    carried, not recomputed — so the journal is rewritten in full.
+    :meth:`load` restores the checkpoint at the writer's own path and
+    adopts the extent it just verified, so a resumed run appends.
+    """
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        *,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
+        self.path = Path(path)
+        self._model: Optional[ClusterModel] = None
+        self._base_sha256: Optional[str] = None
+        self._sink: Optional[AlertSink] = None
+        self._alerts = 0
+        self._journal_bytes = 0
+        self._digest = hashlib.sha256()
+        registry = registry if registry is not None else get_registry()
+        self._registry = registry
+        self._m_seconds = registry.histogram(
+            "infilter_checkpoint_seconds",
+            "Time spent rendering and writing one detector checkpoint.",
+        )
+        part_bytes = registry.gauge(
+            "infilter_checkpoint_bytes",
+            "Size of each checkpoint file as of the last write.",
+            ("part",),
+        )
+        self._m_head_bytes = part_bytes.labels(part="head")
+        self._m_base_bytes = part_bytes.labels(part="base")
+        self._m_journal_bytes = part_bytes.labels(part="journal")
+        self._m_journal_alerts = registry.gauge(
+            "infilter_checkpoint_journal_alerts",
+            "Alerts inside the journal extent of the last checkpoint.",
+        )
+
+    def save(
+        self, detector: EnhancedInFilter, *, cursor: Optional[int] = None
+    ) -> None:
+        """Checkpoint ``detector``: base if new, journal tail, head.
+
+        The memo moves only once the head has landed, so a failed save
+        (:class:`StateError`) changes nothing the next one relies on.
+        """
+        watch = Stopwatch()
+        model = detector.model
+        sink = detector.alert_sink
+        new_base = model is not self._model
+        base_sha256 = self._write_base(model) if new_base else self._base_sha256
+        alerts, journal_bytes, digest = self._write_journal(sink)
+        head = _canonical(
+            {
+                "format": STATE_FORMAT_VERSION,
+                "config": _config_to_dict(detector.config),
+                "cursor": cursor,
+                "components": detector.mutable_state(),
+                "base": (
+                    {"sha256": base_sha256} if base_sha256 is not None else None
+                ),
+                "journal": {
+                    "alerts": alerts,
+                    "bytes": journal_bytes,
+                    "sha256": digest.hexdigest(),
+                },
+            }
+        ).encode("ascii")
+        _write_atomic(self.path, head)
+        if new_base:
+            self._unlink_stale_bases(base_sha256)
+        self._model = model
+        self._base_sha256 = base_sha256
+        self._sink = sink
+        self._alerts = alerts
+        self._journal_bytes = journal_bytes
+        self._digest = digest
+        self._m_head_bytes.set(len(head))
+        self._m_journal_bytes.set(journal_bytes)
+        self._m_journal_alerts.set(alerts)
+        self._m_seconds.observe(watch.elapsed_s())
+
+    def load(self) -> Tuple[EnhancedInFilter, Optional[int]]:
+        """Restore the checkpoint at this writer's path and adopt it.
+
+        Like :func:`load_checkpoint` (the detector reports into the
+        writer's registry), but the next :meth:`save` of the returned
+        detector appends to the journal extent this load just verified
+        and keeps the base, instead of rewriting both.
+        """
+        detector, cursor, verified = _restore(self.path, self._registry)
+        if verified is not None:
+            self._model = detector.model
+            self._sink = detector.alert_sink
+            (
+                self._base_sha256,
+                self._alerts,
+                self._journal_bytes,
+                self._digest,
+            ) = verified
+        return detector, cursor
+
+    def _write_base(self, model: Optional[ClusterModel]) -> Optional[str]:
+        if model is None:
+            return None
+        data = _canonical(
+            {"format": STATE_FORMAT_VERSION, "model": model.state_dict()}
+        ).encode("ascii")
+        sha256 = hashlib.sha256(data).hexdigest()
+        _write_atomic(_base_path(self.path, sha256), data)
+        self._m_base_bytes.set(len(data))
+        return sha256
+
+    def _write_journal(self, sink: AlertSink) -> Tuple[int, int, Any]:
+        """Bring the journal up to ``sink``: ``(alerts, bytes, digest)``."""
+        journal = _journal_path(self.path)
+        alerts = sink.alerts
+        if sink is not self._sink or len(alerts) < self._alerts:
+            data = _journal_lines(alerts)
+            _write_atomic(journal, data)
+            return len(alerts), len(data), hashlib.sha256(data)
+        data = _journal_lines(alerts[self._alerts:])
+        digest = self._digest.copy()
+        digest.update(data)
+        try:
+            _append_at(journal, self._journal_bytes, data)
+        except OSError as error:
+            raise StateError(
+                f"could not append to alert journal {journal}: {error}"
+            ) from error
+        return len(alerts), self._journal_bytes + len(data), digest
+
+    def _unlink_stale_bases(self, keep_sha256: Optional[str]) -> None:
+        """Remove bases the head that just landed no longer names."""
+        keep = (
+            _base_path(self.path, keep_sha256)
+            if keep_sha256 is not None
+            else None
+        )
+        pattern = glob.escape(self.path.name) + ".base-*"
+        for stale in self.path.parent.glob(pattern):
+            if stale != keep:
+                try:
+                    stale.unlink()
+                except OSError:
+                    pass  # cleanup only: the checkpoint is complete
+
+
 def save_detector(
     detector: EnhancedInFilter,
     destination: Union[str, Path, TextIO],
     *,
     cursor: Optional[int] = None,
 ) -> None:
-    """Checkpoint detector state as canonical v2 JSON.
+    """Checkpoint detector state, in full.
 
-    Path destinations are written atomically; stream destinations are the
-    caller's to make crash-safe.  ``cursor`` records how many input
-    records were committed at checkpoint time, which is what
-    ``infilter detect --resume`` skips on restart.
+    A path destination gets the three files (a one-shot
+    :class:`CheckpointWriter`: base, whole journal, head); a stream gets
+    the one inline document, and is the caller's to make crash-safe.
+    ``cursor`` records how many input records were committed at
+    checkpoint time, which is what ``infilter detect --resume`` skips on
+    restart.
     """
-    text = render_state(detector, cursor=cursor)
     if isinstance(destination, (str, Path)):
-        _write_atomic(Path(destination), text)
+        CheckpointWriter(destination).save(detector, cursor=cursor)
     else:
-        destination.write(text)
+        destination.write(render_state(detector, cursor=cursor))
 
 
 def _read_document(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
@@ -189,7 +412,124 @@ def _read_document(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
         raise StateError(f"malformed detector state: {error}") from error
     if not isinstance(document, dict):
         raise StateError("detector state must be a JSON object")
+    version = document.get("format")
+    if version != STATE_FORMAT_VERSION:
+        raise StateError(f"unsupported detector state format {version!r}")
     return document
+
+
+def _sibling_root(source: Union[str, Path, TextIO]) -> Path:
+    """The path a head's base and journal names derive from."""
+    if not isinstance(source, (str, Path)):
+        raise StateError(
+            "a checkpoint head names its base and journal by its own"
+            " path; load it from the path, not from a stream"
+        )
+    return Path(source)
+
+
+def _read_base(path: Path, base: Optional[Dict[str, Any]]) -> Optional[Any]:
+    """The ``model`` section a head's ``base`` entry names, verified."""
+    if base is None:
+        return None
+    sha256 = str(base["sha256"])
+    file = _base_path(path, sha256)
+    try:
+        data = file.read_bytes()
+    except OSError as error:
+        raise StateError(
+            f"checkpoint {path} needs its base {file.name}: {error}"
+        ) from error
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise StateError(
+            f"checkpoint base {file} does not match the digest in the"
+            f" head {path.name} (damaged, or the base of another model)"
+        )
+    return json.loads(data)["model"]
+
+
+def _read_journal(
+    path: Path, extent: Dict[str, Any], *, keep: bool
+) -> Tuple[bytes, Any]:
+    """Verify a head's journal extent: ``(its bytes, its digest object)``.
+
+    Reads exactly ``extent["bytes"]`` (more is a dead writer's tail),
+    and refuses a shorter file, a different SHA-256, or a different line
+    count.  ``keep=False`` only verifies and returns no bytes.
+    """
+    journal = _journal_path(path)
+    want = int(extent["bytes"])
+    digest = hashlib.sha256()
+    lines = 0
+    chunks = []
+    try:
+        with open(journal, "rb") as handle:
+            left = want
+            while left:
+                chunk = handle.read(min(left, _JOURNAL_CHUNK))
+                if not chunk:
+                    raise StateError(
+                        f"alert journal {journal} is shorter than the"
+                        f" extent in the head {path.name}:"
+                        f" {want - left} < {want} bytes"
+                    )
+                left -= len(chunk)
+                digest.update(chunk)
+                lines += chunk.count(b"\n")
+                if keep:
+                    chunks.append(chunk)
+    except OSError as error:
+        raise StateError(
+            f"checkpoint {path} needs its alert journal {journal.name}:"
+            f" {error}"
+        ) from error
+    if digest.hexdigest() != extent["sha256"]:
+        raise StateError(
+            f"alert journal {journal} does not match the extent digest"
+            f" in the head {path.name}"
+        )
+    if lines != int(extent["alerts"]):
+        raise StateError(
+            f"alert journal {journal} holds {lines} alerts in its"
+            f" extent, the head {path.name} says {extent['alerts']}"
+        )
+    return b"".join(chunks), digest
+
+
+def _restore(
+    source: Union[str, Path, TextIO],
+    registry: Optional[MetricsRegistry],
+) -> Tuple[EnhancedInFilter, Optional[int], Optional[_Verified]]:
+    document = _read_document(source)
+    verified: Optional[_Verified] = None
+    try:
+        components = dict(document["components"])
+        if "journal" in document:
+            path = _sibling_root(source)
+            base, extent = document["base"], document["journal"]
+            components["model"] = _read_base(path, base)
+            data, digest = _read_journal(path, extent, keep=True)
+            # One parse for the whole extent: its lines, comma-joined.
+            components["alerts"] = {
+                "alerts": json.loads(
+                    b"[" + data[:-1].replace(b"\n", b",") + b"]"
+                )
+            }
+            verified = (
+                str(base["sha256"]) if base is not None else None,
+                int(extent["alerts"]),
+                int(extent["bytes"]),
+                digest,
+            )
+        config = _config_from_dict(document["config"])
+        detector = EnhancedInFilter(config, registry=registry)
+        detector.load_state(components)
+    except StateError:
+        raise
+    except (KeyError, TypeError, ValueError) as error:
+        raise StateError(f"corrupt detector state: {error}") from error
+    cursor = document.get("cursor")
+    return detector, (int(cursor) if cursor is not None else None), verified
 
 
 def load_checkpoint(
@@ -199,25 +539,15 @@ def load_checkpoint(
 ) -> Tuple[EnhancedInFilter, Optional[int]]:
     """Restore a checkpoint: ``(detector, cursor)``.
 
-    ``cursor`` is the committed-record count saved with the checkpoint
-    (``None`` when the checkpoint was a plain save).  ``registry`` is
-    the metrics registry the restored detector reports into (the
-    process-global one when omitted).
+    ``source`` is the path of a three-file checkpoint's head, or an
+    inline document (path or stream).  ``cursor`` is the
+    committed-record count saved with the checkpoint (``None`` when the
+    checkpoint was a plain save).  ``registry`` is the metrics registry
+    the restored detector reports into (the process-global one when
+    omitted).
     """
-    document = _read_document(source)
-    version = document.get("format")
-    try:
-        if version != STATE_FORMAT_VERSION:
-            raise StateError(f"unsupported detector state format {version!r}")
-        config = _config_from_dict(document["config"])
-        detector = EnhancedInFilter(config, registry=registry)
-        detector.load_state(document["components"])
-    except StateError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise StateError(f"corrupt detector state: {error}") from error
-    cursor = document.get("cursor")
-    return detector, (int(cursor) if cursor is not None else None)
+    detector, cursor, _verified = _restore(source, registry)
+    return detector, cursor
 
 
 def load_detector(
@@ -271,8 +601,7 @@ def save_cluster_manifest(
         "workers": workers,
     }
     _write_atomic(
-        cluster_manifest_path(state_dir),
-        json.dumps(document, sort_keys=True, separators=(",", ":")),
+        cluster_manifest_path(state_dir), _canonical(document).encode("ascii")
     )
 
 
@@ -315,24 +644,60 @@ def load_cluster_manifest(
         raise StateError(f"corrupt cluster manifest: {error}") from error
 
 
-def describe_state(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
-    """A cheap, human-oriented summary of a checkpoint document.
+def _size(path: Path) -> Optional[int]:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return None
 
-    Reads the JSON directly — no detector is constructed — so inspection
-    works even when loading would be expensive.
+
+def describe_state(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
+    """A cheap, human-oriented summary of a checkpoint.
+
+    No detector is constructed.  For a three-file checkpoint only the
+    head and the base are parsed: the alert count is the journal extent,
+    ``parts`` gives the three file sizes and ``verified`` says whether
+    the base digest and the journal extent check out (the journal is
+    hashed, never parsed).  An inline document has neither key set.
     """
     document = _read_document(source)
-    version = document.get("format")
     try:
-        if version != STATE_FORMAT_VERSION:
-            raise StateError(f"unsupported detector state format {version!r}")
         components = document["components"]
-        model = components["model"]
+        parts: Optional[Dict[str, Optional[int]]] = None
+        verified: Optional[Dict[str, bool]] = None
+        if "journal" in document:
+            path = _sibling_root(source)
+            base, extent = document["base"], document["journal"]
+            alerts = int(extent["alerts"])
+            parts = {
+                "head": _size(path),
+                "base": (
+                    _size(_base_path(path, str(base["sha256"])))
+                    if base is not None
+                    else None
+                ),
+                "journal": _size(_journal_path(path)),
+            }
+            verified = {"base": True, "journal": True}
+            model = None
+            try:
+                model = _read_base(path, base)
+            except StateError:
+                verified["base"] = False
+            try:
+                _read_journal(path, extent, keep=False)
+            except StateError:
+                verified["journal"] = False
+            trained = base is not None
+        else:
+            model = components["model"]
+            alerts = len(components["alerts"]["alerts"])
+            trained = model is not None
         stats = components["stats"]
         return {
             "format": STATE_FORMAT_VERSION,
             "cursor": document.get("cursor"),
-            "trained": model is not None,
+            "trained": trained,
             "classes": {
                 name: {
                     "size": int(section["size"]),
@@ -355,7 +720,7 @@ def describe_state(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
                 "policy": document["config"].get("ensemble_policy", "any"),
                 "sections": sorted(components.get("detectors", {})),
             },
-            "alerts": len(components["alerts"]["alerts"]),
+            "alerts": alerts,
             "alert_counter": int(components["alert_counter"]),
             "stats": {
                 "processed": int(stats["processed"]),
@@ -365,6 +730,8 @@ def describe_state(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
                 "attacks": int(stats["attacks"]),
                 "absorbed": int(stats["absorbed"]),
             },
+            "parts": parts,
+            "verified": verified,
         }
     except StateError:
         raise

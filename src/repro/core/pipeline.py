@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import frexp, ldexp
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.alerts import AlertSink, IdmefAlert
@@ -56,10 +57,13 @@ __all__ = [
     "InFilterDetector",
 ]
 
-#: Seed of the reservoir-sampling RNG in :class:`PipelineStats`.  A fixed
-#: constant keeps two identical runs byte-identical while still sampling
-#: the whole stream uniformly.
-_RESERVOIR_SEED = 0x1FF17E5
+#: Sub-buckets per octave of the :class:`PipelineStats` latency
+#: histogram.  A bucket spans 1/8 of its octave, so its midpoint is within
+#: 1/16 = 6.25% of any latency it holds.
+_LATENCY_SUBBUCKETS = 8
+#: Bucket index of a zero latency: below the index of the smallest
+#: positive float (-8,584), so zeros sort first and share no bucket.
+_LATENCY_ZERO_BUCKET = -(1 << 14)
 
 log = get_logger(__name__)
 
@@ -131,6 +135,15 @@ class BatchResult:
     speculation_misses: int = 0
 
 
+def _latency_bucket_midpoint(bucket: int) -> float:
+    """The value ``latency_percentile`` reports for a bucket
+    (``PipelineStats.note`` computes the index)."""
+    if bucket == _LATENCY_ZERO_BUCKET:
+        return 0.0
+    exponent, sub = divmod(bucket, _LATENCY_SUBBUCKETS)
+    return ldexp(0.5 + (2 * sub + 1) / (4 * _LATENCY_SUBBUCKETS), exponent)
+
+
 @stateful("stats")
 @dataclass
 class PipelineStats:
@@ -147,39 +160,31 @@ class PipelineStats:
     overload_flagged: int = 0
     latency_total_s: float = 0.0
     latency_max_s: float = 0.0
-    #: per-flow latency samples for percentile queries.  A bounded
-    #: uniform reservoir (algorithm R) over the whole run, so percentiles
-    #: reflect the entire stream, not its first ``latency_sample_cap``
-    #: flows (the mean/max above are exact regardless).
-    latency_samples: List[float] = field(default_factory=list)
-    latency_sample_cap: int = 100_000
-    #: flows offered to the reservoir so far (== processed unless stats
-    #: objects were merged from shards).
-    latency_samples_seen: int = 0
-    # SeededRng(seed) draws the same stream as the random.Random(seed)
-    # used before the REP002 migration, so reservoir contents (and the
-    # serial-equivalence tests over them) are unchanged.
-    _reservoir_rng: SeededRng = field(
-        default_factory=lambda: SeededRng(_RESERVOIR_SEED, "latency-reservoir"),
-        repr=False,
-        compare=False,
-    )
-
-    def sample_latency(self, latency_s: float) -> None:
-        """Offer one per-flow latency to the bounded uniform reservoir."""
-        self.latency_samples_seen += 1
-        if len(self.latency_samples) < self.latency_sample_cap:
-            self.latency_samples.append(latency_s)
-            return
-        slot = self._reservoir_rng.randrange(self.latency_samples_seen)
-        if slot < self.latency_sample_cap:
-            self.latency_samples[slot] = latency_s
+    #: per-flow latency histogram for percentile queries: sparse
+    #: ``{bucket index: count}`` over log-linear buckets
+    #: (``_LATENCY_SUBBUCKETS`` per power of two).  A few hundred integers
+    #: however long the run, covering every flow (the mean/max above are
+    #: exact regardless); merging two histograms is bucket addition.
+    latency_buckets: Dict[int, int] = field(default_factory=dict)
 
     def note(self, decision: Decision) -> None:
         self.processed += 1
-        self.latency_total_s += decision.latency_s
-        self.latency_max_s = max(self.latency_max_s, decision.latency_s)
-        self.sample_latency(decision.latency_s)
+        latency_s = decision.latency_s
+        self.latency_total_s += latency_s
+        if latency_s > self.latency_max_s:
+            self.latency_max_s = latency_s
+        # The histogram bucket, inline (once per flow): frexp's mantissa
+        # is in [0.5, 1), and its offset into the octave in sixteenths
+        # of that range is the sub-bucket — exact in binary floats.
+        if latency_s > 0.0:
+            mantissa, exponent = frexp(latency_s)
+            bucket = exponent * _LATENCY_SUBBUCKETS + int(
+                mantissa * (2 * _LATENCY_SUBBUCKETS)
+            ) - _LATENCY_SUBBUCKETS
+        else:
+            bucket = _LATENCY_ZERO_BUCKET
+        buckets = self.latency_buckets
+        buckets[bucket] = buckets.get(bucket, 0) + 1
         if decision.verdict == Verdict.LEGAL:
             self.legal += 1
             return
@@ -199,25 +204,30 @@ class PipelineStats:
         return self.latency_total_s / self.processed if self.processed else 0.0
 
     def latency_percentile(self, quantile: float) -> float:
-        """Latency at the given quantile in [0, 1] over the sampled flows."""
+        """Latency at the given quantile in [0, 1] over every flow noted.
+
+        Read off the bucket histogram: the midpoint of the bucket holding
+        the ``int(quantile * n)``-th smallest latency, so within 6.25%
+        (stated bound: 7%) of that latency, and never above
+        ``latency_max_s``.
+        """
         if not 0.0 <= quantile <= 1.0:
             raise ConfigError("quantile must be in [0, 1]")
-        if not self.latency_samples:
+        total = sum(self.latency_buckets.values())
+        if not total:
             return 0.0
-        ordered = sorted(self.latency_samples)
-        index = min(len(ordered) - 1, int(quantile * len(ordered)))
-        return ordered[index]
+        rank = min(total - 1, int(quantile * total))
+        for bucket in sorted(self.latency_buckets):
+            rank -= self.latency_buckets[bucket]
+            if rank < 0:
+                break
+        return min(_latency_bucket_midpoint(bucket), self.latency_max_s)
 
     # -- the stage-state protocol --------------------------------------------
 
     def state_dict(self) -> StateDict:
-        """Every counter plus the reservoir and its RNG cursor.
-
-        The reservoir samples (and their seen count) travel with the
-        stats so restored percentiles keep reflecting the whole stream,
-        and the RNG cursor makes post-restart sampling decisions match an
-        uninterrupted run draw for draw.
-        """
+        """Every counter plus the latency histogram, buckets in index
+        order (JSON object keys are strings)."""
         return {
             "processed": self.processed,
             "legal": self.legal,
@@ -233,10 +243,10 @@ class PipelineStats:
             "overload_flagged": self.overload_flagged,
             "latency_total_s": self.latency_total_s,
             "latency_max_s": self.latency_max_s,
-            "latency_samples": list(self.latency_samples),
-            "latency_sample_cap": self.latency_sample_cap,
-            "latency_samples_seen": self.latency_samples_seen,
-            "reservoir_rng": self._reservoir_rng.state_dict(),
+            "latency_buckets": {
+                str(bucket): self.latency_buckets[bucket]
+                for bucket in sorted(self.latency_buckets)
+            },
         }
 
     def load_state(self, state: StateDict) -> None:
@@ -254,10 +264,10 @@ class PipelineStats:
         self.overload_flagged = int(state["overload_flagged"])
         self.latency_total_s = float(state["latency_total_s"])
         self.latency_max_s = float(state["latency_max_s"])
-        self.latency_samples = [float(sample) for sample in state["latency_samples"]]
-        self.latency_sample_cap = int(state["latency_sample_cap"])
-        self.latency_samples_seen = int(state["latency_samples_seen"])
-        self._reservoir_rng.load_state(state["reservoir_rng"])
+        self.latency_buckets = {
+            int(bucket): int(count)
+            for bucket, count in state["latency_buckets"].items()
+        }
 
 
 class _PipelineMetrics:
@@ -744,12 +754,26 @@ class EnhancedInFilter:
         stats, alert history, RNG cursors, overload window — is
         captured.
         """
+        state = self.mutable_state()
+        state["model"] = (
+            self.model.state_dict() if self.model is not None else None
+        )
+        state["alerts"] = self.alert_sink.state_dict()
+        return state
+
+    def mutable_state(self) -> StateDict:
+        """Every section that can differ between two batch boundaries.
+
+        :meth:`state_dict` minus the two that cannot or need not be
+        re-rendered each time: ``model`` is immutable after
+        :meth:`train`, and ``alerts`` only ever grows at its end — a
+        three-file checkpoint writes the first once and appends the
+        second (see :mod:`repro.core.persistence`).
+        """
         return {
             "eia": self.infilter.state_dict(),
             "scan": self.scan.state_dict(),
-            "model": self.model.state_dict() if self.model is not None else None,
             "stats": self.stats.state_dict(),
-            "alerts": self.alert_sink.state_dict(),
             "alert_counter": self._alert_counter,
             "rng": self._rng.state_dict(),
             "overload": {

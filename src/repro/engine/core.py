@@ -54,7 +54,7 @@ from typing import (
 if TYPE_CHECKING:
     from multiprocessing.context import BaseContext
 
-from repro.core.persistence import save_detector
+from repro.core.persistence import CheckpointWriter
 from repro.core.pipeline import (
     BatchResult,
     EnhancedInFilter,
@@ -174,7 +174,7 @@ class ShardedIngestEngine:
         config: Optional[EngineConfig] = None,
         *,
         registry: Optional[MetricsRegistry] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
+        checkpoint_path: Optional[Union[str, Path, CheckpointWriter]] = None,
         cursor_base: int = 0,
     ) -> None:
         self.detector = detector
@@ -185,11 +185,15 @@ class ShardedIngestEngine:
             )
         if cursor_base < 0:
             raise ConfigError(f"cursor_base must be >= 0, got {cursor_base}")
-        self._checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
         registry = registry if registry is not None else detector.registry
         self.registry = registry
+        # A CheckpointWriter here is the one that restored ``detector``
+        # (a resumed run appends to the journal it verified).
+        self._writer = (
+            CheckpointWriter(checkpoint_path, registry=registry)
+            if isinstance(checkpoint_path, (str, Path))
+            else checkpoint_path
+        )
         self.router = ShardRouter(
             self.config.shards, detector.config.eia.granularity
         )
@@ -268,10 +272,6 @@ class ShardedIngestEngine:
         self._m_checkpoints = registry.counter(
             "infilter_engine_checkpoints_total",
             "Detector checkpoints written at batch boundaries.",
-        )
-        self._m_checkpoint_s = registry.histogram(
-            "infilter_engine_checkpoint_seconds",
-            "Time spent rendering and atomically writing one checkpoint.",
         )
 
     # -- lifecycle -----------------------------------------------------------
@@ -471,19 +471,15 @@ class ShardedIngestEngine:
         continues exactly where this one would have.  Returns the cursor
         written.
         """
-        if self._checkpoint_path is None:
+        if self._writer is None:
             raise ConfigError("engine has no checkpoint_path configured")
-        watch = Stopwatch()
-        save_detector(
-            self.detector, self._checkpoint_path, cursor=self._cursor
-        )
+        self._writer.save(self.detector, cursor=self._cursor)
         self._checkpoints += 1
         self._m_checkpoints.inc()
-        self._m_checkpoint_s.observe(watch.elapsed_s())
         log.info(
             "engine checkpoint written",
             extra={
-                "path": str(self._checkpoint_path),
+                "path": str(self._writer.path),
                 "cursor": self._cursor,
                 "batches": self._batches,
             },

@@ -3,8 +3,8 @@
 Three merge surfaces:
 
 * :func:`merge_stats` — combines :class:`PipelineStats` objects (sums
-  the exact counters, keeps the max latency, and re-samples the latency
-  reservoirs so the merged percentiles still cover the whole stream);
+  the exact counters, keeps the max latency, and adds the latency
+  histograms bucket by bucket, which is exact);
 * :func:`merge_registries` — combines :class:`MetricsRegistry` contents:
   counters and histogram buckets add, gauges take the maximum (a merged
   occupancy or set-size gauge answers "how big did any one shard get",
@@ -17,35 +17,22 @@ Three merge surfaces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.pipeline import PipelineStats
 from repro.obs import Histogram, MetricsRegistry, snapshot
-from repro.util.rng import SeededRng
 
 __all__ = ["merge_stats", "merge_registries", "EngineReport"]
-
-#: Seed of the re-sampling RNG in :func:`merge_stats` — fixed so merging
-#: the same shard stats twice yields identical percentiles.
-_MERGE_SEED = 0x3E1D5
 
 
 def merge_stats(parts: Sequence[PipelineStats]) -> PipelineStats:
     """Combine per-shard pipeline stats into one.
 
-    Counters, totals and the per-stage attack breakdown are exact sums;
-    ``latency_max_s`` is the max.  The latency reservoirs concatenate
-    and, over the cap, re-sample deterministically — approximate (each
-    part's samples stand in for its whole stream) but unbiased enough
-    for operator percentiles, and exact whenever the combined sample
-    count fits the cap.
+    Counters, totals, the per-stage attack breakdown and the latency
+    histogram are exact sums (the merged histogram is the histogram of
+    the concatenated streams); ``latency_max_s`` is the max.
     """
     merged = PipelineStats()
-    if parts:
-        # Inherit the shards' configured cap; the default on the fresh
-        # instance would silently widen a deliberately small reservoir.
-        merged.latency_sample_cap = max(p.latency_sample_cap for p in parts)
-    samples: List[float] = []
     for part in parts:
         merged.processed += part.processed
         merged.legal += part.legal
@@ -57,19 +44,14 @@ def merge_stats(parts: Sequence[PipelineStats]) -> PipelineStats:
         merged.overload_flagged += part.overload_flagged
         merged.latency_total_s += part.latency_total_s
         merged.latency_max_s = max(merged.latency_max_s, part.latency_max_s)
-        merged.latency_samples_seen += part.latency_samples_seen
         for stage, count in part.attacks_by_stage.items():
             merged.attacks_by_stage[stage] = (
                 merged.attacks_by_stage.get(stage, 0) + count
             )
-        samples.extend(part.latency_samples)
-    if len(samples) > merged.latency_sample_cap:
-        # SeededRng(seed) draws the same stream as the random.Random(seed)
-        # this used before the REP002 migration, so merged percentiles
-        # are unchanged across the refactor.
-        rng = SeededRng(_MERGE_SEED, "stats-merge")
-        samples = rng.sample(samples, merged.latency_sample_cap)
-    merged.latency_samples = samples
+        for bucket, count in part.latency_buckets.items():
+            merged.latency_buckets[bucket] = (
+                merged.latency_buckets.get(bucket, 0) + count
+            )
     return merged
 
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import asyncio
 
+from repro.core.persistence import CheckpointWriter
 from repro.core.pipeline import EnhancedInFilter
 from repro.obs import MetricsRegistry, get_logger, get_registry
 from repro.serve.config import ServeConfig
@@ -85,7 +86,9 @@ class ServeDaemon:
     The detector is built (or restored) by the caller; the daemon owns
     its online lifetime.  ``cursor_base`` is the committed-record count
     a restored checkpoint already accounts for, carried into every
-    checkpoint the daemon writes.
+    checkpoint the daemon writes; ``writer`` is the
+    :class:`~repro.core.persistence.CheckpointWriter` that restored the
+    detector from ``config.checkpoint_path``, when one did.
     """
 
     def __init__(
@@ -95,6 +98,7 @@ class ServeDaemon:
         *,
         registry: Optional[MetricsRegistry] = None,
         cursor_base: int = 0,
+        writer: Optional[CheckpointWriter] = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         if cursor_base < 0:
@@ -118,6 +122,7 @@ class ServeDaemon:
             registry=registry,
             cursor_base=cursor_base,
             on_progress=self._on_progress,
+            writer=writer,
         )
         self.http = (
             ObservabilityEndpoint(health=self.health, registry=registry)

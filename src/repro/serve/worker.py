@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.persistence import load_checkpoint, save_detector
+from repro.core.persistence import CheckpointWriter, load_checkpoint
 from repro.core.pipeline import EnhancedInFilter
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
 from repro.serve.config import ServeConfig
@@ -63,10 +63,18 @@ class CommitWorker:
         registry: Optional[MetricsRegistry] = None,
         cursor_base: int = 0,
         on_progress: Optional[Callable[[], None]] = None,
+        writer: Optional[CheckpointWriter] = None,
     ) -> None:
         self.detector = detector
         self.queue = queue
         self.config = config
+        registry = registry if registry is not None else get_registry()
+        # ``writer`` is the one that loaded ``detector`` from
+        # ``checkpoint_path`` (a resumed run appends to the journal it
+        # verified); otherwise the first checkpoint is a full write.
+        if writer is None and config.checkpoint_path is not None:
+            writer = CheckpointWriter(config.checkpoint_path, registry=registry)
+        self._writer = writer
         self._cursor = cursor_base
         self._on_progress = on_progress
         self._batches = 0
@@ -77,7 +85,6 @@ class CommitWorker:
         self._latency_reservoir: List[float] = []
         self._latency_seen = 0
         self._latency_rng = SeededRng(20050609, "serve-latency-reservoir")
-        registry = registry if registry is not None else get_registry()
         self._m_batches = registry.counter(
             "infilter_serve_batches_total",
             "Micro-batches committed through the detector.",
@@ -162,7 +169,7 @@ class CommitWorker:
             if not batch:
                 break
             self.commit(batch)
-        if self.config.checkpoint_path is not None:
+        if self._writer is not None:
             self.checkpoint()
 
     def commit(self, batch: QueuedBatch) -> None:
@@ -207,17 +214,15 @@ class CommitWorker:
 
     def checkpoint(self) -> int:
         """Write an atomic checkpoint at the current cursor."""
-        if self.config.checkpoint_path is None:
+        if self._writer is None:
             raise ServeError("serve worker has no checkpoint_path configured")
-        save_detector(
-            self.detector, self.config.checkpoint_path, cursor=self._cursor
-        )
+        self._writer.save(self.detector, cursor=self._cursor)
         self._checkpoints += 1
         self._m_checkpoints.inc()
         log.info(
             "serve checkpoint written",
             extra={
-                "path": self.config.checkpoint_path,
+                "path": str(self._writer.path),
                 "cursor": self._cursor,
                 "batches": self._batches,
             },

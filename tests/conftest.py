@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import EnhancedInFilter, PipelineConfig
+from repro.core.eia import EIACheck, EIAVerdict
+from repro.core.pipeline import Decision, Verdict
 from repro.flowgen import Dagflow, SubBlockSpace, eia_allocation, synthesize_trace
 from repro.routing import TopologyParams, generate_internet
 from repro.util import Prefix, SeededRng
@@ -87,3 +89,16 @@ def make_detector(eia_plan, target_prefix, *, seed=5150, config=None, n_train=15
         [lr.record.with_key(input_if=0) for lr in dagflow.replay(trace)]
     )
     return detector
+
+
+def legal_decision(latency_s):
+    """A legal-at-EIA decision that took ``latency_s``: what the
+    ``PipelineStats`` latency tests feed ``note``."""
+    return Decision(
+        verdict=Verdict.LEGAL,
+        stage="eia",
+        eia=EIACheck(
+            verdict=EIAVerdict.LEGAL, observed_peer=0, expected_peer=0
+        ),
+        latency_s=latency_s,
+    )

@@ -458,6 +458,19 @@ class TestRep009StateProtocol:
         assert rules_of(findings) == ["REP009"]
         assert "_alert_counter" in findings[0].message
 
+    def test_persistence_objects_may_keep_private_state(self, tmp_path):
+        (tmp_path / "repro" / "core").mkdir(parents=True)
+        findings = lint_source(
+            tmp_path,
+            "class Writer:\n"
+            "    def save(self, detector):\n"
+            "        self._sink = detector.alert_sink\n"
+            "        return self._sink\n",
+            name="repro/core/persistence.py",
+            select=["REP009"],
+        )
+        assert findings == []
+
     def test_underscore_access_elsewhere_is_not_rep009(self, tmp_path):
         findings = lint_source(
             tmp_path,

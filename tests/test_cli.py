@@ -301,11 +301,23 @@ class TestStateInspect:
         capsys.readouterr()
         assert main(["state", "inspect", str(state)]) == 0
         out = capsys.readouterr().out
-        assert "format: v2" in out
+        assert "format: v3" in out
         assert "cursor: 400" in out
         assert "trained: yes" in out
         assert "peers:" in out
         assert "stats: processed=400" in out
+        assert "alerts stored: 0" in out
+        files = next(line for line in out.splitlines() if line.startswith("files:"))
+        assert f"head {state.stat().st_size} bytes" in files
+        assert files.count("(verifies)") == 2  # base and journal
+        # A damaged base is reported, not raised.
+        base = next(tmp_path.glob("state.json.base-*"))
+        base.write_bytes(base.read_bytes()[:-1])
+        assert main(["state", "inspect", str(state)]) == 0
+        assert (
+            f"base {base.stat().st_size} bytes (DOES NOT VERIFY)"
+            in capsys.readouterr().out
+        )
 
     def test_inspect_json_output(self, tmp_path, plan_file, normal_file, capsys):
         import json
@@ -321,9 +333,13 @@ class TestStateInspect:
         capsys.readouterr()
         assert main(["state", "inspect", str(state), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["format"] == 2
+        assert payload["format"] == 3
         assert payload["cursor"] is None
         assert payload["trained"] is False
+        # A basic detector has no model, so no base file.
+        assert payload["parts"]["base"] is None
+        assert payload["parts"]["head"] == state.stat().st_size
+        assert payload["verified"] == {"base": True, "journal": True}
 
     def test_inspect_missing_file_errors(self, tmp_path, capsys):
         assert main(["state", "inspect", str(tmp_path / "nope.json")]) == 2

@@ -1,4 +1,9 @@
-"""Tests for versioned, atomic detector checkpoints (the v2 format)."""
+"""Tests for versioned, atomic detector checkpoints (state format 3).
+
+The inline document and the one-shot three-file write; incremental
+writes, crash recovery and journal verification are in
+``test_checkpoint_files``.
+"""
 
 import io
 import json
@@ -57,6 +62,22 @@ def probe_records(seed=78, attack="http_exploit"):
     return [lr.record.with_key(input_if=0) for lr in dagflow.replay(flows)]
 
 
+def attack_records(seed=80):
+    """Attack-only probes: benign suspects would trigger absorption at
+    the low learning threshold and legalise the source blocks."""
+    rng = SeededRng(seed, "idents")
+    dagflow = Dagflow(
+        "a", target_prefix=TARGET, udp_port=9000,
+        source_blocks=[EAST], rng=rng,
+    )
+    return [
+        lr.record.with_key(input_if=0)
+        for lr in dagflow.replay(
+            generate_attack("http_exploit", rng=rng.fork("x"))
+        )
+    ]
+
+
 class TestRoundTrip:
     def test_identical_decisions_after_restore(self):
         detector, _training = build_trained()
@@ -99,19 +120,7 @@ class TestRoundTrip:
 
     def test_alert_idents_continue(self):
         detector, _training = build_trained()
-        # Attack-only probes: benign suspects would trigger absorption at
-        # the low learning threshold and legalise the source blocks.
-        rng = SeededRng(80, "idents")
-        dagflow = Dagflow(
-            "a", target_prefix=TARGET, udp_port=9000,
-            source_blocks=[EAST], rng=rng,
-        )
-        attack = [
-            lr.record.with_key(input_if=0)
-            for lr in dagflow.replay(
-                generate_attack("http_exploit", rng=rng.fork("x"))
-            )
-        ]
+        attack = attack_records()
         for record in attack:
             detector.process(record)
         n_alerts = len(detector.alert_sink)
@@ -151,7 +160,8 @@ class TestRoundTrip:
             ref.processed, ref.legal, ref.suspects, ref.benign,
             ref.attacks, ref.absorbed, ref.attacks_by_stage,
         )
-        assert got.latency_samples == ref.latency_samples
+        assert got.latency_buckets == ref.latency_buckets
+        assert got.latency_percentile(0.9) == ref.latency_percentile(0.9)
         assert restored.scan.state_dict() == detector.scan.state_dict()
 
     def test_file_path_round_trip(self, tmp_path):
@@ -255,15 +265,23 @@ class TestAtomicWrite:
     def test_no_temp_file_left_after_success(self, tmp_path):
         detector, _training = build_trained()
         path = tmp_path / "state.json"
+        for record in attack_records():
+            detector.process(record)
         save_detector(detector, path)
-        assert path.exists()
-        assert list(tmp_path.iterdir()) == [path]
+        save_detector(detector, path)  # overwriting leaves nothing extra
+        names = sorted(entry.name for entry in tmp_path.iterdir())
+        assert len(names) == 3 and not any(
+            name.endswith(".tmp") for name in names
+        )
+        head, journal, base = names
+        assert head == "state.json" and journal == "state.json.alerts"
+        assert base.startswith("state.json.base-")
 
 
 class TestDescribeState:
     def test_v2_summary(self, tmp_path):
         detector, _training = build_trained()
-        for record in probe_records():
+        for record in attack_records() + probe_records():
             detector.process(record)
         path = tmp_path / "ckpt.json"
         save_detector(detector, path, cursor=80)
@@ -276,7 +294,19 @@ class TestDescribeState:
             for peer in detector.infilter.peers()
         }
         assert summary["stats"]["processed"] == detector.stats.processed
-        assert summary["alerts"] == len(detector.alert_sink)
+        assert summary["alerts"] == len(detector.alert_sink) > 0
+        assert set(summary["classes"]) == set(detector.model.thresholds())
+        assert summary["verified"] == {"base": True, "journal": True}
+        assert summary["parts"] == {
+            "head": path.stat().st_size,
+            "journal": (tmp_path / "ckpt.json.alerts").stat().st_size,
+            "base": next(tmp_path.glob("ckpt.json.base-*")).stat().st_size,
+        }
+        # The inline document of the same state describes the same.
+        inline = describe_state(io.StringIO(render_state(detector, cursor=80)))
+        assert inline["parts"] is None and inline["verified"] is None
+        for key in ("cursor", "trained", "classes", "peers", "alerts", "stats"):
+            assert inline[key] == summary[key], key
 
 
 class TestErrors:
@@ -293,23 +323,30 @@ class TestErrors:
             load_detector(io.StringIO('{"format": 99}'))
 
     def test_retired_format_1_is_rejected(self, tmp_path, capsys):
-        """The v1 reader is gone: both the loader and ``infilter state
-        inspect`` refuse a format-1 document by name."""
-        path = tmp_path / "v1.json"
-        path.write_text('{"format": 1, "trained": false, "training": []}')
-        with pytest.raises(
-            StateError, match="unsupported detector state format 1$"
+        """The v1 and v2 readers are gone: both the loader and
+        ``infilter state inspect`` refuse such a document by name."""
+        for version, body in (
+            (1, '"trained": false, "training": []'),
+            (2, '"config": {}, "cursor": null, "components": {}'),
         ):
-            load_checkpoint(path)
-        assert main(["state", "inspect", str(path)]) == 2
-        assert (
-            "unsupported detector state format 1"
-            in capsys.readouterr().err
-        )
+            path = tmp_path / f"v{version}.json"
+            path.write_text(f'{{"format": {version}, {body}}}')
+            message = f"unsupported detector state format {version}"
+            with pytest.raises(StateError, match=message + "$"):
+                load_checkpoint(path)
+            assert main(["state", "inspect", str(path)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_corrupt_v2_document(self):
-        with pytest.raises(StateError):
-            load_detector(io.StringIO('{"format": 2, "cursor": null}'))
+        with pytest.raises(StateError, match="corrupt detector state"):
+            load_detector(io.StringIO('{"format": 3, "cursor": null}'))
+
+    def test_head_from_a_stream_is_refused(self, tmp_path):
+        detector, _training = build_trained()
+        path = tmp_path / "state.json"
+        save_detector(detector, path)
+        with pytest.raises(StateError, match="from the path"):
+            load_detector(io.StringIO(path.read_text()))
 
     def test_missing_checkpoint_file(self, tmp_path):
         with pytest.raises(StateError):

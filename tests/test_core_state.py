@@ -7,6 +7,8 @@ checkpoint format (:mod:`repro.core.persistence`) composes into its
 whole-detector guarantee.
 """
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -27,7 +29,7 @@ from repro.obs import MetricsRegistry
 from repro.util import Prefix, SeededRng
 from repro.util.errors import ConfigError
 
-from tests.conftest import make_detector
+from tests.conftest import legal_decision, make_detector
 
 WEST = Prefix.parse("24.0.0.0/11")
 EAST = Prefix.parse("144.0.0.0/11")
@@ -148,25 +150,29 @@ class TestScanAnalyzer:
 
 
 class TestPipelineStats:
-    def test_round_trip_including_reservoir_rng(self):
-        original = PipelineStats(latency_sample_cap=16)
+    def test_round_trip_including_latency_histogram(self):
+        original = PipelineStats()
         for index in range(64):
-            original.sample_latency(index / 1000.0)
+            original.note(legal_decision(index / 1000.0))
         original.attacks = 3
         original.attacks_by_stage = {"nns": 2, "scan": 1}
         state = original.state_dict()
+        assert json.loads(json.dumps(state)) == state  # JSON-faithful
 
         restored = PipelineStats()
         restored.load_state(state)
-        assert restored.latency_samples == original.latency_samples
-        assert restored.latency_samples_seen == 64
+        assert restored == original
+        assert sum(restored.latency_buckets.values()) == 64
         assert restored.attacks_by_stage == original.attacks_by_stage
-        # Post-restore reservoir decisions match an uninterrupted run
-        # draw for draw: the RNG cursor travelled with the state.
+        # Noting on after the restore matches an uninterrupted run.
         for index in range(64, 128):
-            original.sample_latency(index / 1000.0)
-            restored.sample_latency(index / 1000.0)
-        assert restored.latency_samples == original.latency_samples
+            original.note(legal_decision(index / 1000.0))
+            restored.note(legal_decision(index / 1000.0))
+        assert restored.state_dict() == original.state_dict()
+        for quantile in (0.0, 0.5, 0.99, 1.0):
+            assert restored.latency_percentile(
+                quantile
+            ) == original.latency_percentile(quantile)
 
 
 class TestAlertSink:
@@ -243,5 +249,9 @@ class TestDetectorMidStream:
         got_stats = revived.stats.state_dict()
         for key in ("processed", "legal", "suspects", "benign", "attacks",
                     "absorbed", "attacks_by_stage", "overload_dropped",
-                    "overload_flagged", "latency_samples_seen"):
+                    "overload_flagged"):
             assert got_stats[key] == want_stats[key], key
+        # Which buckets is wall-clock; how many flows they hold is not.
+        assert sum(got_stats["latency_buckets"].values()) == sum(
+            want_stats["latency_buckets"].values()
+        )

@@ -4,7 +4,7 @@ The serial-equivalence guarantee is exercised end to end in
 ``test_engine_equivalence``; this module covers the pieces in
 isolation: the source-block router, the merge layer, worker replicas
 and delta catch-up, the engine's buffering/flush/lifecycle behaviour,
-the collector's batch sinks, and the reservoir latency sampler the
+the collector's batch sinks, and the latency histogram the
 merged stats rely on.
 """
 
@@ -121,26 +121,26 @@ class TestMergeStats:
         assert merged.attacks_by_stage == {"scan": 2, "nns": 1}
         assert merged.latency_max_s == pytest.approx(0.010)
         assert merged.latency_total_s == pytest.approx(0.022)
-        assert merged.latency_samples_seen == 7
-        assert sorted(merged.latency_samples) == pytest.approx(
-            [0.001, 0.001, 0.001, 0.002, 0.003, 0.004, 0.010]
-        )
+        # The 4th smallest of the seven latencies is 0.002.
+        assert sum(merged.latency_buckets.values()) == 7
+        assert merged.latency_percentile(0.5) == pytest.approx(0.002, rel=0.07)
 
-    def test_resamples_over_cap_deterministically(self):
+    def test_merge_is_the_histogram_of_the_concatenation(self):
+        whole = PipelineStats()
         parts = []
         for start in (0, 1000):
-            stats = PipelineStats(latency_sample_cap=100)
+            stats = PipelineStats()
             for i in range(100):
-                stats.sample_latency(float(start + i))
+                decision = _decision(latency_s=float(start + i + 1))
+                stats.note(decision)
+                whole.note(decision)
             parts.append(stats)
         merged = merge_stats(parts)
-        again = merge_stats(parts)
-        assert len(merged.latency_samples) == 100
-        assert merged.latency_samples_seen == 200
-        assert merged.latency_samples == again.latency_samples
-        # Both halves of the stream should be represented.
-        assert any(s < 1000 for s in merged.latency_samples)
-        assert any(s >= 1000 for s in merged.latency_samples)
+        assert merged.latency_buckets == whole.latency_buckets
+        assert merged.latency_buckets == merge_stats(parts).latency_buckets
+        # Both halves of the stream are represented.
+        assert merged.latency_percentile(0.25) < 1000.0
+        assert merged.latency_percentile(0.75) >= 1000.0
 
     def test_empty_merge_is_neutral(self):
         merged = merge_stats([])
@@ -192,32 +192,38 @@ class TestMergeRegistries:
             merge_registries([a, b])
 
 
-class TestReservoirSampling:
-    def test_caps_and_counts_the_whole_stream(self):
-        stats = PipelineStats(latency_sample_cap=50)
-        for i in range(500):
-            stats.sample_latency(float(i))
-        assert len(stats.latency_samples) == 50
-        assert stats.latency_samples_seen == 500
-        # The reservoir must not be just the first 50 values.
-        assert max(stats.latency_samples) >= 50.0
+class TestLatencyHistogram:
+    """Bounded state, whole-stream coverage, determinism."""
+
+    @staticmethod
+    def _noted(latencies):
+        stats = PipelineStats()
+        for latency_s in latencies:
+            stats.note(_decision(latency_s=latency_s))
+        return stats
+
+    def test_state_is_bounded_and_counts_the_whole_stream(self):
+        # 10,000 latencies over ten octaves: 8 buckets an octave, not
+        # one entry a flow.
+        stats = self._noted(0.001 * 1.0007 ** i for i in range(10_000))
+        assert sum(stats.latency_buckets.values()) == 10_000
+        assert len(stats.latency_buckets) <= 8 * 11
+        assert len(stats.state_dict()["latency_buckets"]) == len(
+            stats.latency_buckets
+        )
 
     def test_is_deterministic_across_runs(self):
         def run():
-            stats = PipelineStats(latency_sample_cap=20)
-            for i in range(300):
-                stats.sample_latency(float(i))
-            return stats.latency_samples
+            return self._noted(float(i + 1) for i in range(300)).state_dict()
 
         assert run() == run()
 
     def test_percentiles_reflect_late_stream(self):
-        stats = PipelineStats(latency_sample_cap=100)
-        for i in range(10_000):
-            stats.sample_latency(float(i))
-        # The old first-N cap would put p90 at 90; a uniform reservoir
-        # over 0..9999 puts it in the thousands.
-        assert stats.latency_percentile(0.9) > 1000.0
+        stats = self._noted(float(i + 1) for i in range(10_000))
+        # A first-N sample would put p90 near 90; the histogram covers
+        # the whole stream, whose 9,001st smallest latency is 9,001.
+        assert stats.latency_percentile(0.9) == pytest.approx(9001.0, rel=0.07)
+        assert stats.latency_percentile(1.0) <= stats.latency_max_s
 
 
 class TestEngineConfig:

@@ -246,7 +246,7 @@ class TestColumnarDecodeEquivalence:
 
 #: State keys holding real wall-clock measurements — legitimately
 #: different between two runs even when every decision is identical.
-_WALL_CLOCK_KEYS = {"latency_total_s", "latency_max_s", "latency_samples"}
+_WALL_CLOCK_KEYS = {"latency_total_s", "latency_max_s", "latency_buckets"}
 
 
 def _scrub_wall_clock(document):

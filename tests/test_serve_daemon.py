@@ -34,7 +34,12 @@ import asyncio
 
 import pytest
 
-from repro.core.persistence import load_checkpoint, load_detector, save_detector
+from repro.core.persistence import (
+    load_checkpoint,
+    load_detector,
+    render_state,
+    save_detector,
+)
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.netflow.records import PROTO_UDP, FlowKey, FlowRecord
 from repro.netflow.v1 import encode_v1_datagram
@@ -509,6 +514,56 @@ class TestHotReload:
         assert report.reloads == 1
         assert daemon.detector is not detector
         assert report.records_committed == len(records)
+
+    def test_reload_between_checkpoints_rewrites_the_journal(
+        self, eia_plan, target_prefix, serve_trace, tmp_path
+    ):
+        """A reload swaps in a detector whose alert history is not an
+        extension of what the worker has journalled — here it is even
+        longer, so a writer that compared counts alone would append a
+        slice of it onto the old prefix.  The next periodic checkpoint
+        must hold the reloaded detector's history, exactly."""
+        source = make_detector(eia_plan, target_prefix, seed=9_001, n_train=400)
+        source.process_all(serve_trace[::-1])
+        foreign = [alert.to_xml() for alert in source.alert_sink.alerts]
+        reload_ckpt = str(tmp_path / "reload.json")
+        save_detector(source, reload_ckpt, cursor=0)
+
+        detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
+        ckpt = str(tmp_path / "live.json")
+        half = len(serve_trace) // 2
+        config = ServeConfig(
+            port=0,
+            batch_size=32,
+            checkpoint_path=ckpt,
+            checkpoint_every=1,
+            reload_path=reload_ckpt,
+            max_records=len(serve_trace),
+            idle_exit_s=5.0,
+        )
+        journalled: List[str] = []
+
+        async def drive(daemon: ServeDaemon) -> None:
+            await udp_sender(serve_trace[:half])(daemon)
+            while daemon.worker.committed < half:
+                await asyncio.sleep(0.01)
+            journalled.extend(
+                alert.to_xml() for alert in daemon.detector.alert_sink.alerts
+            )
+            daemon.request_reload()
+            await udp_sender(serve_trace[half:], initial_sequence=half)(daemon)
+
+        daemon, report = run_daemon(detector, config, drive)
+        assert report.reloads == 1
+        assert 0 < len(journalled) <= len(foreign)
+        assert journalled != foreign[:len(journalled)]
+        loaded, cursor = load_checkpoint(ckpt)
+        assert cursor == report.cursor
+        assert render_state(loaded, cursor=cursor) == render_state(
+            daemon.detector, cursor=cursor
+        )
+        got = [alert.to_xml() for alert in loaded.alert_sink.alerts]
+        assert got[:len(foreign)] == foreign
 
     def test_reloaded_detector_stays_on_the_daemons_registry(
         self, eia_plan, target_prefix, serve_trace, tmp_path
