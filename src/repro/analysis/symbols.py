@@ -556,8 +556,12 @@ def _collect_classes(
                         and func.value.id == "self"
                     ):
                         calls.append(func.attr)
-                if isinstance(sub, ast.Assign):
-                    for target in sub.targets:
+                if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                    # ``self.x = C()`` and ``self.x: C[int] = C()`` alike.
+                    targets = (
+                        sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                    )
+                    for target in targets:
                         if (
                             isinstance(target, ast.Attribute)
                             and isinstance(target.value, ast.Name)

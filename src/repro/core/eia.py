@@ -16,14 +16,16 @@ unexpected peer is absorbed into that peer's set.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import EIAConfig
 from repro.core.state import StateDict, stateful
+from repro.fastpath.plane import MISSING, FastPath
 from repro.netflow.records import FlowRecord
-from repro.obs import MetricsRegistry, get_logger, get_registry
-from repro.util.errors import ConfigError
+from repro.obs import Gauge, MetricsRegistry, get_logger, get_registry
+from repro.util.errors import ConfigError, StateError
 from repro.util.ip import Prefix, PrefixTrie
 
 __all__ = ["EIAVerdict", "EIACheck", "EIASet", "BasicInFilter"]
@@ -104,7 +106,10 @@ class BasicInFilter:
     """Per-peer EIA sets plus the Section 5.2 check and learning rules.
 
     The reverse index (source block → owning peer) makes the check O(32)
-    per flow regardless of how many peers exist.
+    per flow regardless of how many peers exist, and the owner table in
+    front of it answers a block it has seen before in one dict probe.
+    One block has one owner: inserting it at a peer takes it from the
+    peer that held it.
     """
 
     def __init__(
@@ -116,27 +121,30 @@ class BasicInFilter:
         self.config = config if config is not None else EIAConfig()
         self._sets: Dict[int, EIASet] = {}
         self._owner: PrefixTrie[int] = PrefixTrie()
-        # (peer, block) -> benign observations, for the learning rule.
-        self._pending: Dict[Tuple[int, Prefix], int] = {}
-        #: Monotonic counter bumped by every mutation that can change a
-        #: ``check()`` outcome (preload, training init, absorption,
-        #: checkpoint restore).  Derived bookkeeping for epoch-guarded
-        #: caches (``repro.fastpath``); never checkpointed.
-        self.mutation_epoch = 0
+        # (peer, source address >> _pending_shift) -> benign observations,
+        # for the learning rule; a Prefix only when an absorption fires.
+        self._pending: Dict[Tuple[int, int], int] = {}
+        self._pending_shift = 32 - self.config.granularity
         #: Right-shift collapsing an address onto its verdict-sharing
         #: block: 32 minus the longest stored prefix length.  Two
-        #: addresses agreeing above the shift get identical :meth:`check`
-        #: results for a given ingress, so ``address >> memo_shift`` is a
-        #: sound verdict-memo key.  With no prefixes stored the shift is 32
-        #: and every address shares one key, which is exactly right (every
-        #: check is ``UNKNOWN_SOURCE``).  Also derived; never checkpointed.
+        #: addresses agreeing above the shift have the same expected
+        #: peer, so ``address >> memo_shift`` is a sound table key (with
+        #: nothing stored the shift is 32 and the one key says ``None``).
         self.memo_shift = 32
+        #: ``address >> memo_shift`` -> expected peer (``None``: no peer
+        #: expects the block), kept right by :meth:`_insert` rather than
+        #: dropped when the sets change.  Derived like the shift: never
+        #: checkpointed, cold after :meth:`load_state`.
+        self.table: FastPath[int, Optional[int]] = FastPath(registry=registry)
+        # One EIACheck per (expected, observed): that pair is its content.
+        self._checks: Dict[Tuple[Optional[int], int], EIACheck] = {}
         registry = registry if registry is not None else get_registry()
         self._m_blocks = registry.gauge(
             "infilter_eia_blocks",
             "Expected source blocks currently in one peer AS's EIA set.",
             ("peer",),
         )
+        self._block_gauges: Dict[int, Gauge] = {}
         self._m_absorptions = registry.counter(
             "infilter_eia_absorptions_total",
             "Section 5.2 learning-rule absorptions of route-changed blocks.",
@@ -187,30 +195,76 @@ class BasicInFilter:
             self._insert(self.ensure_peer(peer), prefix)
 
     def _insert(self, eia: EIASet, prefix: Prefix) -> None:
+        """The one place the sets change: ``prefix`` moves to ``eia``.
+
+        A prefix of the longest stored length is exactly one table key
+        that nothing more specific can shadow: its new owner is written
+        through.  Any other length shrinks the key shift or may cover
+        keys held by more-specifics, and clears the table.
+        """
+        previous = self._owner.get(prefix)
+        if previous is not None and previous != eia.peer:
+            loser = self._sets[previous]
+            loser.discard(prefix)
+            self._set_gauge(loser)
         eia.add(prefix)
         self._owner.insert(prefix, eia.peer)
-        self.mutation_epoch += 1
-        self.memo_shift = min(self.memo_shift, 32 - prefix.length)
-        self._m_blocks.labels(peer=eia.peer).set(len(eia))
+        shift = 32 - prefix.length
+        if shift == self.memo_shift:
+            self.table.put(prefix.network >> shift, eia.peer)
+        else:
+            self.memo_shift = min(self.memo_shift, shift)
+            self.table.invalidate()
+        self._set_gauge(eia)
+
+    def _set_gauge(self, eia: EIASet) -> None:
+        gauge = self._block_gauges.get(eia.peer)
+        if gauge is None:
+            gauge = self._m_blocks.labels(peer=eia.peer)
+            self._block_gauges[eia.peer] = gauge
+        gauge.set(len(eia))
 
     # -- the check ----------------------------------------------------------
 
     def expected_peer_for(self, address: int) -> Optional[int]:
-        """The peer AS whose EIA set covers ``address`` (``ASIP(φ)``)."""
+        """The peer AS whose EIA set covers ``address`` (``ASIP(φ)``):
+        from the owner table, from the trie (once per block) on a miss."""
+        key = address >> self.memo_shift
+        owner = self.table.entries.get(key, MISSING)
+        if owner is MISSING:
+            owner = self._walk(address)
+            self.table.fill(key, owner)
+        else:
+            self.table.note_hits(1)
+        return owner  # type: ignore[no-any-return]
+
+    def _walk(self, address: int) -> Optional[int]:
         match = self._owner.longest_match(address)
         return match[1] if match is not None else None
 
     def check(self, record: FlowRecord) -> EIACheck:
         """The Basic InFilter assessment of one flow (Section 5.2)."""
-        observed = record.key.input_if
-        expected = self.expected_peer_for(record.key.src_addr)
-        if expected is None:
-            verdict = EIAVerdict.UNKNOWN_SOURCE
-        elif expected == observed:
-            verdict = EIAVerdict.LEGAL
-        else:
-            verdict = EIAVerdict.WRONG_INGRESS
-        return EIACheck(verdict=verdict, observed_peer=observed, expected_peer=expected)
+        return self.check_for(
+            self.expected_peer_for(record.key.src_addr), record.key.input_if
+        )
+
+    def check_for(self, expected: Optional[int], observed: int) -> EIACheck:
+        """The (shared) result for a source expected at ``expected`` that
+        arrived through ``observed``."""
+        check = self._checks.get((expected, observed))
+        if check is None:
+            if expected is None:
+                verdict = EIAVerdict.UNKNOWN_SOURCE
+            elif expected == observed:
+                verdict = EIAVerdict.LEGAL
+            else:
+                verdict = EIAVerdict.WRONG_INGRESS
+            if len(self._checks) >= self.table.capacity:
+                self._checks.clear()
+            check = self._checks[(expected, observed)] = EIACheck(
+                verdict, observed, expected
+            )
+        return check
 
     # -- online learning ----------------------------------------------------
 
@@ -222,16 +276,20 @@ class BasicInFilter:
         at that peer exceeds the learning threshold.  Returns True when
         the absorption happened on this call.
         """
-        peer = record.key.input_if
-        block = Prefix.from_address(record.key.src_addr, self.config.granularity)
-        key = (peer, block)
+        return self.learn(record.key.input_if, record.key.src_addr) is not None
+
+    def learn(self, peer: int, address: int) -> Optional[Prefix]:
+        """:meth:`note_benign` on the two numbers it reads, returning the
+        block it absorbed (``None`` when it only counted)."""
+        key = (peer, address >> self._pending_shift)
         count = self._pending.get(key, 0) + 1
-        if count >= self.config.learning_threshold:
-            self._pending.pop(key, None)
-            self.apply_absorption(peer, block)
-            return True
-        self._pending[key] = count
-        return False
+        if count < self.config.learning_threshold:
+            self._pending[key] = count
+            return None
+        self._pending.pop(key, None)
+        block = Prefix.from_address(address, self.config.granularity)
+        self.apply_absorption(peer, block)
+        return block
 
     def apply_absorption(self, peer: int, block: Prefix) -> Optional[int]:
         """Absorb ``block`` into ``peer``'s EIA set, returning the old owner.
@@ -242,28 +300,31 @@ class BasicInFilter:
         by the authoritative detector without re-running the learning
         rule.
         """
-        eia = self.ensure_peer(peer)
-        previous = self.expected_peer_for(block.network)
-        if previous is not None and previous != peer:
-            self._sets[previous].discard(block)
-            self._m_blocks.labels(peer=previous).set(
-                len(self._sets[previous])
-            )
-        self._insert(eia, block)
+        previous = self.table.entries.get(block.network >> self.memo_shift, MISSING)
+        if previous is MISSING:
+            previous = self._walk(block.network)
+        self._insert(self.ensure_peer(peer), block)
         self._m_absorptions.inc()
-        log.info(
-            "EIA absorption: block moved to peer",
-            extra={
-                "block": str(block),
-                "peer": peer,
-                "previous_peer": previous,
-            },
-        )
-        return previous
+        if log.isEnabledFor(logging.INFO):
+            log.info(
+                "EIA absorption: block moved to peer",
+                extra={"block": str(block), "peer": peer, "previous_peer": previous},
+            )
+        return previous  # type: ignore[no-any-return]
 
     def pending_counts(self) -> Dict[Tuple[int, Prefix], int]:
         """Snapshot of not-yet-absorbed source observations (for tests)."""
-        return dict(self._pending)
+        return {
+            (peer, self._pending_block(block)): count
+            for (peer, block), count in self._pending.items()
+        }
+
+    def pending_size(self) -> int:
+        """How many (peer, block) counters the learning rule holds."""
+        return len(self._pending)
+
+    def _pending_block(self, block: int) -> Prefix:
+        return Prefix(block << self._pending_shift, self.config.granularity)
 
     # -- the stage-state protocol --------------------------------------------
 
@@ -271,11 +332,10 @@ class BasicInFilter:
         """EIA sets plus the learning rule's pending counters.
 
         The reverse owner index is derived (every block in every set owns
-        its entry) and is rebuilt on load rather than stored.  The
-        mutation epoch and memo shift are likewise derived cache
-        bookkeeping and deliberately excluded: a checkpoint must be
-        byte-identical whether the verdict memo is hot or cold, and a
-        restored detector always starts its caches cold.
+        its entry) and is rebuilt on load rather than stored.  The owner
+        table in front of it and the memo shift are likewise derived and
+        excluded: a checkpoint is byte-identical whether the table is hot
+        or cold, and a restored detector starts it cold.
         """
         return {
             "peers": {
@@ -283,30 +343,40 @@ class BasicInFilter:
                 for peer in self.peers()
             },
             "pending": [
-                {"peer": peer, "prefix": str(prefix), "count": count}
-                for (peer, prefix), count in sorted(
-                    self._pending.items(),
-                    key=lambda item: (item[0][0], str(item[0][1])),
+                {"peer": peer, "prefix": prefix, "count": count}
+                for peer, prefix, count in sorted(
+                    (peer, str(self._pending_block(block)), count)
+                    for (peer, block), count in self._pending.items()
                 )
             ],
         }
 
     def load_state(self, state: StateDict) -> None:
-        self._sets = {}
-        self._owner = PrefixTrie()
-        self._pending = {}
-        # A restore rewrites everything check() depends on: advance the
-        # epoch so any attached verdict memo self-invalidates.
-        self.mutation_epoch += 1
-        self.memo_shift = 32
-        for peer_text, section in state["peers"].items():
-            peer = int(peer_text)
-            eia = self.ensure_peer(peer)
-            eia.load_state(section)
-            for prefix in eia.prefixes():
-                self._owner.insert(prefix, peer)
-                self.memo_shift = min(self.memo_shift, 32 - prefix.length)
-            self._m_blocks.labels(peer=peer).set(len(eia))
+        # What can refuse comes first: a refused restore changes nothing.
+        pending: Dict[Tuple[int, int], int] = {}
         for entry in state["pending"]:
-            key = (int(entry["peer"]), Prefix.parse(entry["prefix"]))
-            self._pending[key] = int(entry["count"])
+            prefix = Prefix.parse(entry["prefix"])
+            if prefix.length != self.config.granularity:
+                raise StateError(
+                    f"pending entry {entry['prefix']} at peer {entry['peer']}:"
+                    f" the learning rule counts /{self.config.granularity}"
+                    " blocks"
+                )
+            key = (int(entry["peer"]), prefix.network >> self._pending_shift)
+            pending[key] = int(entry["count"])
+        sets: Dict[int, EIASet] = {}
+        for peer_text, section in state["peers"].items():
+            eia = EIASet(int(peer_text))
+            eia.load_state(section)
+            sets[eia.peer] = eia
+        self._sets = sets
+        self._pending = pending
+        self._owner = PrefixTrie()
+        # A restore rewrites everything the table answers from.
+        self.table.invalidate()
+        self.memo_shift = 32
+        for eia in sets.values():
+            for prefix in eia.prefixes():
+                self._owner.insert(prefix, eia.peer)
+                self.memo_shift = min(self.memo_shift, 32 - prefix.length)
+            self._set_gauge(eia)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import frexp, ldexp
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.alerts import AlertSink, IdmefAlert
 from repro.core.clusters import ClusterModel, protocol_class
@@ -39,7 +39,7 @@ from repro.core.nns import SearchResult
 from repro.core.scan import ScanAnalyzer, ScanVerdict
 from repro.core.state import StateDict, stateful
 from repro.fastpath.columnar import RecordColumns, RowBatch
-from repro.fastpath.plane import FastPath
+from repro.fastpath.plane import MISSING, FastPath
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
 from repro.util.errors import ConfigError, EngineError, TrainingError
@@ -326,6 +326,11 @@ class _PipelineMetrics:
         self.ensemble_promoted = ensemble.labels(outcome="promoted")
         self.ensemble_suppressed = ensemble.labels(outcome="suppressed")
         self.ensemble_clear = ensemble.labels(outcome="clear")
+        self.state_entries = registry.gauge(
+            "infilter_state_entries",
+            "Entries in one bounded in-memory structure, set once per batch.",
+            ("component",),
+        )
 
     def note(self, decision: Decision) -> None:
         self.flows.labels(verdict=decision.verdict, stage=decision.stage).inc()
@@ -399,14 +404,14 @@ class EnhancedInFilter:
         self._nns_raw_memo: Dict[
             Tuple[int, int, int, int, int], NnsAssessment
         ] = {}
-        #: Cross-batch EIA verdict memo (repro.fastpath).  A derived cache
-        #: like the NNS memos: excluded from state_dict, cold after
-        #: load_state, and epoch-invalidated on EIA mutation.
-        self.fastpath: FastPath[Tuple[int, int], EIACheck] = FastPath(
-            registry=registry
-        )
 
     _NNS_MEMO_CAP = 65_536
+
+    @property
+    def fastpath(self) -> FastPath[int, Optional[int]]:
+        """The EIA owner table (``infilter.table``): a derived cache like
+        the NNS memos, excluded from state_dict, cold after load_state."""
+        return self.infilter.table
 
     # -- training-phase entry points (Section 5.1.3 modes a-d) -------------
 
@@ -470,13 +475,13 @@ class EnhancedInFilter:
         ``rows`` is a :class:`~repro.fastpath.columnar.RowBatch` of
         decoded-datagram column slices (the serve path) or a sequence of
         records, adapted to one here (the engine).  Either way one loop
-        reads two columns per row: a row whose ``(source block,
-        ingress)`` the verdict memo already answers *legal* gets its
-        decision straight from the memo's dict and never becomes a
-        :class:`FlowRecord`; every other row — memo miss, suspect, or
+        reads two columns per row and probes the EIA owner table once: a
+        row whose source block the table says is expected at the row's
+        ingress is *legal*, gets its decision there and never becomes a
+        :class:`FlowRecord`; every other row — table miss, suspect, or
         any row at all once auxiliary detectors are composed, since they
         observe every flow — is materialised by index and goes through
-        :meth:`_commit`.
+        :meth:`_commit` with the owner the probe found.
 
         ``speculation``, when given, must align with ``rows``; entries
         are :class:`NnsAssessment` results precomputed by shard workers
@@ -497,60 +502,55 @@ class EnhancedInFilter:
         watch = Stopwatch()
         commit = self._commit
         infilter = self.infilter
-        fastpath = self.fastpath
         memo_clears = self._ensemble is None
-        granularity = self.config.eia.granularity
         legal, at_eia = Verdict.LEGAL, Stage.EIA
         decisions: List[Decision] = []
         append = decisions.append
         absorbed: List[Tuple[int, Prefix]] = []
         spec_hits = 0
         spec_misses = 0
-        memo_hits = 0
-        epoch = infilter.mutation_epoch
+        table_misses = 0
+        # The table's dict is never rebound and an absorption writes the
+        # moved block through it: only the key shift can go stale.
+        owners = infilter.table.entries
         shift = infilter.memo_shift
-        memo = fastpath.entries(epoch)
+        legal_checks: Dict[int, EIACheck] = {}
         base = 0  # rows of earlier slices: where this slice's guesses start
         for columns, start, stop in batch.slices:
             sources = columns.src_addr
             ingresses = columns.input_if
             for index in range(start, stop):
-                eia = memo.get((sources[index] >> shift, ingresses[index]))
-                if eia is not None and memo_clears and not eia.suspect:
-                    memo_hits += 1
+                ingress = ingresses[index]
+                owner = owners.get(sources[index] >> shift, MISSING)
+                if owner == ingress and memo_clears:
+                    eia = legal_checks.get(ingress)
+                    if eia is None:
+                        eia = legal_checks[ingress] = infilter.check_for(
+                            ingress, ingress
+                        )
                     append(Decision(legal, at_eia, eia))
                     continue
+                if owner is MISSING:
+                    table_misses += 1
                 guess = (
                     speculation[base + index - start]
                     if speculation is not None
                     else None
                 )
-                decision = commit(columns.record_at(index), guess, laps=False)
+                decision = commit(
+                    columns.record_at(index), guess, owner, absorbed, laps=False
+                )
                 append(decision)
-                if decision.absorbed:
-                    absorbed.append(
-                        (
-                            ingresses[index],
-                            Prefix.from_address(sources[index], granularity),
-                        )
-                    )
                 # Exactly the flows that reached the NNS stage carry a class.
                 if decision.protocol_class is not None:
                     if guess is not None:
                         spec_hits += 1
                     else:
                         spec_misses += 1
-                # An absorption bumps the epoch at the end of _commit, and
-                # the memo only drops itself when asked under the new one:
-                # ask now, or the next row of the absorbed block gets the
-                # verdict from before the mutation.  (After the last row
-                # the next batch asks, as a lookup would have.)
-                if infilter.mutation_epoch != epoch and len(decisions) < total:
-                    epoch = infilter.mutation_epoch
+                if decision.absorbed:
                     shift = infilter.memo_shift
-                    memo = fastpath.entries(epoch)
             base += stop - start
-        fastpath.note_hits(memo_hits)
+        infilter.table.note_hits(total - table_misses)
         elapsed = watch.elapsed_s()
         share = elapsed / total if total else 0.0
         verdict_stage_counts: Dict[Tuple[str, str], int] = {}
@@ -562,6 +562,14 @@ class EnhancedInFilter:
         for (verdict, stage), count in verdict_stage_counts.items():
             self._metrics.flows.labels(verdict=verdict, stage=stage).inc(count)
         self._metrics.flow_latency.observe_many(share, total)
+        for component, size in (
+            ("eia_owner_table", len(owners)),
+            ("eia_pending", infilter.pending_size()),
+            ("nns_memo", len(self._nns_memo)),
+            ("nns_raw_memo", len(self._nns_raw_memo)),
+            ("scan_buffer", len(self.scan)),
+        ):
+            self._metrics.state_entries.labels(component=component).set(size)
         return BatchResult(
             decisions=decisions,
             absorbed=absorbed,
@@ -574,18 +582,23 @@ class EnhancedInFilter:
         self,
         record: FlowRecord,
         assessment: Optional[NnsAssessment],
+        owner: Any = MISSING,
+        absorbed: Optional[List[Tuple[int, Prefix]]] = None,
         *,
         laps: bool,
     ) -> Decision:
         """The Figure 12 chain for one flow, with every side effect.
 
-        EIA check (through the verdict memo) -> overload gate -> Scan
-        Analysis -> NNS -> learning rule; attacks alert and, with an
-        ensemble composed, every verdict is put to the vote.  This is the
-        only committing transcription of the chain: :meth:`process` calls
-        it with per-stage stopwatch ``laps`` on, :meth:`process_batch`
-        loops over it with them off.  ``assessment`` is a caller-supplied
-        NNS result (shard speculation); ``None`` computes it here.
+        EIA check -> overload gate -> Scan Analysis -> NNS -> learning
+        rule; attacks alert and, with an ensemble composed, every verdict
+        is put to the vote.  This is the only committing transcription of
+        the chain: :meth:`process` calls it with per-stage stopwatch
+        ``laps`` on, :meth:`process_batch` loops over it with them off.
+        ``assessment`` is a caller-supplied NNS result (shard
+        speculation); ``None`` computes it here.  ``owner`` is what the
+        caller's probe of the owner table found (``MISSING``: nothing, so
+        the check is asked); ``absorbed`` collects the ``(peer, block)``
+        of an absorption this flow triggers.
 
         Every stage is reached through its owner at call time, so a
         wrapper installed on ``infilter.check``, ``scan.observe`` or
@@ -593,17 +606,11 @@ class EnhancedInFilter:
         The returned decision carries no latency; the caller stamps it.
         """
         infilter = self.infilter
-        fastpath = self.fastpath
         lap = Stopwatch() if laps else None
-        # Keyed per (source block, ingress): every address inside one
-        # block of the longest stored prefix length shares a verdict, and
-        # the memo drops itself whenever the EIA mutation epoch moves.
-        epoch = infilter.mutation_epoch
-        memo_key = (record.key.src_addr >> infilter.memo_shift, record.key.input_if)
-        eia = fastpath.lookup(memo_key, epoch)
-        if eia is None:
+        if owner is MISSING:
             eia = infilter.check(record)
-            fastpath.store(memo_key, eia, epoch)
+        else:
+            eia = infilter.check_for(owner, record.key.input_if)
         if lap is not None:
             lap.lap_into(self._metrics.eia_latency)
         if not eia.suspect:
@@ -644,6 +651,9 @@ class EnhancedInFilter:
                 neighbour=assessment.neighbour,
                 protocol_class=assessment.protocol_class,
             )
+        block = infilter.learn(record.key.input_if, record.key.src_addr)
+        if block is not None and absorbed is not None:
+            absorbed.append((record.key.input_if, block))
         return self._maybe_promote(
             record,
             Decision(
@@ -653,7 +663,7 @@ class EnhancedInFilter:
                 scan=scan_verdict,
                 neighbour=assessment.neighbour,
                 protocol_class=assessment.protocol_class,
-                absorbed=infilter.note_benign(record),
+                absorbed=block is not None,
             ),
         )
 
@@ -665,7 +675,7 @@ class EnhancedInFilter:
         ``(stage, classification, assessment)``: the deciding stage, the
         attack class the chain would alert with (``None`` when it would
         pass the flow), and the NNS assessment when the flow got that
-        far.  The read-only walk beside :meth:`_commit`: no verdict memo,
+        far.  The read-only walk beside :meth:`_commit`: no
         overload gate, learning rule, alert, or stats — what shard
         replicas speculate with and what :class:`InFilterDetector` votes
         with.  It does feed the scan buffer, so use it on a replica or a
@@ -747,9 +757,9 @@ class EnhancedInFilter:
     def state_dict(self) -> StateDict:
         """The composed state of every stage, one section per component.
 
-        The NNS memo and the fastpath EIA verdict memo are derived
-        caches and are rebuilt lazily (checkpoints are byte-identical
-        with those caches hot or cold); everything else a resumed run
+        The NNS memos and the EIA owner table are derived caches and
+        are rebuilt lazily (checkpoints are byte-identical with those
+        caches hot or cold); everything else a resumed run
         could observe — EIA sets, scan suspicion, the trained model,
         stats, alert history, RNG cursors, overload window — is
         captured.
@@ -813,10 +823,6 @@ class EnhancedInFilter:
                 aux.load_state(section)
         self._nns_memo.clear()
         self._nns_raw_memo.clear()
-        # The EIA epoch moved during the restore, so the memo would
-        # self-invalidate on first probe anyway; dropping it now keeps
-        # restored memory footprints predictable.
-        self.fastpath.invalidate()
 
     # -- internals ------------------------------------------------------------
 

@@ -6,8 +6,9 @@ package is the documented, benchmarked answer (bench E15, tuning guide
 ``docs/performance.md``): columnar zero-copy NetFlow decoding and the
 row batches the serve path moves (:mod:`repro.fastpath.columnar`),
 bit-packed popcount Hamming sweeps over NNS codes
-(:mod:`repro.fastpath.bitpack`), and an epoch-invalidated bounded
-verdict memo (:mod:`repro.fastpath.plane`) that every detector carries.
+(:mod:`repro.fastpath.bitpack`), and the bounded write-through
+block -> owner table (:mod:`repro.fastpath.plane`) every EIA check
+answers from.
 
 Layering: imports :mod:`repro.util`, :mod:`repro.obs`, and
 :mod:`repro.netflow` only — never :mod:`repro.core`; the detector
@@ -27,7 +28,7 @@ from repro.fastpath.columnar import (
     decode_v1_columnar,
     decode_v5_columnar,
 )
-from repro.fastpath.plane import DEFAULT_MEMO_CAPACITY, FastPath
+from repro.fastpath.plane import DEFAULT_MEMO_CAPACITY, MISSING, FastPath
 
 __all__ = [
     "PackedCodes",
@@ -39,5 +40,6 @@ __all__ = [
     "decode_v1_columnar",
     "decode_v5_columnar",
     "DEFAULT_MEMO_CAPACITY",
+    "MISSING",
     "FastPath",
 ]

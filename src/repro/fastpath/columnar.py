@@ -101,7 +101,7 @@ class ColumnarBatch:
     def record_at(self, index: int) -> FlowRecord:
         """Materialise row ``index`` alone.
 
-        What the commit loop calls for the rows the verdict memo cannot
+        What the commit loop calls for the rows the EIA owner table cannot
         clear; every other row of the datagram stays a column entry.
         """
         return FlowRecord(
@@ -133,8 +133,8 @@ class RecordColumns:
     """Already-built records behind the two columns the commit loop reads.
 
     The adapter that lets a ``Sequence[FlowRecord]`` (the offline engine,
-    the oracle tests) ride the same loop as a decoded datagram: the memo
-    key columns are gathered once, ``record_at`` hands back the original
+    the oracle tests) ride the same loop as a decoded datagram: the two
+    probe columns are gathered once, ``record_at`` hands back the original
     object.
     """
 
@@ -152,7 +152,7 @@ class RecordColumns:
         return self._records[index]
 
 
-#: One block of rows the commit loop can read: the memo-key columns plus
+#: One block of rows the commit loop can read: the two probe columns plus
 #: ``record_at``.
 RowColumns = Union[ColumnarBatch, RecordColumns]
 

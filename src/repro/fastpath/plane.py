@@ -1,58 +1,52 @@
-"""The verdict memo: memoised verdicts with epoch invalidation.
+"""The owner table: a bounded, write-through block -> answer table.
 
-:class:`FastPath` is the EIA verdict memo every detector carries: a
-bounded dict of per-(source block, ingress) verdicts, an *epoch* guard
-that drops the whole memo the moment the authoritative EIA state
-reports a mutation (learning-rule absorption, preload, checkpoint
-restore, route churn), and the hit/miss/invalidation counters the
-tuning guide (``docs/performance.md``) is written around.
+:class:`FastPath` is the table :class:`~repro.core.eia.BasicInFilter`
+answers its check from: one entry per source block (``address >>
+memo_shift``) holding the peer AS the block is expected through.  The
+filter keeps it right instead of forgetting it: an insert that names one
+block and its new owner is *written through* (:meth:`FastPath.put`);
+only a change that may touch many blocks at once — a prefix length that
+moves the key shift or covers more-specifics, a restore — clears it
+(:meth:`FastPath.invalidate`).  The bound is the NNS memos' policy, a
+plain dict cleared at capacity, not an LRU: the batch commit loop probes
+:attr:`FastPath.entries` directly, and recency bookkeeping is the
+per-hit cost that probe exists to avoid.
 
-The bound is the NNS memos' policy — a plain dict cleared when it
-reaches capacity — not an LRU: the batch commit loop probes the dict
-directly (:meth:`FastPath.entries`), and recency bookkeeping is exactly
-the per-hit cost that probe exists to avoid.  The default capacity sits
-far above any deployment's (block, peer) key space, so the clear is a
-backstop, not a working-set policy.
-
-Deliberately generic and dependency-light: the plane never imports
-:mod:`repro.core` — the pipeline hands in opaque keys and cached
-values (its own :class:`~repro.core.eia.EIACheck` objects) plus the
-epoch integer, so there is no import cycle and no chance of the cache
-layer second-guessing detection semantics.  It also deliberately does
-**not** implement the stage-state protocol: a memo is derived data, a
-restored detector always starts cold, and checkpoints stay
-byte-identical whether the cache is hot or cold.
+Generic and dependency-light: the plane never imports :mod:`repro.core`
+(its owner hands in opaque keys and values), and it does **not**
+implement the stage-state protocol — the table is derived data, a
+restored detector starts cold, and checkpoints are byte-identical
+whether it is hot or cold.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Optional, TypeVar
+from typing import Any, Dict, Generic, Optional, TypeVar
 
 from repro.obs import MetricsRegistry, get_registry
 from repro.util.errors import ConfigError
 
-__all__ = ["DEFAULT_MEMO_CAPACITY", "FastPath"]
+__all__ = ["DEFAULT_MEMO_CAPACITY", "MISSING", "FastPath"]
 
 K = TypeVar("K")
 V = TypeVar("V")
 
-#: Default verdict-memo bound.  At two ints per key and one frozen
-#: EIACheck per value this is a few tens of MB worst case — sized so a
-#: serving daemon absorbing the Figure 15 attack mix never reaches it
-#: (see docs/performance.md for the sizing argument).
+#: Default table bound: a few MB of ints worst case, far above any
+#: deployment's block space (docs/performance.md has the sizing argument).
 DEFAULT_MEMO_CAPACITY = 131_072
+
+#: What a direct probe of :attr:`FastPath.entries` passes as the default:
+#: ``None`` is a legitimate answer (no peer expects the block).
+MISSING: Any = object()
 
 
 class FastPath(Generic[K, V]):
-    """Epoch-guarded verdict memo.
+    """Bounded write-through table with the memo counters.
 
-    ``lookup`` must be passed the authoritative state's current
-    mutation epoch on every probe; a mismatch invalidates the whole
-    memo before the probe, so a stale verdict can never be served
-    across an EIA mutation.  This is the "explicit invalidation on
-    absorption and route-churn epochs" contract from the design issue —
-    the owner does not need to remember to call anything when state
-    changes, it only needs to keep bumping its epoch.
+    The owner probes :attr:`entries` directly (``entries.get(key,
+    MISSING)``) and reports what it found through :meth:`note_hits` and
+    :meth:`fill`.  The dict is cleared in place, never rebound: a
+    reference held across rows stays the live table.
     """
 
     def __init__(
@@ -64,8 +58,7 @@ class FastPath(Generic[K, V]):
         if capacity < 1:
             raise ConfigError(f"memo capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: Dict[K, V] = {}
-        self._epoch: Optional[int] = None
+        self.entries: Dict[K, V] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -81,73 +74,35 @@ class FastPath(Generic[K, V]):
         )
         self._m_invalidations = registry.counter(
             "infilter_fastpath_invalidations_total",
-            "Wholesale memo invalidations (EIA mutation epochs).",
+            "Wholesale clears (prefix-length change, restore, capacity).",
         )
 
-    # -- verdict memo --------------------------------------------------------
-
-    @property
-    def epoch(self) -> Optional[int]:
-        """The state epoch the memo contents are valid for."""
-        return self._epoch
-
-    def entries(self, epoch: int) -> Dict[K, V]:
-        """The memo's dict, valid for ``epoch``, for direct probing.
-
-        Crossing into a new epoch drops every entry first — the memo
-        can only ever answer for the epoch it was filled under.  The
-        batch commit loop holds the returned dict across rows and
-        reports what it answered from it through :meth:`note_hits`; it
-        must come back here whenever the authoritative epoch may have
-        moved (after every row it commits), or it serves a verdict from
-        before the mutation.
-        """
-        if epoch != self._epoch:
-            self.invalidate()
-            self._epoch = epoch
-        return self._entries
-
     def note_hits(self, count: int) -> None:
-        """Account ``count`` direct probes of :meth:`entries` that hit."""
+        """Account ``count`` direct probes of :attr:`entries` that hit."""
         self._hits += count
         self._m_hits.inc(count)
 
-    def lookup(self, key: K, epoch: int) -> Optional[V]:
-        """The memoised verdict for ``key`` at ``epoch``; None on miss.
+    def fill(self, key: K, value: V) -> None:
+        """A probe missed and the owner worked the answer out: count the
+        miss and keep the answer."""
+        self._misses += 1
+        self._m_misses.inc()
+        self.put(key, value)
 
-        Same epoch rule as :meth:`entries` (inlined: one call per probe).
+    def put(self, key: K, value: V) -> None:
+        """Write ``key``'s current answer through.
+
+        A full table is cleared first (in place), unless ``key`` is
+        already in it — an overwrite is not growth.
         """
-        if epoch != self._epoch:
-            self.invalidate()
-            self._epoch = epoch
-        value = self._entries.get(key)
-        if value is None:
-            self._misses += 1
-            self._m_misses.inc()
-            return None
-        self._hits += 1
-        self._m_hits.inc()
-        return value
-
-    def store(self, key: K, value: V, epoch: int) -> None:
-        """Memoise a freshly computed verdict for ``epoch``.
-
-        A store that disagrees with the memo's epoch is dropped rather
-        than poisoning a future epoch's probes.  A full memo is cleared
-        (in place: a held :meth:`entries` dict stays the live one).
-        """
-        if epoch != self._epoch:
-            return
-        entries = self._entries
-        if len(entries) >= self.capacity and key not in entries:
-            self._evictions += len(entries)
-            entries.clear()
-        entries[key] = value
+        if len(self.entries) >= self.capacity and key not in self.entries:
+            self._evictions += self.invalidate()
+        self.entries[key] = value
 
     def invalidate(self) -> int:
-        """Drop the memo wholesale; returns the number of entries dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
+        """Clear the table wholesale; returns the number of entries dropped."""
+        dropped = len(self.entries)
+        self.entries.clear()
         if dropped:
             self._invalidations += 1
             self._m_invalidations.inc()
@@ -156,9 +111,9 @@ class FastPath(Generic[K, V]):
     # -- stats surface -------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Memo counters for CLI/report surfaces (not the obs registry)."""
+        """Table counters for CLI/report surfaces (not the obs registry)."""
         return {
-            "size": len(self._entries),
+            "size": len(self.entries),
             "capacity": self.capacity,
             "hits": self._hits,
             "misses": self._misses,

@@ -250,25 +250,27 @@ def _normal_donors(eia_plan, target_prefix, config, count: int) -> List[FlowReco
 def test_absorption_mid_datagram_is_seen_by_the_next_row(
     eia_plan, target_prefix, granularity
 ):
-    """The stale-memo hazard.  Row 3 of one datagram absorbs a block of
-    peer 0's into peer 3's EIA set — which *moves* it, so the (block,
-    peer 0) verdict the memo holds as legal since row 0 is wrong from
-    row 4 on.  The epoch moves at the end of ``_commit`` and the memo
-    only drops itself when asked: a loop that keeps probing the dict it
-    fetched before row 3 calls row 4 legal.  At granularity /24 the
-    absorbed block is a longer prefix than anything stored, so the memo
-    key's shift changes in the same step: row 6, in the old /11 but
-    outside the moved /24, stays legal and must not share row 4's key."""
+    """The stale-table hazard.  Row 3 of one datagram absorbs a block of
+    peer 0's into peer 3's EIA set — which *moves* it, so the owner the
+    table has held for the block since row 0 is wrong from row 4 on.
+    The loop keeps probing the dict it took before row 3, so the move
+    has to be in that dict when row 4 arrives: through the old owner
+    (row 4, no longer legal), through the new one (row 5, legal), and
+    through a third ingress (row 7, a suspect that must name peer 3 as
+    the expected one, not peer 0).  At granularity /24 the absorbed
+    block is a longer prefix than anything stored, so the table key's
+    shift changes in the same step: row 6, in the old /11 but outside
+    the moved /24, stays legal and must not share row 4's key."""
     config = PipelineConfig(
         eia=EIAConfig(granularity=granularity, learning_threshold=3)
     )
     block: Prefix = eia_plan[0][0]
     inside = block.network + 0x0105  # the /24 that moves, when /24 it is
     outside = block.network + 0x0A0005  # same /11, another /24
-    donors = _normal_donors(eia_plan, target_prefix, config, 7)
+    donors = _normal_donors(eia_plan, target_prefix, config, 8)
     placed = [
         (inside, 0), (inside + 1, 3), (inside + 2, 3), (inside + 3, 3),
-        (inside + 4, 0), (inside + 5, 3), (outside, 0),
+        (inside + 4, 0), (inside + 5, 3), (outside, 0), (inside + 6, 2),
     ]
     rows = [
         donor.with_key(src_addr=address, input_if=peer)
@@ -282,14 +284,38 @@ def test_absorption_mid_datagram_is_seen_by_the_next_row(
     assert verdicts[0] == "legal" and expected[3][2], "row 3 must absorb"
     assert verdicts[4] != "legal" and verdicts[5] == "legal"
     assert (verdicts[6] == "legal") == (granularity == 24)
+    assert verdicts[7] != "legal"
+    moved = Prefix.from_address(inside, granularity)
 
-    (datagram,) = _decoded(rows)
-    for batch in (RowBatch.of(datagram), rows):
+    def run(batch, *, write_through: bool):
         detector = make_detector(
             eia_plan, target_prefix, seed=_SEED, config=config, n_train=900
         )
-        result = detector.process_batch(batch)
+        if not write_through:
+            # The mutant: the table fills on a miss but a correction to
+            # a block it already holds is lost.
+            table = detector.infilter.table
+            table.put = table.entries.setdefault
+        return detector, detector.process_batch(batch)
+
+    (datagram,) = _decoded(rows)
+    for batch in (RowBatch.of(datagram), rows):
+        detector, result = run(batch, write_through=True)
         assert [outcome_of(d) for d in result.decisions] == expected
-        assert [peer for peer, _block in result.absorbed] == [3]
+        assert result.absorbed == [(3, moved)]
+        assert [d.eia.expected_peer for d in result.decisions[4:]] == [
+            3, 3, 3 if granularity == 11 else 0, 3,
+        ]
+        assert detector.fastpath.stats()["invalidations"] == (
+            0 if granularity == 11 else 1
+        )
         if granularity == 24:
             assert detector.infilter.memo_shift == 8
+        _, stale = run(batch, write_through=False)
+        if granularity == 11:
+            # Same length: nothing but the write-through carries the move.
+            assert [d.verdict for d in stale.decisions[4:6]] == ["legal", "benign"]
+            assert stale.decisions[7].eia.expected_peer == 0
+        else:
+            # The shift shrank and the table was cleared: no entry to lose.
+            assert [outcome_of(d) for d in stale.decisions] == expected

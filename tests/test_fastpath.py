@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import EIAConfig, PipelineConfig
 from repro.core.encoding import hamming
 from repro.core.persistence import render_state
-from repro.fastpath import FastPath, PackedCodes, hamming_per_bit
+from repro.fastpath import MISSING, FastPath, PackedCodes, hamming_per_bit
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.netflow.collector import FlowCollector
 from repro.netflow.v1 import (
@@ -89,58 +89,70 @@ class TestPackedCodes:
 
 
 class TestFastPathEpochs:
-    def test_epoch_crossing_drops_the_memo(self):
-        plane: FastPath[int, str] = FastPath(16, registry=MetricsRegistry())
-        assert plane.lookup(1, epoch=0) is None
-        plane.store(1, "v0", epoch=0)
-        assert plane.lookup(1, epoch=0) == "v0"
-        # The authoritative state mutated: epoch 1 must never see "v0".
-        assert plane.lookup(1, epoch=1) is None
-        assert plane.lookup(1, epoch=1) is None
+    """The owner table's surface.  (The class keeps the name it had when
+    the table was an epoch-guarded memo; there is no epoch any more.)"""
 
-    def test_stale_store_is_dropped(self):
+    def test_write_through_corrects_an_entry_in_place(self):
         plane: FastPath[int, str] = FastPath(16, registry=MetricsRegistry())
-        plane.lookup(1, epoch=5)
-        plane.store(1, "stale", epoch=4)
-        assert plane.lookup(1, epoch=5) is None
+        held = plane.entries
+        assert held.get(1, MISSING) is MISSING
+        plane.fill(1, "v0")
+        assert held.get(1, MISSING) == "v0"
+        # The authoritative state moved key 1: the entry is corrected,
+        # not forgotten, and nothing else is touched.
+        plane.fill(2, "w0")
+        plane.put(1, "v1")
+        assert held == {1: "v1", 2: "w0"} and held is plane.entries
+        assert plane.stats()["invalidations"] == 0
+
+    def test_fill_counts_a_miss_and_put_does_not(self):
+        plane: FastPath[int, object] = FastPath(16, registry=MetricsRegistry())
+        plane.put(1, None)  # None is an answer, not an absence
+        assert plane.entries.get(1, MISSING) is None
+        assert plane.stats()["misses"] == 0
+        plane.fill(2, "walked")
+        assert plane.stats()["misses"] == 1 and plane.stats()["size"] == 2
 
     def test_bounded_by_clearing_at_capacity(self):
         with pytest.raises(ConfigError):
             FastPath(0, registry=MetricsRegistry())
         plane: FastPath[int, str] = FastPath(2, registry=MetricsRegistry())
-        held = plane.entries(0)
-        plane.store(1, "a", epoch=0)
-        plane.store(2, "b", epoch=0)
-        plane.store(2, "b2", epoch=0)  # an overwrite is not growth
-        assert plane.stats()["size"] == 2 and plane.lookup(2, epoch=0) == "b2"
-        plane.store(3, "c", epoch=0)  # full: cleared, then stored
-        assert plane.stats()["size"] == 1 and plane.lookup(1, epoch=0) is None
-        assert plane.lookup(3, epoch=0) == "c"
-        # Cleared in place: a dict handed out earlier is still the memo.
-        assert held is plane.entries(0) and held == {3: "c"}
+        held = plane.entries
+        plane.fill(1, "a")
+        plane.fill(2, "b")
+        plane.put(2, "b2")  # an overwrite is not growth
+        assert plane.stats()["size"] == 2 and held[2] == "b2"
+        plane.put(3, "c")  # full: cleared, then written
+        assert plane.stats()["size"] == 1 and 1 not in held
+        # Cleared in place: a dict handed out earlier is still the table.
+        assert held is plane.entries and held == {3: "c"}
         stats = plane.stats()
-        assert (stats["hits"], stats["misses"], stats["evictions"]) == (2, 1, 2)
-        assert stats["invalidations"] == 0
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (0, 2, 2)
+        # A capacity clear is a wholesale clear, counted once.
+        assert stats["invalidations"] == 1
 
     def test_invalidate_counts_only_real_drops(self):
         plane: FastPath[int, int] = FastPath(8, registry=MetricsRegistry())
-        plane.entries(0)
         for i in range(5):
-            plane.store(i, i, epoch=0)
+            plane.put(i, i)
         assert plane.invalidate() == 5
         assert plane.invalidate() == 0
-        assert plane.stats()["size"] == 0 and plane.lookup(0, epoch=0) is None
+        assert plane.stats()["size"] == 0 and not plane.entries
         assert plane.stats()["invalidations"] == 1
 
     def test_direct_probes_are_accounted_through_note_hits(self):
         plane: FastPath[int, str] = FastPath(8, registry=MetricsRegistry())
-        entries = plane.entries(3)
-        plane.store(1, "v", epoch=3)
+        entries = plane.entries
+        plane.fill(1, "v")
         assert entries.get(1) == "v"
         plane.note_hits(1)
-        assert plane.stats()["hits"] == 1
-        # A new epoch empties the very dict the caller holds.
-        assert plane.entries(4) is entries and not entries
+        assert plane.stats() == {
+            "size": 1, "capacity": 8, "hits": 1, "misses": 1,
+            "evictions": 0, "invalidations": 0,
+        }
+        # A wholesale clear empties the very dict the caller holds.
+        plane.invalidate()
+        assert plane.entries is entries and not entries
 
 
 # -- columnar decode == record-at-a-time decode -------------------------------
@@ -331,8 +343,8 @@ class TestVerdictEquivalence:
         self, eia_plan, target_prefix, fastpath_trace, serial_run
     ):
         serial_detector, serial_decisions = serial_run
-        # The trace must genuinely absorb, or the epoch-invalidation
-        # path goes untested and equivalence is vacuous.
+        # The trace must genuinely absorb, or the write-through path
+        # goes untested and equivalence is vacuous.
         assert serial_detector.stats.absorbed >= 2
         detector = _build_detector(eia_plan, target_prefix)
         decisions = []
@@ -348,10 +360,11 @@ class TestVerdictEquivalence:
             ref.processed, ref.legal, ref.suspects, ref.attacks, ref.absorbed,
         )
         stats = detector.fastpath.stats()
-        # The memo must actually carry verdicts across batch boundaries
-        # *and* have been dropped by the absorption epoch bumps.
+        # The table must actually carry owners across batch boundaries,
+        # and absorptions at the stored prefix length are written through
+        # it, never a reason to drop it.
         assert stats["hits"] > 0
-        assert stats["invalidations"] > 0
+        assert stats["invalidations"] == 0
 
     def test_checkpoint_bytes_identical_hot_cold_and_absent(
         self, eia_plan, target_prefix, fastpath_trace, serial_run

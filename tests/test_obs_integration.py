@@ -19,6 +19,7 @@ import pytest
 from repro.core import EnhancedInFilter, PipelineConfig
 from repro.flowgen import Dagflow, synthesize_trace
 from repro.netflow import FlowCollector, datagrams_for
+from repro.netflow.records import FlowKey, FlowRecord
 from repro.netflow.sampling import sample_records
 from repro.netflow.transport import ChannelConfig, UdpChannel
 from repro.obs import MetricsRegistry, render_prometheus
@@ -156,6 +157,58 @@ class TestPipelineMetrics:
         assert 'infilter_pipeline_stage_latency_seconds_bucket{stage="eia"' in text
         assert 'infilter_pipeline_stage_latency_seconds_bucket{stage="scan"' in text
         assert 'infilter_pipeline_stage_latency_seconds_bucket{stage="nns"' in text
+
+
+class TestStateEntriesGauge:
+    def test_set_once_per_batch_never_per_record(self):
+        """``infilter_state_entries`` reports the size of every bounded
+        structure at the end of ``process_batch`` — and only there."""
+        registry = MetricsRegistry()
+        detector = _mixed_run(registry)  # serial ``process`` calls only
+        gauge = registry.get("infilter_state_entries")
+        components = (
+            "eia_owner_table", "eia_pending", "nns_memo", "nns_raw_memo",
+            "scan_buffer",
+        )
+        assert not list(gauge.samples())  # ``process`` never moves it
+
+        sets = []
+
+        def counting(child):
+            plain_set = child.set
+
+            def counted(value):
+                sets.append(value)
+                plain_set(value)
+
+            child.set = counted
+
+        for component in components:
+            counting(gauge.labels(component=component))
+        spoofed = parse_ipv4("198.51.100.77")
+        first = detector.alert_sink.alerts[0]
+        batch = [
+            FlowRecord(
+                key=FlowKey(
+                    src_addr=spoofed + i, dst_addr=first.target_address,
+                    protocol=17, dst_port=9000, input_if=0,
+                ),
+                packets=3, octets=300, first=0, last=10,
+            )
+            for i in range(40)
+        ]
+        detector.process_batch(batch)
+        assert len(sets) == 5  # one set per component for 40 records
+        infilter = detector.infilter
+        assert [gauge.labels(component=c).value for c in components] == [
+            len(infilter.table.entries),
+            infilter.pending_size(),
+            len(detector._nns_memo),
+            len(detector._nns_raw_memo),
+            len(detector.scan),
+        ]
+        assert gauge.labels(component="eia_owner_table").value >= 2
+        assert "infilter_state_entries" in render_prometheus(registry)
 
 
 class TestOverloadMetrics:

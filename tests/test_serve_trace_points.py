@@ -24,6 +24,7 @@ from repro.netflow.v5 import datagrams_for
 from repro.obs import MetricsRegistry
 from repro.serve import ServeConfig, ServeDaemon
 from repro.util import SeededRng
+from repro.util.ip import parse_ipv4
 
 from tests.conftest import make_detector
 
@@ -33,7 +34,10 @@ _BATCH_SIZE = 64
 @pytest.fixture(scope="module")
 def mixed_datagrams(eia_plan, target_prefix):
     """Legal flows through peer 0, then a Slammer flood from foreign
-    blocks through peer 2: every stage of the chain gets work."""
+    blocks through peer 2, two of its sources moved outside the
+    preloaded plan: every stage of the chain gets work, and the owner
+    table — which the preload wrote the plan's blocks through — still
+    has blocks to miss on."""
     rng = SeededRng(8086, "trace-points")
     legal = Dagflow(
         "legal", target_prefix=target_prefix, udp_port=9000,
@@ -53,6 +57,8 @@ def mixed_datagrams(eia_plan, target_prefix):
         lr.record.with_key(input_if=2)
         for lr in attack.replay(generate_attack("slammer", rng=rng.fork("a")))
     ][:200]
+    for index, unplanned in ((-90, "203.0.113.9"), (-5, "100.64.7.7")):
+        records[index] = records[index].with_key(src_addr=parse_ipv4(unplanned))
     return list(datagrams_for(records, sys_uptime=0, unix_secs=0)), len(records)
 
 
@@ -158,11 +164,13 @@ def test_every_patch_point_fires_on_the_synchronous_drive(
     assert calls["queue.take_nowait"] == batches + 1
     assert calls["worker.commit"] == batches
     assert calls["detector.process_batch"] == batches
-    # Per row the memo cannot clear: every stage was reached through its
-    # owner, and every alert through both emit points.
+    # Per row the owner table cannot clear: every stage was reached
+    # through its owner — the check once per block the table had to
+    # learn, the two unplanned sources among them — and every alert
+    # through both emit points.
     memo = daemon.detector.fastpath.stats()
     assert memo["hits"] + memo["misses"] == n_records
-    assert calls["infilter.check"] == memo["misses"] > 0
+    assert calls["infilter.check"] == memo["misses"] >= 2
     assert calls["scan.observe"] > 0
     assert calls["detector.assess_memoised"] > 0
     assert calls["alert_sink.consume"] == calls["IdmefAlert.for_flow"] == alerts
