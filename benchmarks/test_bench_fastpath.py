@@ -1,7 +1,7 @@
 """E15 — the columnar decoder and the batch commit path.
 
-Two planes of ``repro.fastpath`` on the same suspect-heavy flood E19
-uses:
+Two planes of ``repro.fastpath`` on one suspect-heavy flood (16
+repeated flow shapes):
 
 * **decode** — whole v5 datagrams through ``struct.iter_unpack`` over a
   ``memoryview`` (:func:`repro.fastpath.columnar.decode_v5_columnar`)
@@ -40,8 +40,7 @@ _FLOWS = 2_000 if QUICK else 20_000
 _SEED = 20150
 _BATCH = 512
 
-#: The flood's repeated flow shapes: (packets, octets, duration_ms) —
-#: the same archetype mix as E19, so the serial baselines line up.
+#: The flood's repeated flow shapes: (packets, octets, duration_ms).
 _SHAPES = [
     (1, 40 + 24 * i, 1 + 7 * (i % 5)) for i in range(8)
 ] + [

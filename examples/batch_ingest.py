@@ -1,24 +1,23 @@
 #!/usr/bin/env python
-"""Sharded batch ingest: serial-identical verdicts at batch throughput.
+"""Batch ingest: serial-identical verdicts at batch throughput.
 
 Feeds one mixed stream — background traffic on every peer, a Slammer
 outbreak, and a route change that exercises online EIA learning — to two
 detectors built from the same seed: one processing flow-by-flow with
-``process()``, one behind the sharded batch ingest engine
-(:mod:`repro.engine`).  The engine speculates NNS assessments on shard
-replicas and commits every batch serially through the authoritative
-detector, so the two runs agree *exactly* — same verdict counts, same
+``process()``, one behind the batch ingest engine (:mod:`repro.engine`).
+The engine commits every batch in stream order through the detector's
+batch path, so the two runs agree *exactly* — same verdict counts, same
 absorptions, same IDMEF alerts — while the batch path amortises the
 per-flow bookkeeping.
 
-Run:  python examples/sharded_ingest.py
+Run:  python examples/batch_ingest.py
 """
 
 import os
 import time
 
 from repro.core import PipelineConfig
-from repro.engine import EngineConfig, ShardedIngestEngine
+from repro.engine import BatchIngestEngine, EngineConfig
 from repro.flowgen import generate_attack, synthesize_trace
 from repro.testbed import Testbed, TestbedConfig
 from repro.util import SeededRng
@@ -68,15 +67,15 @@ def main() -> None:
     serial.process_all(records)
     serial_s = time.perf_counter() - started
 
-    sharded = build_detector(testbed)
-    engine = ShardedIngestEngine(sharded, EngineConfig(shards=4, batch_size=256))
+    batched = build_detector(testbed)
+    engine = BatchIngestEngine(batched, EngineConfig(batch_size=256))
     started = time.perf_counter()
     with engine:
         report = engine.run(records)
     engine_s = time.perf_counter() - started
 
     for name, det, took in (("serial", serial, serial_s),
-                            ("engine", sharded, engine_s)):
+                            ("engine", batched, engine_s)):
         s = det.stats
         print(f"{name}: legal={s.legal} benign={s.benign} attacks={s.attacks}"
               f" absorbed={s.absorbed}"
@@ -84,7 +83,7 @@ def main() -> None:
 
     same_alerts = (
         [a.ident for a in serial.alert_sink.alerts]
-        == [a.ident for a in sharded.alert_sink.alerts]
+        == [a.ident for a in batched.alert_sink.alerts]
     )
     print(f"\nidentical alert streams: {same_alerts}")
     print(f"speedup: {serial_s / engine_s:.2f}x\n")

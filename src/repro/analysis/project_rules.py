@@ -12,8 +12,7 @@ assembled :class:`~repro.analysis.graph.ProjectGraph`:
   implement the stage-state protocol, and no ``state_dict`` anywhere
   may read an attribute holding a fastpath cache.
 * **REP013** — concurrency safety.  Module-level mutable state written
-  from ``async def`` or from shard-worker code paths, and synchronous
-  locks held across an ``await``.
+  from ``async def``, and synchronous locks held across an ``await``.
 * **REP014** — checkpoint-write containment.  Raw checkpoint writes
   (``open(..., "w")``, ``os.replace``, ``write_bytes``) belong in the
   atomic helper in ``repro.core.persistence`` and nowhere else.
@@ -296,17 +295,11 @@ def _check_cache_containment(graph: ProjectGraph) -> Iterable[Finding]:
                 )
 
 
-def _is_worker_scope(qualname: str) -> bool:
-    head = qualname.split(".", 1)[0]
-    return head == "ShardWorker" or head.startswith("_pool_")
-
-
 def _check_concurrency(graph: ProjectGraph) -> Iterable[Finding]:
     by_module = {s.module: s for s in _checked_modules(graph)}
     for symbols in by_module.values():
         for fn in symbols.functions:
-            hazardous = fn.is_async or _is_worker_scope(fn.qualname)
-            if hazardous:
+            if fn.is_async:
                 for target_module, name, line, kind in fn.global_writes:
                     owner = (
                         symbols
@@ -321,11 +314,6 @@ def _check_concurrency(graph: ProjectGraph) -> Iterable[Finding]:
                         shared = name in owner.mutable_globals
                     if not shared:
                         continue
-                    where = (
-                        "async function"
-                        if fn.is_async
-                        else "shard-worker code path"
-                    )
                     yield Finding(
                         rule="REP013",
                         path=symbols.path,
@@ -334,9 +322,9 @@ def _check_concurrency(graph: ProjectGraph) -> Iterable[Finding]:
                             f"module-level state '{name}' (defined at "
                             f"{owner.module}:"
                             f"{owner.module_globals.get(name, 0)}) is "
-                            f"written from {where} '{fn.qualname}'; shared "
-                            "mutable globals under concurrency need a lock "
-                            "or per-task state"
+                            f"written from async function '{fn.qualname}'; "
+                            "shared mutable globals under concurrency need a "
+                            "lock or per-task state"
                         ),
                     )
             for line in fn.lock_waits:
@@ -434,8 +422,8 @@ PROJECT_RULES: Tuple[ProjectRule, ...] = (
     ProjectRule(
         id="REP013",
         summary=(
-            "No writes to module-level mutable state from async or "
-            "shard-worker code; no sync lock held across await."
+            "No writes to module-level mutable state from async code; "
+            "no sync lock held across await."
         ),
         check=_check_concurrency,
     ),

@@ -5,10 +5,9 @@
 * ``infilter synth``      — synthesise traffic (normal or an attack) into a flow file;
 * ``infilter report``     — flow-report style statistics over a flow file;
 * ``infilter detect``     — run the Enhanced InFilter over a flow file and
-  emit IDMEF alerts (plus a trace-back summary); ``--shards`` /
-  ``--batch-size`` / ``--engine-mode`` route the run through the
-  sharded batch ingest engine (:mod:`repro.engine`) with identical
-  verdicts;
+  emit IDMEF alerts (plus a trace-back summary); ``--batch-size``
+  routes the run through the batch ingest engine (:mod:`repro.engine`)
+  with identical verdicts;
   ``--checkpoint-every N`` writes periodic atomic checkpoints to the
   ``--save-state`` path and ``--load-state … --resume`` continues a
   killed run from its checkpoint cursor; ``--detectors`` /
@@ -356,23 +355,13 @@ def _run_detect(args: argparse.Namespace) -> int:
     base_latency_s = stats.latency_total_s
     alerts_before = len(detector.alert_sink.alerts)
     engine_report = None
-    use_engine = (
-        args.shards is not None
-        or args.batch_size is not None
-        or args.engine_mode is not None
-    )
-    if use_engine:
-        from repro.engine import EngineConfig, ShardedIngestEngine
+    if args.batch_size is not None:
+        from repro.engine import BatchIngestEngine, EngineConfig
 
-        engine = ShardedIngestEngine(
+        engine = BatchIngestEngine(
             detector,
             EngineConfig(
-                shards=args.shards if args.shards is not None else 1,
-                batch_size=(
-                    args.batch_size if args.batch_size is not None else 256
-                ),
-                mode=args.engine_mode if args.engine_mode is not None else "auto",
-                checkpoint_every=checkpoint_every,
+                batch_size=args.batch_size, checkpoint_every=checkpoint_every
             ),
             checkpoint_path=writer if checkpoint_every else None,
             cursor_base=resume_cursor,
@@ -1111,22 +1100,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's metrics snapshot (.json = JSON, else Prometheus text)",
     )
     detect.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="run through the sharded batch ingest engine with N shards",
-    )
-    detect.add_argument(
         "--batch-size",
         type=int,
         default=None,
-        help="records per engine batch (implies the engine; default 256)",
-    )
-    detect.add_argument(
-        "--engine-mode",
-        choices=("auto", "inline", "process"),
-        default=None,
-        help="engine execution mode (implies the engine; default auto)",
+        help="run through the batch ingest engine, N records per batch",
     )
     detect.add_argument(
         "--checkpoint-every",

@@ -26,7 +26,7 @@ class ClusterConfig:
     """Knobs of the shard-affine serving cluster.
 
     ``workers`` is also the shard count: worker *i* owns shard *i* of
-    the engine's splitmix64 source-block router, its own checkpoint
+    the splitmix64 source-block router, its own checkpoint
     (``worker-0i-of-0N.json`` under ``state_dir``), and every flow whose
     source block hashes to it.  ``port``/``http_port`` may be 0 to bind
     ephemeral ports; worker sockets are always ephemeral and discovered

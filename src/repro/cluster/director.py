@@ -1,11 +1,11 @@
 """The flow director: shard-affine datagram steering without decoding.
 
 The front end of the cluster receives real NetFlow v5 datagrams and must
-hand every record to the worker that owns its source block — the same
-splitmix64 source-block assignment the in-process engine uses
-(:class:`repro.engine.ShardRouter`), which is what makes the cluster
-exact: every flow that can contribute to, or be affected by, one EIA
-absorption lands on one worker.
+hand every record to the worker that owns its source block — the
+splitmix64 source-block assignment of
+:class:`repro.cluster.router.ShardRouter`, which is what makes the
+cluster exact: every flow that can contribute to, or be affected by, one
+EIA absorption lands on one worker.
 
 The director never decodes a record.  A v5 record's source address is
 the first four bytes of its fixed 48-byte wire slice, so routing is a
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.engine import ShardRouter
+from repro.cluster.router import ShardRouter
 from repro.netflow.v5 import (
     HEADER_LEN,
     HEADER_STRUCT,

@@ -1,18 +1,17 @@
 """Deterministic source-prefix routing of flow records to shards.
 
-The engine partitions a record stream across N shard workers by the
+The cluster partitions a record stream across N worker processes by the
 flow's *source block* — the source address masked at the EIA learning
 granularity.  Routing on the source block (rather than the full address
-or the flow key) is what keeps the engine exact: every flow that could
+or the flow key) is what keeps the cluster exact: every flow that could
 contribute to, or be affected by, one EIA absorption carries the same
-block and therefore lands on the same shard, so a shard replica always
-holds every absorption delta relevant to the records it speculates on.
+block and therefore lands on the same worker.
 
 The hash is a fixed-constant integer mix (splitmix64's finalizer) over
 the masked address.  Python's built-in ``hash`` on ``str``/``bytes`` is
 randomised per process and must never be used here: shard assignment has
-to agree between the parent and forked pool workers, and between two
-runs of the same trace.
+to agree between the director and a restarted supervisor, and between
+two runs of the same trace.
 """
 
 from __future__ import annotations

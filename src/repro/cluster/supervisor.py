@@ -48,6 +48,7 @@ from repro.cluster.federation import (
     federate,
     fetch_json,
 )
+from repro.cluster.router import ShardRouter
 from repro.cluster.worker import WorkerSpec, spawn_worker
 from repro.core.alerts import IdmefAlert
 from repro.core.persistence import (
@@ -57,7 +58,6 @@ from repro.core.persistence import (
     worker_checkpoint_path,
 )
 from repro.core.pipeline import EnhancedInFilter
-from repro.engine import ShardRouter
 from repro.obs import (
     MetricsRegistry,
     get_logger,

@@ -55,7 +55,6 @@ from repro.core.nns import NNSStructure, SearchResult, TrainingFlow
 from repro.core.pipeline import (
     Decision,
     EnhancedInFilter,
-    InFilterDetector,
     PipelineStats,
     Stage,
     Verdict,
@@ -102,7 +101,6 @@ __all__ = [
     "DetectorVerdict",
     "Ensemble",
     "EnsembleDecision",
-    "InFilterDetector",
     "TTLProfileDetector",
     "available_detectors",
     "build_aux_detectors",

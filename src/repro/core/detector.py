@@ -21,12 +21,12 @@ uniform interface:
   per-detector attribution attached to every alert.
 
 The paper's own chain — :class:`~repro.core.eia.BasicInFilter`,
-:class:`~repro.core.scan.ScanAnalyzer` + NNS, and the fastpath verdict
-memo — is the protocol's ``"infilter"`` member, implemented by
-:class:`~repro.core.pipeline.InFilterDetector` next to the pipeline that
-owns those stages.  The default composition is InFilter alone, which
-bypasses the combiner entirely: the refactor is behaviour-preserving
-until additional detectors are switched on.
+:class:`~repro.core.scan.ScanAnalyzer` + NNS — is the ensemble's
+``"infilter"`` member.  It is not an adapter class: the hosting
+:class:`~repro.core.pipeline.EnhancedInFilter` runs the chain itself and
+puts its own verdict to the vote beside the auxiliary detectors' (the
+:class:`Detector` implementations here).  The default composition is
+InFilter alone, which bypasses the combiner entirely.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 #: The paper's own EIA+Scan+NNS chain, always the ensemble's anchor
-#: member (see :class:`repro.core.pipeline.InFilterDetector`).
+#: member: the hosting pipeline's own verdict, not a :class:`Detector`.
 INFILTER_DETECTOR = "infilter"
 
 #: Additional protocol implementations this module provides, in the

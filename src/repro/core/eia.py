@@ -295,10 +295,7 @@ class BasicInFilter:
         """Absorb ``block`` into ``peer``'s EIA set, returning the old owner.
 
         Absorption *moves* the block: the old owner no longer expects it,
-        reflecting that the route genuinely changed.  Exposed so shard
-        replicas (``repro.engine``) can replay absorption deltas decided
-        by the authoritative detector without re-running the learning
-        rule.
+        reflecting that the route genuinely changed.
         """
         previous = self.table.entries.get(block.network >> self.memo_shift, MISSING)
         if previous is MISSING:

@@ -42,7 +42,7 @@ from repro.fastpath.columnar import RecordColumns, RowBatch
 from repro.fastpath.plane import MISSING, FastPath
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
-from repro.util.errors import ConfigError, EngineError, TrainingError
+from repro.util.errors import ConfigError, TrainingError
 from repro.util.ip import Prefix
 from repro.util.rng import SeededRng
 
@@ -54,7 +54,6 @@ __all__ = [
     "BatchResult",
     "PipelineStats",
     "EnhancedInFilter",
-    "InFilterDetector",
 ]
 
 #: Sub-buckets per octave of the :class:`PipelineStats` latency
@@ -108,12 +107,14 @@ class Decision:
 
 @dataclass(frozen=True)
 class NnsAssessment:
-    """A precomputed NNS-stage result for one flow.
+    """The NNS stage's result for one flow — what the memos hold.
 
-    ``ClusterModel.assess`` is a pure function of (trained model, flow),
-    so its result may be computed ahead of time — by a shard worker in
-    :mod:`repro.engine` — and handed to :meth:`EnhancedInFilter.process_batch`,
-    which then skips the expensive search for that flow.
+    At ``M1 = 1`` (the paper's setting) ``ClusterModel.assess`` is a pure
+    function of (trained model, flow), so one result serves every flow
+    of the same shape.  At ``M1 > 1`` every probed scale draws from the
+    structure's pick RNG: the result depends on the draws before it and
+    computing it moves the cursor, so it is never reused
+    (:meth:`EnhancedInFilter.assess_memoised`).
     """
 
     is_normal: Optional[bool]
@@ -126,13 +127,7 @@ class BatchResult:
     """What :meth:`EnhancedInFilter.process_batch` concluded about a batch."""
 
     decisions: List[Decision]
-    #: (peer, block) EIA absorptions triggered while committing the batch,
-    #: in commit order — the delta stream shard replicas replay.
-    absorbed: List[Tuple[int, Prefix]]
     elapsed_s: float = 0.0
-    #: NNS-stage demand met by caller-supplied speculation vs computed here.
-    speculation_hits: int = 0
-    speculation_misses: int = 0
 
 
 def _latency_bucket_midpoint(bucket: int) -> float:
@@ -164,7 +159,7 @@ class PipelineStats:
     #: ``{bucket index: count}`` over log-linear buckets
     #: (``_LATENCY_SUBBUCKETS`` per power of two).  A few hundred integers
     #: however long the run, covering every flow (the mean/max above are
-    #: exact regardless); merging two histograms is bucket addition.
+    #: exact regardless).
     latency_buckets: Dict[int, int] = field(default_factory=dict)
 
     def note(self, decision: Decision) -> None:
@@ -391,6 +386,9 @@ class EnhancedInFilter:
         # and a counter driving the deterministic drop/flag split.
         self._suspect_times: deque = deque()
         self._overload_counter = 0
+        # The NNS search is draw-free, hence memoisable, only at M1 = 1:
+        # with more tables per scale each probe consumes the pick RNG.
+        self._nns_memoised = config.nns.m1 == 1
         # Memo of NNS assessments, keyed by (protocol class, unary
         # encoding).  Valid for the detector's lifetime because the
         # trained model is immutable; bounded by _NNS_MEMO_CAP.
@@ -446,7 +444,7 @@ class EnhancedInFilter:
         Section 6.4 per-flow numbers).
         """
         watch = Stopwatch()
-        decision = self._commit(record, None, laps=True)
+        decision = self._commit(record, MISSING, laps=True)
         object.__setattr__(decision, "latency_s", watch.elapsed_s())
         self.stats.note(decision)
         self._metrics.note(decision)
@@ -457,10 +455,7 @@ class EnhancedInFilter:
         return [self.process(record) for record in records]
 
     def process_batch(
-        self,
-        rows: Union[RowBatch, Sequence[FlowRecord]],
-        *,
-        speculation: Optional[Sequence[Optional[NnsAssessment]]] = None,
+        self, rows: Union[RowBatch, Sequence[FlowRecord]]
     ) -> BatchResult:
         """Assess a batch of flows with amortised bookkeeping.
 
@@ -482,23 +477,11 @@ class EnhancedInFilter:
         any row at all once auxiliary detectors are composed, since they
         observe every flow — is materialised by index and goes through
         :meth:`_commit` with the owner the probe found.
-
-        ``speculation``, when given, must align with ``rows``; entries
-        are :class:`NnsAssessment` results precomputed by shard workers
-        (see :mod:`repro.engine`) and are trusted because the trained
-        model is immutable.  Missing entries fall back to the memo or an
-        inline search, so speculation quality affects speed, never
-        outcomes.
         """
         batch = (
             rows if isinstance(rows, RowBatch) else RowBatch.of(RecordColumns(rows))
         )
         total = len(batch)
-        if speculation is not None and len(speculation) != total:
-            raise EngineError(
-                f"speculation length {len(speculation)} does not match"
-                f" batch length {total}"
-            )
         watch = Stopwatch()
         commit = self._commit
         infilter = self.infilter
@@ -506,16 +489,12 @@ class EnhancedInFilter:
         legal, at_eia = Verdict.LEGAL, Stage.EIA
         decisions: List[Decision] = []
         append = decisions.append
-        absorbed: List[Tuple[int, Prefix]] = []
-        spec_hits = 0
-        spec_misses = 0
         table_misses = 0
         # The table's dict is never rebound and an absorption writes the
         # moved block through it: only the key shift can go stale.
         owners = infilter.table.entries
         shift = infilter.memo_shift
         legal_checks: Dict[int, EIACheck] = {}
-        base = 0  # rows of earlier slices: where this slice's guesses start
         for columns, start, stop in batch.slices:
             sources = columns.src_addr
             ingresses = columns.input_if
@@ -532,24 +511,10 @@ class EnhancedInFilter:
                     continue
                 if owner is MISSING:
                     table_misses += 1
-                guess = (
-                    speculation[base + index - start]
-                    if speculation is not None
-                    else None
-                )
-                decision = commit(
-                    columns.record_at(index), guess, owner, absorbed, laps=False
-                )
+                decision = commit(columns.record_at(index), owner, laps=False)
                 append(decision)
-                # Exactly the flows that reached the NNS stage carry a class.
-                if decision.protocol_class is not None:
-                    if guess is not None:
-                        spec_hits += 1
-                    else:
-                        spec_misses += 1
                 if decision.absorbed:
                     shift = infilter.memo_shift
-            base += stop - start
         infilter.table.note_hits(total - table_misses)
         elapsed = watch.elapsed_s()
         share = elapsed / total if total else 0.0
@@ -570,35 +535,18 @@ class EnhancedInFilter:
             ("scan_buffer", len(self.scan)),
         ):
             self._metrics.state_entries.labels(component=component).set(size)
-        return BatchResult(
-            decisions=decisions,
-            absorbed=absorbed,
-            elapsed_s=elapsed,
-            speculation_hits=spec_hits,
-            speculation_misses=spec_misses,
-        )
+        return BatchResult(decisions=decisions, elapsed_s=elapsed)
 
-    def _commit(
-        self,
-        record: FlowRecord,
-        assessment: Optional[NnsAssessment],
-        owner: Any = MISSING,
-        absorbed: Optional[List[Tuple[int, Prefix]]] = None,
-        *,
-        laps: bool,
-    ) -> Decision:
+    def _commit(self, record: FlowRecord, owner: Any, *, laps: bool) -> Decision:
         """The Figure 12 chain for one flow, with every side effect.
 
         EIA check -> overload gate -> Scan Analysis -> NNS -> learning
         rule; attacks alert and, with an ensemble composed, every verdict
-        is put to the vote.  This is the only committing transcription of
-        the chain: :meth:`process` calls it with per-stage stopwatch
+        is put to the vote.  This is the only transcription of the chain
+        in ``src/``: :meth:`process` calls it with per-stage stopwatch
         ``laps`` on, :meth:`process_batch` loops over it with them off.
-        ``assessment`` is a caller-supplied NNS result (shard
-        speculation); ``None`` computes it here.  ``owner`` is what the
-        caller's probe of the owner table found (``MISSING``: nothing, so
-        the check is asked); ``absorbed`` collects the ``(peer, block)``
-        of an absorption this flow triggers.
+        ``owner`` is what the caller's probe of the owner table found
+        (``MISSING``: nothing, so the check is asked).
 
         Every stage is reached through its owner at call time, so a
         wrapper installed on ``infilter.check``, ``scan.observe`` or
@@ -634,8 +582,7 @@ class EnhancedInFilter:
                 scan_verdict.kind or "scan",
                 scan=scan_verdict,
             )
-        if assessment is None:
-            assessment = self.assess_memoised(record)
+        assessment = self.assess_memoised(record)
         if lap is not None:
             lap.lap_into(self._metrics.nns_latency)
         is_normal = assessment.is_normal
@@ -652,8 +599,6 @@ class EnhancedInFilter:
                 protocol_class=assessment.protocol_class,
             )
         block = infilter.learn(record.key.input_if, record.key.src_addr)
-        if block is not None and absorbed is not None:
-            absorbed.append((record.key.input_if, block))
         return self._maybe_promote(
             record,
             Decision(
@@ -667,47 +612,24 @@ class EnhancedInFilter:
             ),
         )
 
-    def preview(
-        self, record: FlowRecord
-    ) -> Tuple[str, Optional[str], Optional[NnsAssessment]]:
-        """Where the chain would stop for one flow, committing nothing.
-
-        ``(stage, classification, assessment)``: the deciding stage, the
-        attack class the chain would alert with (``None`` when it would
-        pass the flow), and the NNS assessment when the flow got that
-        far.  The read-only walk beside :meth:`_commit`: no
-        overload gate, learning rule, alert, or stats — what shard
-        replicas speculate with and what :class:`InFilterDetector` votes
-        with.  It does feed the scan buffer, so use it on a replica or a
-        dedicated pipeline, not interleaved with :meth:`process` calls.
-        """
-        eia = self.infilter.check(record)
-        if not eia.suspect:
-            return Stage.EIA, None, None
-        if not self.config.enhanced:
-            return Stage.EIA, "spoofed-source", None
-        scan_verdict = self.scan.observe(record)
-        if scan_verdict.is_scan:
-            return Stage.SCAN, scan_verdict.kind or "scan", None
-        assessment = self.assess_memoised(record)
-        is_normal = assessment.is_normal
-        if is_normal is None:
-            is_normal = not self.config.flag_unmodelled_classes
-        return Stage.NNS, None if is_normal else "nns-anomaly", assessment
-
     def assess_memoised(self, record: FlowRecord) -> NnsAssessment:
         """NNS assessment through the (class, encoding) memo.
 
-        Equivalent to ``self.model.assess(record)``: the search is a pure
-        function of the immutable trained model and the flow's unary
-        encoding, so two flows that bin identically share one search.
-        Public because shard replicas reach it (through :meth:`preview`)
-        to speculate NNS results ahead of commit.
+        Equivalent to ``self.model.assess(record)``, result *and* RNG
+        cursor.  At ``M1 = 1`` — the paper's setting, and the only one
+        whose search draws nothing — that is a pure function of the
+        immutable trained model and the flow's unary encoding, so two
+        flows that bin identically share one search.  At ``M1 > 1`` a
+        memo hit would skip the pick-RNG draws the search makes and every
+        later answer would differ from the serial chain's, so both memos
+        are bypassed.
         """
         if self.model is None:
             raise TrainingError(
                 "enhanced pipeline processed a suspect flow before train()"
             )
+        if not self._nns_memoised:
+            return NnsAssessment(*self.model.assess(record))
         raw_key = (
             record.key.protocol,
             record.key.dst_port,
@@ -737,10 +659,6 @@ class EnhancedInFilter:
             self._nns_raw_memo.clear()
         self._nns_raw_memo[raw_key] = assessment
         return assessment
-
-    def as_detector(self) -> "InFilterDetector":
-        """This pipeline's detection chain as a :class:`Detector` member."""
-        return InFilterDetector(self)
 
     # -- the stage-state protocol --------------------------------------------
 
@@ -990,60 +908,4 @@ class EnhancedInFilter:
             protocol_class=protocol_class,
             alert=alert,
             absorbed=absorbed,
-        )
-
-
-class InFilterDetector:
-    """The paper's EIA + Scan Analysis + NNS chain as a protocol member.
-
-    Adapts :meth:`EnhancedInFilter.preview` — the same read-only walk
-    shard workers speculate with on their replicas
-    (:mod:`repro.engine.worker`) — to the uniform
-    :class:`~repro.core.detector.Detector` interface.  ``observe`` feeds
-    the scan buffer, so use it on a dedicated pipeline (or replica), not
-    interleaved with ``process`` calls on the same one; it deliberately
-    skips the pipeline's own alerting, stats, and overload bookkeeping —
-    those belong to the pipeline that hosts the ensemble, and
-    double-counting is exactly what this split avoids.
-    """
-
-    name = INFILTER_DETECTOR
-
-    def __init__(self, pipeline: EnhancedInFilter) -> None:
-        self._pipeline = pipeline
-
-    def observe(self, record: FlowRecord) -> DetectorVerdict:
-        """The chain's verdict for one flow, without pipeline side effects."""
-        _stage, classification, _assessment = self._pipeline.preview(record)
-        if classification is None:
-            return DetectorVerdict(self.name, False)
-        return DetectorVerdict(self.name, True, score=1.0, reason=classification)
-
-    def train(self, records: Sequence[FlowRecord]) -> None:
-        self._pipeline.train(records)
-
-    # -- the stage-state protocol --------------------------------------------
-
-    def state_dict(self) -> StateDict:
-        """The chain's three analysis stages, one section each."""
-        pipeline = self._pipeline
-        return {
-            "eia": pipeline.infilter.state_dict(),
-            "scan": pipeline.scan.state_dict(),
-            "model": (
-                pipeline.model.state_dict()
-                if pipeline.model is not None
-                else None
-            ),
-        }
-
-    def load_state(self, state: StateDict) -> None:
-        pipeline = self._pipeline
-        pipeline.infilter.load_state(state["eia"])
-        pipeline.scan.load_state(state["scan"])
-        model_state = state["model"]
-        pipeline.model = (
-            ClusterModel.from_state(pipeline.config.nns, model_state)
-            if model_state is not None
-            else None
         )

@@ -1,34 +1,8 @@
-"""The sharded batch ingest engine (see ``docs/architecture.md``).
-
-Fans a NetFlow record stream out to N shard workers for speculative NNS
-assessment — records routed by source block so EIA learning stays
-shard-local — and commits every batch serially through the authoritative
-detector's batch fast path, so the engine's output is *exactly* the
-serial pipeline's for any shard count, batch size, or execution mode.
-
-    from repro.engine import EngineConfig, ShardedIngestEngine
-
-    engine = ShardedIngestEngine(detector, EngineConfig(shards=4))
-    with engine:
-        report = engine.run(records)
-    print(report.describe())
-"""
+"""The batch ingest engine: in-order batch commits, a cursor, a checkpoint
+cadence and a run report over one detector (see ``docs/architecture.md``)."""
 
 from __future__ import annotations
 
-from repro.engine.core import EngineConfig, ShardedIngestEngine
-from repro.engine.merge import EngineReport, merge_registries, merge_stats
-from repro.engine.router import ShardRouter
-from repro.engine.worker import DetectorTemplate, ShardWorker, SpeculationResult
+from repro.engine.core import BatchIngestEngine, EngineConfig, EngineReport
 
-__all__ = [
-    "EngineConfig",
-    "ShardedIngestEngine",
-    "EngineReport",
-    "merge_registries",
-    "merge_stats",
-    "ShardRouter",
-    "DetectorTemplate",
-    "ShardWorker",
-    "SpeculationResult",
-]
+__all__ = ["BatchIngestEngine", "EngineConfig", "EngineReport"]

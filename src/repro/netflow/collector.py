@@ -23,7 +23,6 @@ __all__ = ["CollectorStats", "FlowCollector", "PortMux"]
 log = get_logger(__name__)
 
 FlowSink = Callable[[FlowRecord], None]
-BatchSink = Callable[[List[FlowRecord]], None]
 
 
 @dataclass
@@ -51,8 +50,6 @@ class FlowCollector:
 
     def __init__(self, *, registry: Optional[MetricsRegistry] = None) -> None:
         self._sinks: List[FlowSink] = []
-        # (sink, max_batch, buffer) triples; see add_batch_sink.
-        self._batch_sinks: List[Tuple[BatchSink, int, List[FlowRecord]]] = []
         self._expected_seq: Dict[int, int] = {}
         self.stats = CollectorStats()
         self._store: List[FlowRecord] = []
@@ -92,26 +89,6 @@ class FlowCollector:
     def add_sink(self, sink: FlowSink) -> None:
         """Register a callback invoked once per collected record."""
         self._sinks.append(sink)
-
-    def add_batch_sink(self, sink: BatchSink, *, max_batch: int = 256) -> None:
-        """Register a callback invoked with *lists* of collected records.
-
-        The collector buffers up to ``max_batch`` records per batch sink
-        and delivers them in one call — the hand-off the batched ingest
-        engine (:mod:`repro.engine`) consumes.  Call
-        :meth:`flush_batches` after the last datagram; buffered records
-        are otherwise held waiting for a full batch.
-        """
-        if max_batch < 1:
-            raise NetFlowError(f"max_batch must be >= 1, got {max_batch}")
-        self._batch_sinks.append((sink, max_batch, []))
-
-    def flush_batches(self) -> None:
-        """Deliver any partially filled batch-sink buffers."""
-        for sink, _max_batch, buffer in self._batch_sinks:
-            if buffer:
-                batch, buffer[:] = list(buffer), []
-                sink(batch)
 
     def retain_records(self, retain: bool = True) -> None:
         """Keep collected records in memory (the flow-file role)."""
@@ -204,11 +181,6 @@ class FlowCollector:
             self._store.append(record)
         for sink in self._sinks:
             sink(record)
-        for sink, max_batch, buffer in self._batch_sinks:
-            buffer.append(record)
-            if len(buffer) >= max_batch:
-                batch, buffer[:] = list(buffer), []
-                sink(batch)
 
     def _track_sequence(self, source: int, header: V5Header) -> None:
         expected = self._expected_seq.get(source)

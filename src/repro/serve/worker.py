@@ -4,7 +4,7 @@ One :class:`CommitWorker` coroutine owns the authoritative detector: it
 awaits micro-batches from the ingest queue — column slices of decoded
 datagrams, never a list of records — and commits each through
 :meth:`~repro.core.pipeline.EnhancedInFilter.process_batch` — the same
-memoised batch path the offline sharded engine drives, so verdicts,
+memoised batch path the offline batch engine drives, so verdicts,
 absorptions, alerts and stats are exactly what serial processing would
 produce.  Because the commit plane is a single task, batch boundaries
 are also safe points for everything else that touches detector state:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.util.errors import (
     AddressError,
     ConfigError,
-    EngineError,
     ExperimentError,
     NetFlowDecodeError,
     NetFlowError,
@@ -22,7 +21,6 @@ from repro.util.timebase import DAY, HOUR, MINUTE, SimClock, periodic
 __all__ = [
     "AddressError",
     "ConfigError",
-    "EngineError",
     "ExperimentError",
     "NetFlowDecodeError",
     "NetFlowError",

@@ -18,7 +18,6 @@ __all__ = [
     "ConfigError",
     "TrainingError",
     "ExperimentError",
-    "EngineError",
     "StateError",
     "ServeError",
     "ClusterError",
@@ -63,10 +62,6 @@ class TrainingError(ReproError, RuntimeError):
 
 class ExperimentError(ReproError, RuntimeError):
     """An experiment harness was driven with inconsistent parameters."""
-
-
-class EngineError(ReproError, RuntimeError):
-    """The sharded ingest engine violated or detected a usage contract."""
 
 
 class StateError(ReproError, RuntimeError):

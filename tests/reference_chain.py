@@ -10,8 +10,8 @@ sink, and reports what each flow should come out as.
 
 It borrows the *stage objects* of an identically built, never-run
 detector (``parts``) so both sides start from the same EIA sets and the
-same trained model; it never calls ``process``, ``process_batch``,
-``preview`` or ``assess_memoised``.
+same trained model; it never calls ``process``, ``process_batch`` or
+``assess_memoised``.
 """
 
 from collections import deque

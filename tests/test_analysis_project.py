@@ -250,20 +250,6 @@ class TestRep013ConcurrencySafety:
         findings = run([str(tmp_path)], select=["REP013"])
         assert rules_of(findings) == ["REP013"]
 
-    def test_flags_shard_worker_write(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.engine.pool",
-            "CACHE = {}\n"
-            "\n"
-            "class ShardWorker:\n"
-            "    def warm(self, shard):\n"
-            "        CACHE[shard] = self\n",
-        )
-        findings = run([str(tmp_path)], select=["REP013"])
-        assert rules_of(findings) == ["REP013"]
-        assert "shard-worker" in findings[0].message
-
     def test_flags_sync_lock_held_across_await(self, tmp_path):
         write_module(
             tmp_path,

@@ -243,7 +243,7 @@ class TestCheckpointResume:
         assert (
             main(
                 ["detect", normal_file, plan_file, "--basic",
-                 "--shards", "2", "--batch-size", "50",
+                 "--batch-size", "50",
                  "--save-state", str(state), "--checkpoint-every", "2"]
             )
             == 0
@@ -275,7 +275,7 @@ class TestCheckpointResume:
         assert "flagged as attacks" in first_out
         # Second run sees only legal traffic; with per-run counting both
         # the inline and the engine paths report zero attacks.
-        for extra in ([], ["--shards", "2"]):
+        for extra in ([], ["--batch-size", "256"]):
             assert (
                 main(
                     ["detect", normal_file, "--load-state", str(state)] + extra

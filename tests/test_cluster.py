@@ -21,6 +21,8 @@ import signal
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cluster import (
@@ -31,13 +33,14 @@ from repro.cluster import (
     federate,
     seed_cluster_state,
 )
+from repro.cluster.router import ShardRouter
 from repro.core.persistence import (
     load_cluster_manifest,
     save_cluster_manifest,
     worker_checkpoint_path,
 )
-from repro.engine import ShardRouter
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
+from repro.netflow.records import FlowKey, FlowRecord
 from repro.netflow.v5 import (
     HEADER_LEN,
     RECORD_LEN,
@@ -47,6 +50,7 @@ from repro.netflow.v5 import (
 from repro.obs import MetricsRegistry, render_prometheus
 from repro.util import SeededRng
 from repro.util.errors import ClusterError, ConfigError, StateError
+from repro.util.ip import Prefix
 
 from tests.conftest import make_detector
 
@@ -201,6 +205,67 @@ class TestClusterPersistence:
             assert worker_checkpoint_path(
                 state_dir, worker, WORKERS
             ).exists()
+
+
+# -- the source-block router --------------------------------------------------
+
+
+class TestShardRouter:
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ConfigError):
+            ShardRouter(0, 11)
+        with pytest.raises(ConfigError):
+            ShardRouter(4, 40)
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100)
+    def test_assignment_is_deterministic_and_in_range(self, shards, addr):
+        router = ShardRouter(shards, 11)
+        shard = router.shard_for_address(addr)
+        assert 0 <= shard < shards
+        assert router.shard_for_address(addr) == shard
+        assert ShardRouter(shards, 11).shard_for_address(addr) == shard
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100)
+    def test_same_source_block_lands_on_same_shard(self, addr):
+        router = ShardRouter(8, 11)
+        block = Prefix.from_address(addr, 11)
+        # Every address of the covering /11 routes identically.
+        probes = [block.network, block.last_address(), addr]
+        assert len({router.shard_for_address(a) for a in probes}) == 1
+
+    def test_partition_is_an_ordered_permutation(self):
+        router = ShardRouter(4, 11)
+        records = [
+            FlowRecord(
+                key=FlowKey(
+                    src_addr=(i * 0x01234567) & 0xFFFFFFFF, dst_addr=0xC6120001,
+                    protocol=6, src_port=1234, dst_port=80, input_if=0,
+                ),
+                packets=3, octets=1200, first=0, last=40,
+            )
+            for i in range(64)
+        ]
+        buckets = router.partition(records)
+        assert len(buckets) == 4
+        flat = [index for bucket in buckets for index in bucket]
+        assert sorted(flat) == list(range(64))
+        for shard, bucket in enumerate(buckets):
+            assert bucket == sorted(bucket)
+            for index in bucket:
+                assert router.shard_for(records[index]) == shard
+
+    def test_spreads_distinct_blocks(self):
+        router = ShardRouter(4, 11)
+        # 64 distinct /11 blocks should not all hash to one shard.
+        shards = {
+            router.shard_for_address(block << 21) for block in range(64)
+        }
+        assert len(shards) > 1
 
 
 # -- the flow director --------------------------------------------------------

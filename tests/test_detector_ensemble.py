@@ -19,7 +19,6 @@ from repro.core import (
     EIAConfig,
     EnhancedInFilter,
     Ensemble,
-    InFilterDetector,
     PipelineConfig,
     TTLProfileDetector,
     available_detectors,
@@ -483,54 +482,10 @@ class TestCheckpointRoundTrip:
         ]
 
 
-class TestInFilterDetectorAdapter:
-    def test_adapter_speaks_the_protocol(self, eia_plan, target_prefix):
-        from repro.core import Detector
-
-        pipeline = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",)
-        )
-        adapter = pipeline.as_detector()
-        assert isinstance(adapter, InFilterDetector)
-        assert isinstance(adapter, Detector)
-        assert adapter.name == "infilter"
-
-    def test_adapter_observe_matches_pipeline_verdicts(
-        self, eia_plan, target_prefix
-    ):
-        records = _probe_records(eia_plan, target_prefix)
-        pipeline = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",)
-        )
-        # A second, identically built pipeline hosts the adapter so its
-        # observe() calls cannot perturb the reference's scan buffer.
-        adapter = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",)
-        ).as_detector()
-        for record in records:
-            decision = pipeline.process(record)
-            verdict = adapter.observe(record)
-            assert verdict.suspicious == decision.is_attack
-
-    def test_adapter_state_round_trip(self, eia_plan, target_prefix):
-        pipeline = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",)
-        )
-        adapter = pipeline.as_detector()
-        state = adapter.state_dict()
-        other = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",), seed=999
-        )
-        other.as_detector().load_state(state)
-        assert json.dumps(
-            other.as_detector().state_dict(), sort_keys=True
-        ) == json.dumps(state, sort_keys=True)
-
-
 class TestEngineWithEnsemble:
-    """The sharded engine's serial-equivalence contract holds for
-    multi-detector compositions: sharding, speculation, and a
-    kill-and-resume cycle change no verdict, alert, or stat."""
+    """The batch engine's serial-equivalence contract holds for
+    multi-detector compositions: batching and a kill-and-resume cycle
+    change no verdict, alert, or stat."""
 
     def _trace(self, eia_plan, target_prefix):
         return _probe_records(
@@ -543,25 +498,20 @@ class TestEngineWithEnsemble:
         return (s.processed, s.legal, s.suspects, s.benign, s.attacks,
                 s.absorbed, s.attacks_by_stage)
 
-    def test_sharded_run_matches_serial(self, eia_plan, target_prefix):
-        from repro.engine import EngineConfig, ShardedIngestEngine
+    def test_batched_run_matches_serial(self, eia_plan, target_prefix):
+        from repro.engine import BatchIngestEngine, EngineConfig
 
         records = self._trace(eia_plan, target_prefix)
         serial = _make_ensemble_detector(eia_plan, target_prefix)
         serial.process_all(records)
-        sharded = _make_ensemble_detector(eia_plan, target_prefix)
-        engine = ShardedIngestEngine(
-            sharded,
-            EngineConfig(shards=3, batch_size=64, mode="inline",
-                         speculate=True),
-        )
-        with engine:
+        batched = _make_ensemble_detector(eia_plan, target_prefix)
+        with BatchIngestEngine(batched, EngineConfig(batch_size=64)) as engine:
             report = engine.run(records)
         assert report.flows == len(records)
-        assert self._stats_tuple(sharded) == self._stats_tuple(serial)
+        assert self._stats_tuple(batched) == self._stats_tuple(serial)
         assert [
             (a.ident, a.classification, a.attribution)
-            for a in sharded.alert_sink.alerts
+            for a in batched.alert_sink.alerts
         ] == [
             (a.ident, a.classification, a.attribution)
             for a in serial.alert_sink.alerts
@@ -570,7 +520,7 @@ class TestEngineWithEnsemble:
     def test_killed_and_resumed_run_matches_uninterrupted(
         self, eia_plan, target_prefix, tmp_path
     ):
-        from repro.engine import EngineConfig, ShardedIngestEngine
+        from repro.engine import BatchIngestEngine, EngineConfig
 
         records = self._trace(eia_plan, target_prefix)
         serial = _make_ensemble_detector(
@@ -582,10 +532,9 @@ class TestEngineWithEnsemble:
         victim = _make_ensemble_detector(
             eia_plan, target_prefix, policy="weighted"
         )
-        engine = ShardedIngestEngine(
+        engine = BatchIngestEngine(
             victim,
-            EngineConfig(shards=2, batch_size=50, mode="inline",
-                         checkpoint_every=2),
+            EngineConfig(batch_size=50, checkpoint_every=2),
             checkpoint_path=path,
         )
         with engine:
@@ -594,10 +543,9 @@ class TestEngineWithEnsemble:
         restored, cursor = load_checkpoint(path)
         assert cursor == 200
         assert restored.config.detectors == ENSEMBLE
-        resumed = ShardedIngestEngine(
+        resumed = BatchIngestEngine(
             restored,
-            EngineConfig(shards=2, batch_size=50, mode="inline",
-                         checkpoint_every=2),
+            EngineConfig(batch_size=50, checkpoint_every=2),
             checkpoint_path=path,
             cursor_base=cursor,
         )

@@ -1,33 +1,37 @@
-"""Serial-equivalence properties of the sharded ingest engine.
+"""Serial-equivalence properties of the batch ingest engine.
 
-The engine's contract is that sharding and batching are *invisible* in
-the output: for any shard count, batch size, speculation setting, or
-execution mode, the decision stream, stats, absorption set, EIA state
-and alert stream equal what serial ``process_all`` produces on an
-identically built detector.  These tests run one mixed trace — legal
-traffic, a route-changed block that must be absorbed by online
-learning, and a Slammer flood — through a serial reference and through
-engines across the configuration grid, and compare every observable.
+The engine's contract is that batching is *invisible* in the output:
+for any batch size the decision stream, stats, absorption set, EIA
+state, alert stream and checkpoint equal what serial ``process_all``
+produces on an identically built detector.  These tests run one mixed
+trace — legal traffic, a route-changed block that must be absorbed by
+online learning, and a Slammer flood — through a serial reference and
+through engines at several batch sizes, and compare every observable.
 """
 
+import hashlib
+import json
 from typing import List
 
 import pytest
 
-from repro.core import EIAConfig, PipelineConfig
+from repro.core import EIAConfig, NNSConfig, PipelineConfig
 from repro.core.persistence import load_checkpoint
-from repro.engine import EngineConfig, ShardedIngestEngine
+from repro.engine import BatchIngestEngine, EngineConfig
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.util import SeededRng
 from repro.util.errors import ConfigError
 
 from tests.conftest import make_detector
+from tests.test_fastpath import _scrub_wall_clock
 
 _SEED = 90210
 
 
-def _build_detector(eia_plan, target_prefix):
-    config = PipelineConfig(eia=EIAConfig(learning_threshold=3))
+def _build_detector(eia_plan, target_prefix, *, m1=1):
+    config = PipelineConfig(
+        eia=EIAConfig(learning_threshold=3), nns=NNSConfig(m1=m1)
+    )
     return make_detector(
         eia_plan, target_prefix, seed=_SEED, config=config, n_train=900
     )
@@ -111,29 +115,46 @@ def _assert_equivalent(detector, report, serial_reference, n_records):
     assert [a.ident for a in detector.alert_sink.alerts] == [
         a.ident for a in serial_detector.alert_sink.alerts
     ]
-    assert report.absorption_deltas == ref.absorbed
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
-@pytest.mark.parametrize("speculate", [False, True])
 def test_inline_engine_matches_serial(
-    eia_plan, target_prefix, mixed_trace, serial_reference, shards, speculate
+    eia_plan, target_prefix, mixed_trace, serial_reference
 ):
     detector = _build_detector(eia_plan, target_prefix)
-    engine = ShardedIngestEngine(
-        detector,
-        EngineConfig(
-            shards=shards, batch_size=111, mode="inline", speculate=speculate
-        ),
-    )
-    with engine:
+    with BatchIngestEngine(detector, EngineConfig(batch_size=111)) as engine:
         report = engine.run(mixed_trace)
     _assert_equivalent(detector, report, serial_reference, len(mixed_trace))
-    # With speculation on, shard replicas should have precomputed every
-    # NNS assessment the commit stage demanded.
-    if speculate:
-        assert report.speculation_misses == 0
-        assert report.speculation_hits > 0
+
+
+def _alert_digest(detector) -> str:
+    digest = hashlib.sha256()
+    for alert in detector.alert_sink.alerts:
+        digest.update(alert.to_xml().encode())
+    return digest.hexdigest()
+
+
+def _checkpoint_text(detector) -> str:
+    """The whole ``state_dict`` as canonical JSON, minus the three stats
+    keys that hold wall-clock measurements."""
+    return json.dumps(_scrub_wall_clock(detector.state_dict()), sort_keys=True)
+
+
+@pytest.mark.parametrize("m1", [1, 2])
+def test_engine_alerts_and_checkpoint_equal_serial(
+    eia_plan, target_prefix, mixed_trace, m1
+):
+    """At ``m1 = 2`` every NNS probe draws from the structure's pick
+    RNG, so the alert stream *and* the RNG cursors in the checkpoint's
+    model section only match if the engine makes exactly serial's
+    searches, in serial's order."""
+    serial = _build_detector(eia_plan, target_prefix, m1=m1)
+    serial.process_all(mixed_trace)
+    assert serial.stats.attacks_by_stage.get("nns", 0) > 0
+    detector = _build_detector(eia_plan, target_prefix, m1=m1)
+    with BatchIngestEngine(detector, EngineConfig(batch_size=111)) as engine:
+        engine.run(mixed_trace)
+    assert _alert_digest(detector) == _alert_digest(serial)
+    assert _checkpoint_text(detector) == _checkpoint_text(serial)
 
 
 def test_inline_decision_stream_is_identical(
@@ -156,12 +177,7 @@ def test_batch_size_does_not_matter(
 ):
     for batch_size in (1, 64, 10_000):
         detector = _build_detector(eia_plan, target_prefix)
-        engine = ShardedIngestEngine(
-            detector,
-            EngineConfig(
-                shards=2, batch_size=batch_size, mode="inline", speculate=True
-            ),
-        )
+        engine = BatchIngestEngine(detector, EngineConfig(batch_size=batch_size))
         with engine:
             report = engine.run(mixed_trace)
         _assert_equivalent(
@@ -169,33 +185,11 @@ def test_batch_size_does_not_matter(
         )
 
 
-def test_process_mode_matches_serial(
-    eia_plan, target_prefix, mixed_trace, serial_reference
-):
-    """Fork-pool speculation produces the same output as everything else."""
-    detector = _build_detector(eia_plan, target_prefix)
-    engine = ShardedIngestEngine(
-        detector,
-        EngineConfig(
-            shards=2, batch_size=256, mode="process", max_pending_batches=2
-        ),
-    )
-    with engine:
-        report = engine.run(mixed_trace)
-    _assert_equivalent(detector, report, serial_reference, len(mixed_trace))
-    assert report.mode == "process"
-    assert report.speculation_misses == 0
-    # Pool workers shipped their replica registries back for the report.
-    assert report.worker_metrics
-
-
 def test_incremental_submit_equals_run(
     eia_plan, target_prefix, mixed_trace, serial_reference
 ):
     detector = _build_detector(eia_plan, target_prefix)
-    engine = ShardedIngestEngine(
-        detector, EngineConfig(shards=4, batch_size=100, mode="inline")
-    )
+    engine = BatchIngestEngine(detector, EngineConfig(batch_size=100))
     for record in mixed_trace:
         engine.submit(record)
     engine.flush()
@@ -206,7 +200,7 @@ def test_incremental_submit_equals_run(
 
 def test_closed_engine_rejects_records(eia_plan, target_prefix, mixed_trace):
     detector = _build_detector(eia_plan, target_prefix)
-    engine = ShardedIngestEngine(detector, EngineConfig(mode="inline"))
+    engine = BatchIngestEngine(detector)
     engine.close()
     with pytest.raises(ConfigError):
         engine.submit(mixed_trace[0])
@@ -248,11 +242,9 @@ def test_killed_and_resumed_run_matches_uninterrupted(
     identical to an uninterrupted run (and hence to serial)."""
     path = tmp_path / "engine.ckpt"
     detector = _build_detector(eia_plan, target_prefix)
-    engine = ShardedIngestEngine(
+    engine = BatchIngestEngine(
         detector,
-        EngineConfig(
-            shards=2, batch_size=111, mode="inline", checkpoint_every=2
-        ),
+        EngineConfig(batch_size=111, checkpoint_every=2),
         checkpoint_path=path,
     )
     # The "killed" first run: 4 full batches; checkpoints land after
@@ -263,11 +255,9 @@ def test_killed_and_resumed_run_matches_uninterrupted(
 
     restored, cursor = load_checkpoint(path)
     assert cursor == 444
-    resumed = ShardedIngestEngine(
+    resumed = BatchIngestEngine(
         restored,
-        EngineConfig(
-            shards=2, batch_size=111, mode="inline", checkpoint_every=2
-        ),
+        EngineConfig(batch_size=111, checkpoint_every=2),
         checkpoint_path=path,
         cursor_base=cursor,
     )
@@ -284,18 +274,16 @@ def test_killed_and_resumed_run_matches_uninterrupted(
     assert final_cursor == len(mixed_trace)
 
 
-def test_resume_from_mid_stream_checkpoint_under_speculation(
+def test_resume_from_mid_stream_checkpoint(
     eia_plan, target_prefix, mixed_trace, serial_reference, tmp_path
 ):
-    """Shard speculation on both sides of the restart changes nothing."""
+    """A resumed engine that takes no checkpoints of its own continues
+    the stream all the same."""
     path = tmp_path / "engine.ckpt"
     detector = _build_detector(eia_plan, target_prefix)
-    engine = ShardedIngestEngine(
+    engine = BatchIngestEngine(
         detector,
-        EngineConfig(
-            shards=4, batch_size=74, mode="inline", speculate=True,
-            checkpoint_every=3,
-        ),
+        EngineConfig(batch_size=74, checkpoint_every=3),
         checkpoint_path=path,
     )
     with engine:
@@ -303,10 +291,8 @@ def test_resume_from_mid_stream_checkpoint_under_speculation(
     restored, cursor = load_checkpoint(path)
     # 444 records = 6 batches of 74: checkpoints after batches 3 and 6.
     assert cursor == 444
-    resumed = ShardedIngestEngine(
-        restored,
-        EngineConfig(shards=4, batch_size=74, mode="inline", speculate=True),
-        cursor_base=cursor,
+    resumed = BatchIngestEngine(
+        restored, EngineConfig(batch_size=74), cursor_base=cursor
     )
     with resumed:
         resumed.run(mixed_trace[cursor:])
@@ -316,26 +302,21 @@ def test_resume_from_mid_stream_checkpoint_under_speculation(
 def test_checkpoint_every_requires_a_path(eia_plan, target_prefix):
     detector = _build_detector(eia_plan, target_prefix)
     with pytest.raises(ConfigError):
-        ShardedIngestEngine(
-            detector, EngineConfig(mode="inline", checkpoint_every=2)
-        )
+        BatchIngestEngine(detector, EngineConfig(checkpoint_every=2))
 
 
 def test_negative_cursor_base_rejected(eia_plan, target_prefix):
     detector = _build_detector(eia_plan, target_prefix)
     with pytest.raises(ConfigError):
-        ShardedIngestEngine(
-            detector, EngineConfig(mode="inline"), cursor_base=-1
-        )
+        BatchIngestEngine(detector, cursor_base=-1)
 
 
 def test_explicit_checkpoint_call(eia_plan, target_prefix, mixed_trace, tmp_path):
     """``checkpoint()`` on demand writes the current cursor."""
     path = tmp_path / "manual.ckpt"
     detector = _build_detector(eia_plan, target_prefix)
-    engine = ShardedIngestEngine(
-        detector, EngineConfig(mode="inline", batch_size=100),
-        checkpoint_path=path,
+    engine = BatchIngestEngine(
+        detector, EngineConfig(batch_size=100), checkpoint_path=path
     )
     for record in mixed_trace[:250]:
         engine.submit(record)
@@ -349,7 +330,7 @@ def test_explicit_checkpoint_call(eia_plan, target_prefix, mixed_trace, tmp_path
 
 def test_checkpoint_without_path_rejected(eia_plan, target_prefix):
     detector = _build_detector(eia_plan, target_prefix)
-    engine = ShardedIngestEngine(detector, EngineConfig(mode="inline"))
+    engine = BatchIngestEngine(detector)
     with pytest.raises(ConfigError):
         engine.checkpoint()
     engine.close()

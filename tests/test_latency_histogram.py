@@ -1,7 +1,7 @@
 """Properties of the :class:`PipelineStats` latency histogram.
 
 ``latency_percentile`` states a relative error of 7% against the exact
-sorted quantile; merging is exact; the state round-trips through JSON.
+sorted quantile; the state round-trips through JSON.
 """
 
 import json
@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.pipeline import PipelineStats
-from repro.engine import merge_stats
 
 from tests.conftest import legal_decision
 
@@ -46,19 +45,6 @@ def test_percentile_is_within_7_percent_of_the_sorted_quantile(
     # Zeros share a bucket with nothing: a zero quantile reads exactly 0.
     if exact == 0.0:
         assert got == 0.0
-
-
-@given(st.lists(_latencies, min_size=1, max_size=5))
-def test_merge_is_exactly_the_histogram_of_the_concatenation(parts):
-    merged = merge_stats([_noted(part) for part in parts])
-    whole = _noted([latency for part in parts for latency in part])
-    assert merged.latency_buckets == whole.latency_buckets
-    assert merged.processed == whole.processed
-    assert merged.latency_max_s == whole.latency_max_s
-    for quantile in (0.0, 0.5, 0.9, 1.0):
-        assert merged.latency_percentile(quantile) == whole.latency_percentile(
-            quantile
-        )
 
 
 @given(_latencies)
