@@ -38,7 +38,7 @@ from repro.core.eia import BasicInFilter, EIACheck
 from repro.core.nns import SearchResult
 from repro.core.scan import ScanAnalyzer, ScanVerdict
 from repro.core.state import StateDict, stateful
-from repro.fastpath.columnar import RecordColumns, RowBatch
+from repro.fastpath.columnar import RecordColumns, RecordRow, RowBatch, RowColumns
 from repro.fastpath.plane import MISSING, FastPath
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
@@ -279,6 +279,7 @@ class _PipelineMetrics:
             "Flows assessed, by final verdict and deciding stage.",
             ("verdict", "stage"),
         )
+        self._flows_by_outcome: Dict[Tuple[str, str], Any] = {}
         self.flow_latency = registry.histogram(
             "infilter_pipeline_flow_latency_seconds",
             "End-to-end per-flow processing latency (the Section 6.4 metric).",
@@ -328,7 +329,13 @@ class _PipelineMetrics:
         )
 
     def note(self, decision: Decision) -> None:
-        self.flows.labels(verdict=decision.verdict, stage=decision.stage).inc()
+        key = (decision.verdict, decision.stage)
+        flows = self._flows_by_outcome.get(key)
+        if flows is None:
+            flows = self._flows_by_outcome[key] = self.flows.labels(
+                verdict=decision.verdict, stage=decision.stage
+            )
+        flows.inc()
         self.flow_latency.observe(decision.latency_s)
 
 
@@ -444,7 +451,7 @@ class EnhancedInFilter:
         Section 6.4 per-flow numbers).
         """
         watch = Stopwatch()
-        decision = self._commit(record, MISSING, laps=True)
+        decision = self._commit(RecordRow(record), 0, MISSING, laps=True)
         object.__setattr__(decision, "latency_s", watch.elapsed_s())
         self.stats.note(decision)
         self._metrics.note(decision)
@@ -472,11 +479,12 @@ class EnhancedInFilter:
         records, adapted to one here (the engine).  Either way one loop
         reads two columns per row and probes the EIA owner table once: a
         row whose source block the table says is expected at the row's
-        ingress is *legal*, gets its decision there and never becomes a
-        :class:`FlowRecord`; every other row — table miss, suspect, or
-        any row at all once auxiliary detectors are composed, since they
-        observe every flow — is materialised by index and goes through
-        :meth:`_commit` with the owner the probe found.
+        ingress is *legal* and gets its decision there; every other row
+        goes through :meth:`_commit` as ``(columns, index)`` with the
+        owner the probe found, and becomes a :class:`FlowRecord` only if
+        a stage there consumes one.  Once auxiliary detectors are
+        composed they observe every flow, as a record: each row is then
+        materialised here and the chain runs over a one-row view of it.
         """
         batch = (
             rows if isinstance(rows, RowBatch) else RowBatch.of(RecordColumns(rows))
@@ -511,7 +519,12 @@ class EnhancedInFilter:
                     continue
                 if owner is MISSING:
                     table_misses += 1
-                decision = commit(columns.record_at(index), owner, laps=False)
+                if memo_clears:
+                    decision = commit(columns, index, owner, laps=False)
+                else:
+                    decision = commit(
+                        RecordRow(columns.record_at(index)), 0, owner, laps=False
+                    )
                 append(decision)
                 if decision.absorbed:
                     shift = infilter.memo_shift
@@ -537,16 +550,25 @@ class EnhancedInFilter:
             self._metrics.state_entries.labels(component=component).set(size)
         return BatchResult(decisions=decisions, elapsed_s=elapsed)
 
-    def _commit(self, record: FlowRecord, owner: Any, *, laps: bool) -> Decision:
-        """The Figure 12 chain for one flow, with every side effect.
+    def _commit(
+        self, columns: RowColumns, index: int, owner: Any, *, laps: bool
+    ) -> Decision:
+        """The Figure 12 chain for row ``index`` of ``columns``, with
+        every side effect.
 
         EIA check -> overload gate -> Scan Analysis -> NNS -> learning
         rule; attacks alert and, with an ensemble composed, every verdict
         is put to the vote.  This is the only transcription of the chain
-        in ``src/``: :meth:`process` calls it with per-stage stopwatch
-        ``laps`` on, :meth:`process_batch` loops over it with them off.
-        ``owner`` is what the caller's probe of the owner table found
-        (``MISSING``: nothing, so the check is asked).
+        in ``src/``: :meth:`process` calls it on a one-row view with
+        per-stage stopwatch ``laps`` on, :meth:`process_batch` loops over
+        it with them off.  ``owner`` is what the caller's probe of the
+        owner table found (``MISSING``: nothing, so the check is asked).
+
+        The stages read the row's columns; ``columns.record_at(index)``
+        is called only where a :class:`FlowRecord` is consumed — the
+        check on an owner-table miss, an NNS raw-key memo miss, an alert,
+        an ensemble vote — so a suspect the NNS memo clears never becomes
+        one.
 
         Every stage is reached through its owner at call time, so a
         wrapper installed on ``infilter.check``, ``scan.observe`` or
@@ -556,33 +578,37 @@ class EnhancedInFilter:
         infilter = self.infilter
         lap = Stopwatch() if laps else None
         if owner is MISSING:
-            eia = infilter.check(record)
+            eia = infilter.check(columns.record_at(index))
         else:
-            eia = infilter.check_for(owner, record.key.input_if)
+            eia = infilter.check_for(owner, columns.input_if[index])
         if lap is not None:
             lap.lap_into(self._metrics.eia_latency)
         if not eia.suspect:
             return self._maybe_promote(
-                record, Decision(verdict=Verdict.LEGAL, stage=Stage.EIA, eia=eia)
+                columns, index, Decision(verdict=Verdict.LEGAL, stage=Stage.EIA, eia=eia)
             )
         if not self.config.enhanced:
-            return self._attack(record, eia, Stage.EIA, "spoofed-source")
-        if self._over_capacity(record.last):
-            return self._degraded(record, eia)
+            return self._attack(
+                columns.record_at(index), eia, Stage.EIA, "spoofed-source"
+            )
+        if self._over_capacity(columns.last[index]):
+            return self._degraded(columns, index, eia)
         if lap is not None:
             lap.restart()
-        scan_verdict = self.scan.observe(record)
+        scan_verdict = self.scan.observe(
+            columns.dst_addr[index], columns.dst_port[index]
+        )
         if lap is not None:
             lap.lap_into(self._metrics.scan_latency)
         if scan_verdict.is_scan:
             return self._attack(
-                record,
+                columns.record_at(index),
                 eia,
                 Stage.SCAN,
                 scan_verdict.kind or "scan",
                 scan=scan_verdict,
             )
-        assessment = self.assess_memoised(record)
+        assessment = self.assess_memoised(columns, index)
         if lap is not None:
             lap.lap_into(self._metrics.nns_latency)
         is_normal = assessment.is_normal
@@ -590,7 +616,7 @@ class EnhancedInFilter:
             is_normal = not self.config.flag_unmodelled_classes
         if not is_normal:
             return self._attack(
-                record,
+                columns.record_at(index),
                 eia,
                 Stage.NNS,
                 "nns-anomaly",
@@ -598,9 +624,10 @@ class EnhancedInFilter:
                 neighbour=assessment.neighbour,
                 protocol_class=assessment.protocol_class,
             )
-        block = infilter.learn(record.key.input_if, record.key.src_addr)
+        block = infilter.learn(columns.input_if[index], columns.src_addr[index])
         return self._maybe_promote(
-            record,
+            columns,
+            index,
             Decision(
                 verdict=Verdict.BENIGN,
                 stage=Stage.NNS,
@@ -612,15 +639,17 @@ class EnhancedInFilter:
             ),
         )
 
-    def assess_memoised(self, record: FlowRecord) -> NnsAssessment:
-        """NNS assessment through the (class, encoding) memo.
+    def assess_memoised(self, columns: RowColumns, index: int) -> NnsAssessment:
+        """NNS assessment of row ``index`` through the two memos.
 
-        Equivalent to ``self.model.assess(record)``, result *and* RNG
-        cursor.  At ``M1 = 1`` — the paper's setting, and the only one
-        whose search draws nothing — that is a pure function of the
-        immutable trained model and the flow's unary encoding, so two
-        flows that bin identically share one search.  At ``M1 > 1`` a
-        memo hit would skip the pick-RNG draws the search makes and every
+        Equivalent to ``self.model.assess(columns.record_at(index))``,
+        result *and* RNG cursor.  At ``M1 = 1`` — the paper's setting, and
+        the only one whose search draws nothing — that is a pure function
+        of the immutable trained model and the flow's unary encoding, so
+        two flows that bin identically share one search; the raw-key memo
+        in front is probed from the row's columns, and the row becomes a
+        :class:`FlowRecord` only on a miss there.  At ``M1 > 1`` a memo
+        hit would skip the pick-RNG draws the search makes and every
         later answer would differ from the serial chain's, so both memos
         are bypassed.
         """
@@ -629,17 +658,18 @@ class EnhancedInFilter:
                 "enhanced pipeline processed a suspect flow before train()"
             )
         if not self._nns_memoised:
-            return NnsAssessment(*self.model.assess(record))
+            return NnsAssessment(*self.model.assess(columns.record_at(index)))
         raw_key = (
-            record.key.protocol,
-            record.key.dst_port,
-            record.packets,
-            record.octets,
-            record.last - record.first,
+            columns.protocol[index],
+            columns.dst_port[index],
+            columns.packets[index],
+            columns.octets[index],
+            columns.last[index] - columns.first[index],
         )
         cached = self._nns_raw_memo.get(raw_key)
         if cached is not None:
             return cached
+        record = columns.record_at(index)
         name = protocol_class(record)
         subcluster = self.model.subclusters.get(name)
         if subcluster is None:
@@ -761,7 +791,7 @@ class EnhancedInFilter:
         rate = len(times) * 1000.0 / overload.window_ms
         return rate > overload.suspect_capacity_per_s
 
-    def _degraded(self, record: FlowRecord, eia: EIACheck) -> Decision:
+    def _degraded(self, columns: RowColumns, index: int, eia: EIACheck) -> Decision:
         """Handle an over-capacity suspect: drop or flag unanalysed."""
         overload = self.config.overload
         self._overload_counter += 1
@@ -773,19 +803,22 @@ class EnhancedInFilter:
             self._metrics.overload_dropped.inc()
             log.debug(
                 "overload: suspect dropped unanalysed",
-                extra={"flow_time_ms": record.last, "action": "dropped"},
+                extra={"flow_time_ms": columns.last[index], "action": "dropped"},
             )
             return self._maybe_promote(
-                record,
+                columns,
+                index,
                 Decision(verdict=Verdict.BENIGN, stage=Stage.OVERLOAD, eia=eia),
             )
         self.stats.overload_flagged += 1
         self._metrics.overload_flagged.inc()
         log.debug(
             "overload: suspect flagged unanalysed",
-            extra={"flow_time_ms": record.last, "action": "flagged"},
+            extra={"flow_time_ms": columns.last[index], "action": "flagged"},
         )
-        return self._attack(record, eia, Stage.OVERLOAD, "unanalysed-suspect")
+        return self._attack(
+            columns.record_at(index), eia, Stage.OVERLOAD, "unanalysed-suspect"
+        )
 
     def _attack(
         self,
@@ -832,7 +865,9 @@ class EnhancedInFilter:
             attribution=attribution,
         )
 
-    def _maybe_promote(self, record: FlowRecord, decision: Decision) -> Decision:
+    def _maybe_promote(
+        self, columns: RowColumns, index: int, decision: Decision
+    ) -> Decision:
         """Give the ensemble a chance to overrule a non-attack verdict.
 
         A no-op (returning ``decision`` untouched) unless more than one
@@ -845,6 +880,7 @@ class EnhancedInFilter:
         if self._ensemble is None:
             return decision
         self._metrics.chain_clear.inc()
+        record = columns.record_at(index)
         combined = self._combine(record, chain_attack=False)
         if not combined.attack:
             self._metrics.ensemble_clear.inc()

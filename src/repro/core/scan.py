@@ -17,13 +17,13 @@ buffer, so a check is O(1) amortised.
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.config import ScanConfig
 from repro.core.state import StateDict, stateful
-from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, get_logger, get_registry
 
 __all__ = ["ScanVerdict", "ScanAnalyzer"]
@@ -41,6 +41,11 @@ class ScanVerdict:
 
     NETWORK = "network_scan"
     HOST = "host_scan"
+
+
+#: What every suspect that completes no pattern gets back (frozen, so one
+#: instance serves them all).
+_NOT_A_SCAN = ScanVerdict(is_scan=False)
 
 
 class _MultiCounter:
@@ -109,10 +114,9 @@ class ScanAnalyzer:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def observe(self, record: FlowRecord) -> ScanVerdict:
-        """Add a suspect flow to the buffer and check both patterns."""
-        dst_addr = record.key.dst_addr
-        dst_port = record.key.dst_port
+    def observe(self, dst_addr: int, dst_port: int) -> ScanVerdict:
+        """Add a suspect flow's target to the buffer and check both
+        patterns."""
         if len(self._buffer) >= self.config.buffer_size:
             old_addr, old_port = self._buffer.popleft()
             self._by_port.remove(old_port, old_addr)
@@ -124,24 +128,26 @@ class ScanAnalyzer:
         if hosts_on_port >= self.config.network_scan_threshold:
             self.network_scans_flagged += 1
             self._m_network.inc()
-            log.info(
-                "network scan completed",
-                extra={"dst_port": dst_port, "distinct_hosts": hosts_on_port},
-            )
+            if log.isEnabledFor(logging.INFO):
+                log.info(
+                    "network scan completed",
+                    extra={"dst_port": dst_port, "distinct_hosts": hosts_on_port},
+                )
             return ScanVerdict(
                 is_scan=True, kind=ScanVerdict.NETWORK, count=hosts_on_port
             )
         if ports_on_host >= self.config.host_scan_threshold:
             self.host_scans_flagged += 1
             self._m_host.inc()
-            log.info(
-                "host scan completed",
-                extra={"dst_addr": dst_addr, "distinct_ports": ports_on_host},
-            )
+            if log.isEnabledFor(logging.INFO):
+                log.info(
+                    "host scan completed",
+                    extra={"dst_addr": dst_addr, "distinct_ports": ports_on_host},
+                )
             return ScanVerdict(
                 is_scan=True, kind=ScanVerdict.HOST, count=ports_on_host
             )
-        return ScanVerdict(is_scan=False)
+        return _NOT_A_SCAN
 
     def reset(self) -> None:
         """Clear the buffer and counters."""

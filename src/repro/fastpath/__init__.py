@@ -23,6 +23,7 @@ from repro.fastpath.bitpack import PackedCodes, hamming_per_bit
 from repro.fastpath.columnar import (
     ColumnarBatch,
     RecordColumns,
+    RecordRow,
     RowBatch,
     RowColumns,
     decode_v1_columnar,
@@ -35,6 +36,7 @@ __all__ = [
     "hamming_per_bit",
     "ColumnarBatch",
     "RecordColumns",
+    "RecordRow",
     "RowBatch",
     "RowColumns",
     "decode_v1_columnar",

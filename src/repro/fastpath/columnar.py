@@ -47,6 +47,7 @@ from repro.util.errors import NetFlowDecodeError
 __all__ = [
     "ColumnarBatch",
     "RecordColumns",
+    "RecordRow",
     "RowColumns",
     "RowBatch",
     "decode_v5_columnar",
@@ -101,8 +102,11 @@ class ColumnarBatch:
     def record_at(self, index: int) -> FlowRecord:
         """Materialise row ``index`` alone.
 
-        What the commit loop calls for the rows the EIA owner table cannot
-        clear; every other row of the datagram stays a column entry.
+        The Figure 12 chain reads a row through its columns and calls
+        this only where a :class:`FlowRecord` is consumed — an alert, an
+        NNS raw-key memo miss, an owner-table miss, an auxiliary
+        detector's vote — so on the serve path the calls per batch track
+        the batch's alerts, not its rows.
         """
         return FlowRecord(
             key=FlowKey(
@@ -129,21 +133,45 @@ class ColumnarBatch:
         )
 
 
+#: The columns the Figure 12 chain reads: the two every row is probed
+#: through, then the seven only a suspect row is read through.
+_CHAIN_COLUMNS = (
+    "src_addr", "input_if",
+    "dst_addr", "dst_port", "protocol", "packets", "octets", "first", "last",
+)
+
+
 class RecordColumns:
-    """Already-built records behind the two columns the commit loop reads.
+    """Already-built records behind the columns the chain reads.
 
     The adapter that lets a ``Sequence[FlowRecord]`` (the offline engine,
-    the oracle tests) ride the same loop as a decoded datagram: the two
-    probe columns are gathered once, ``record_at`` hands back the original
-    object.
+    the oracle tests) ride the same loop as a decoded datagram.  The two
+    probe columns are gathered up front; the seven suspect columns are
+    gathered together the first time one of them is read, so a batch with
+    no suspect row never pays for them.  ``record_at`` hands back the
+    original object.
     """
 
-    __slots__ = ("src_addr", "input_if", "_records")
+    __slots__ = (*_CHAIN_COLUMNS, "_records")
 
     def __init__(self, records: Sequence[FlowRecord]) -> None:
         self.src_addr = [record.key.src_addr for record in records]
         self.input_if = [record.key.input_if for record in records]
         self._records = records
+
+    def __getattr__(self, name: str) -> List[int]:
+        # Reached only while the slot is empty: the first suspect row.
+        if name in _CHAIN_COLUMNS:
+            records = self._records
+            keys = [record.key for record in records]
+            self.dst_addr = [key.dst_addr for key in keys]
+            self.dst_port = [key.dst_port for key in keys]
+            self.protocol = [key.protocol for key in keys]
+            self.packets = [record.packets for record in records]
+            self.octets = [record.octets for record in records]
+            self.first = [record.first for record in records]
+            self.last = [record.last for record in records]
+        return cast(List[int], object.__getattribute__(self, name))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -152,9 +180,44 @@ class RecordColumns:
         return self._records[index]
 
 
-#: One block of rows the commit loop can read: the two probe columns plus
-#: ``record_at``.
-RowColumns = Union[ColumnarBatch, RecordColumns]
+class RecordRow:
+    """One already-built record as a one-row block.
+
+    What ``process(record)`` and ``IngestQueue.put(record)`` hand the
+    chain: building it gathers nothing, a legal row is read through
+    ``record_at`` alone, and the first column read fills all nine.
+    """
+
+    __slots__ = (*_CHAIN_COLUMNS, "_record")
+
+    def __init__(self, record: FlowRecord) -> None:
+        self._record = record
+
+    def __getattr__(self, name: str) -> Tuple[int]:
+        if name in _CHAIN_COLUMNS:
+            record = self._record
+            key = record.key
+            self.src_addr = (key.src_addr,)
+            self.input_if = (key.input_if,)
+            self.dst_addr = (key.dst_addr,)
+            self.dst_port = (key.dst_port,)
+            self.protocol = (key.protocol,)
+            self.packets = (record.packets,)
+            self.octets = (record.octets,)
+            self.first = (record.first,)
+            self.last = (record.last,)
+        return cast(Tuple[int], object.__getattribute__(self, name))
+
+    def __len__(self) -> int:
+        return 1
+
+    def record_at(self, index: int) -> FlowRecord:
+        return self._record
+
+
+#: One block of rows the commit loop can read: the chain's nine columns
+#: plus ``record_at``.
+RowColumns = Union[ColumnarBatch, RecordColumns, RecordRow]
 
 
 class RowBatch:

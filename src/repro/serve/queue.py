@@ -31,7 +31,7 @@ from typing import Deque, List, Optional, Tuple
 
 import asyncio
 
-from repro.fastpath.columnar import RecordColumns, RowBatch, RowColumns
+from repro.fastpath.columnar import RecordRow, RowBatch, RowColumns
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, get_registry
 from repro.serve.config import SHED_DROP_OLDEST, SHED_POLICIES
@@ -167,7 +167,7 @@ class IngestQueue:
 
     def put(self, record: FlowRecord) -> bool:
         """Admit one record (a one-row batch); False when it was shed."""
-        return self.put_batch(RecordColumns((record,))) == 1
+        return self.put_batch(RecordRow(record)) == 1
 
     def _discard_head(self, rows: int) -> None:
         """Evict the ``rows`` oldest queued rows (drop-oldest)."""

@@ -71,7 +71,7 @@ def reference_chain(
                 verdict, stage = "attack", "overload"
                 classification = "unanalysed-suspect"
         else:
-            scan_verdict = scan.observe(record)
+            scan_verdict = scan.observe(record.key.dst_addr, record.key.dst_port)
             if scan_verdict.is_scan:
                 verdict, stage = "attack", "scan"
                 classification = scan_verdict.kind or "scan"

@@ -19,11 +19,17 @@ import pytest
 
 from repro.core import EIAConfig, NNSConfig, OverloadConfig, PipelineConfig
 from repro.core.state import StateDict
-from repro.fastpath.columnar import ColumnarBatch, RowBatch, decode_v5_columnar
+from repro.fastpath.columnar import (
+    ColumnarBatch,
+    RecordRow,
+    RowBatch,
+    decode_v5_columnar,
+)
 from repro.flowgen import Dagflow, synthesize_trace
 from repro.netflow.records import FlowRecord
 from repro.netflow.v5 import datagrams_for
 from repro.util import Prefix, SeededRng
+from repro.util.ip import parse_ipv4
 
 from tests.conftest import make_detector
 from tests.reference_chain import Outcome, outcome_of, reference_chain
@@ -75,11 +81,71 @@ def _build(eia_plan, target_prefix, name: str):
     )
 
 
+def route_change_segment(
+    eia_plan, target_prefix, *, start_ms: int, rows: int = 600
+) -> List[FlowRecord]:
+    """Route changes as the learning rule sees them (the benchmark's
+    ``flood16``, in small): 16 flow shapes — two of them far outside the
+    training distribution — repeated over rotating ingress from a
+    40-block pool of other peers' blocks, all at one service of one
+    host.  Most rows are suspects the NNS raw-key memo clears, which
+    never become a record through the column door; the pool's blocks keep
+    being absorbed, mid-batch at any batch size.  Half-way in, a sweep of
+    24 ports of a second host from two sources no peer expects: owner
+    table misses, a fresh raw key per probe, then scan alerts."""
+    rng = SeededRng(_SEED, "route-change")
+    dagflow = Dagflow(
+        "shapes", target_prefix=target_prefix, udp_port=9000,
+        source_blocks=eia_plan[0], rng=rng.fork("df"),
+    )
+    shapes = [
+        lr.record for lr in dagflow.replay(synthesize_trace(14, rng=rng.fork("t")))
+    ]
+    shapes += [
+        replace(shape, packets=9_000 + index, octets=13_000_000 + index)
+        for index, shape in enumerate(shapes[:2])
+    ]
+    pool = [
+        (peer, block)
+        for peer in sorted(eia_plan) for block in eia_plan[peer][::25]
+    ]
+    victim, swept = target_prefix.network + 0x0B0B, target_prefix.network + 0x0A0A
+    unplanned = [parse_ipv4("100.64.7.7"), parse_ipv4("233.252.0.9")]
+    records: List[FlowRecord] = []
+    clock_ms = start_ms
+    for index in range(rows):
+        if index == rows // 2:
+            for probe in range(24):
+                clock_ms += 2
+                records.append(replace(
+                    shapes[0].with_key(
+                        src_addr=unplanned[probe % 2], dst_addr=swept,
+                        dst_port=2_000 + probe, input_if=probe % len(eia_plan),
+                    ),
+                    first=clock_ms, last=clock_ms,
+                ))
+        ingress = index % len(eia_plan)
+        owner, block = pool[rng.randrange(len(pool))]
+        while owner == ingress:
+            owner, block = pool[rng.randrange(len(pool))]
+        shape = shapes[index % len(shapes)]
+        clock_ms += 2
+        records.append(replace(
+            shape.with_key(
+                src_addr=block.network + rng.randrange(1 << (32 - block.length)),
+                dst_addr=victim, dst_port=9_999, input_if=ingress,
+            ),
+            first=clock_ms, last=clock_ms + shape.duration_ms(),
+        ))
+    return records
+
+
 @pytest.fixture(scope="module")
-def oracle_trace(mixed_trace) -> List[FlowRecord]:  # noqa: F811
+def oracle_trace(eia_plan, target_prefix, mixed_trace) -> List[FlowRecord]:  # noqa: F811
     """The engine-equivalence mixed trace (mid-stream absorptions) plus
-    two kinds of flow it lacks: a protocol class the model never saw
-    (GRE) and benign-looking flows from bogon space."""
+    what it lacks: a protocol class the model never saw (GRE),
+    benign-looking flows from bogon space and, after everything else,
+    the repeated-shape :func:`route_change_segment`."""
     donors = [r for r in mixed_trace if r.key.input_if == 0][:60]
     unmodelled = [
         replace(r.with_key(protocol=47, input_if=3), first=r.first + 1, last=r.last + 1)
@@ -94,7 +160,9 @@ def oracle_trace(mixed_trace) -> List[FlowRecord]:  # noqa: F811
     ]
     records = list(mixed_trace) + unmodelled + bogon
     records.sort(key=lambda r: (r.first, r.key.src_addr, r.key.dst_addr))
-    return records
+    return records + route_change_segment(
+        eia_plan, target_prefix, start_ms=records[-1].first + 10
+    )
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +296,7 @@ def _normal_donors(eia_plan, target_prefix, config, count: int) -> List[FlowReco
     )
     donors = [
         lr.record for lr in dagflow.replay(synthesize_trace(80, rng=rng.fork("t")))
-        if twin.assess_memoised(lr.record).is_normal
+        if twin.assess_memoised(RecordRow(lr.record), 0).is_normal
     ]
     assert len(donors) >= count
     return donors[:count]

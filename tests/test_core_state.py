@@ -134,7 +134,7 @@ class TestScanAnalyzer:
     def test_round_trip_preserves_buffer_and_counters(self):
         original = ScanAnalyzer(registry=MetricsRegistry())
         for record in _records(40, attack="network_scan"):
-            original.observe(record)
+            original.observe(record.key.dst_addr, record.key.dst_port)
         state = original.state_dict()
 
         restored = ScanAnalyzer(registry=MetricsRegistry())
@@ -144,8 +144,8 @@ class TestScanAnalyzer:
         assert restored.host_scans_flagged == original.host_scans_flagged
         # The restored buffer keeps producing the same verdict stream.
         for record in _records(20, seed=8, attack="network_scan"):
-            got = restored.observe(record)
-            want = original.observe(record)
+            got = restored.observe(record.key.dst_addr, record.key.dst_port)
+            want = original.observe(record.key.dst_addr, record.key.dst_port)
             assert (got.is_scan, got.kind) == (want.is_scan, want.kind)
 
 

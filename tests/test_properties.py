@@ -151,20 +151,11 @@ def test_exporter_conserves_packets_and_octets(batch):
 )
 @settings(max_examples=40, deadline=None)
 def test_scan_counters_match_bruteforce(events):
-    from repro.netflow.records import FlowRecord
-
     config = ScanConfig(buffer_size=20, network_scan_threshold=4, host_scan_threshold=4)
     analyzer = ScanAnalyzer(config)
     window = []
     for host, port in events:
-        record = FlowRecord(
-            key=FlowKey(src_addr=1, dst_addr=host, protocol=6, dst_port=port),
-            packets=1,
-            octets=40,
-            first=0,
-            last=0,
-        )
-        verdict = analyzer.observe(record)
+        verdict = analyzer.observe(host, port)
         window.append((host, port))
         window = window[-config.buffer_size :]
         hosts_on_port = len({h for h, p in window if p == port})
