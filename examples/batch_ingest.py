@@ -4,11 +4,12 @@
 Feeds one mixed stream — background traffic on every peer, a Slammer
 outbreak, and a route change that exercises online EIA learning — to two
 detectors built from the same seed: one processing flow-by-flow with
-``process()``, one behind the batch ingest engine (:mod:`repro.engine`).
-The engine commits every batch in stream order through the detector's
-batch path, so the two runs agree *exactly* — same verdict counts, same
-absorptions, same IDMEF alerts — while the batch path amortises the
-per-flow bookkeeping.
+``process()``, one behind the commit worker ``infilter detect`` and
+``infilter serve`` both run (:class:`repro.serve.CommitWorker`), driven
+from a list.  The worker commits every batch in stream order through the
+detector's batch path, so the two runs agree *exactly* — same verdict
+counts, same absorptions, same IDMEF alerts — while the batch path
+amortises the per-flow bookkeeping.
 
 Run:  python examples/batch_ingest.py
 """
@@ -17,8 +18,8 @@ import os
 import time
 
 from repro.core import PipelineConfig
-from repro.engine import BatchIngestEngine, EngineConfig
 from repro.flowgen import generate_attack, synthesize_trace
+from repro.serve import CommitWorker, ServeConfig
 from repro.testbed import Testbed, TestbedConfig
 from repro.util import SeededRng
 
@@ -68,14 +69,13 @@ def main() -> None:
     serial_s = time.perf_counter() - started
 
     batched = build_detector(testbed)
-    engine = BatchIngestEngine(batched, EngineConfig(batch_size=256))
+    worker = CommitWorker(batched, None, ServeConfig(batch_size=256))
     started = time.perf_counter()
-    with engine:
-        report = engine.run(records)
-    engine_s = time.perf_counter() - started
+    worker.run_offline(records)
+    worker_s = time.perf_counter() - started
 
     for name, det, took in (("serial", serial, serial_s),
-                            ("engine", batched, engine_s)):
+                            ("worker", batched, worker_s)):
         s = det.stats
         print(f"{name}: legal={s.legal} benign={s.benign} attacks={s.attacks}"
               f" absorbed={s.absorbed}"
@@ -86,8 +86,8 @@ def main() -> None:
         == [a.ident for a in batched.alert_sink.alerts]
     )
     print(f"\nidentical alert streams: {same_alerts}")
-    print(f"speedup: {serial_s / engine_s:.2f}x\n")
-    print(report.describe())
+    print(f"speedup: {serial_s / worker_s:.2f}x\n")
+    print(f"worker: {worker.batches} batch(es), {worker.committed} flows")
 
 
 if __name__ == "__main__":

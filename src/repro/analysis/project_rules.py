@@ -65,7 +65,6 @@ LAYERS: Dict[str, int] = {
     "flowgen": 3,
     "validation": 3,
     "core": 4,
-    "engine": 5,
     "serve": 5,
     "testbed": 5,
     "baselines": 6,
@@ -82,13 +81,12 @@ _FACADE_RANK = 99
 #: rank check already rejects direct upward edges; these catch laundering
 #: an upward dependency through an intermediate layer.
 TRANSITIVE_BANS: Dict[str, Tuple[str, ...]] = {
-    "core": ("engine", "serve"),
-    "fastpath": ("core", "engine", "serve"),
+    "core": ("serve",),
+    "fastpath": ("core", "serve"),
     "analysis": (
         "baselines",
         "cli",
         "core",
-        "engine",
         "fastpath",
         "flowgen",
         "netflow",

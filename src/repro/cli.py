@@ -5,15 +5,16 @@
 * ``infilter synth``      — synthesise traffic (normal or an attack) into a flow file;
 * ``infilter report``     — flow-report style statistics over a flow file;
 * ``infilter detect``     — run the Enhanced InFilter over a flow file and
-  emit IDMEF alerts (plus a trace-back summary); ``--batch-size``
-  routes the run through the batch ingest engine (:mod:`repro.engine`)
-  with identical verdicts;
-  ``--checkpoint-every N`` writes periodic atomic checkpoints to the
-  ``--save-state`` path and ``--load-state … --resume`` continues a
-  killed run from its checkpoint cursor; ``--detectors`` /
-  ``--ensemble-policy`` compose a multi-detector ensemble (TTL
-  profiles, bogon filtering) around the InFilter chain — both flags
-  are shared with ``serve``;
+  emit IDMEF alerts (plus a trace-back summary).  The file is committed
+  in ``--batch-size``-record batches by the same
+  :class:`~repro.serve.CommitWorker` ``serve`` runs, with verdicts
+  identical to record-at-a-time processing at any size;
+  ``--checkpoint-every N`` writes an atomic checkpoint to the
+  ``--save-state`` path every N committed batches and
+  ``--load-state … --resume`` continues a killed run from its checkpoint
+  cursor; ``--detectors`` / ``--ensemble-policy`` compose a
+  multi-detector ensemble (TTL profiles, bogon filtering) around the
+  InFilter chain.  Every flag named here means the same in ``serve``;
 * ``infilter serve``      — run the live serving daemon: an asyncio UDP
   listener for real NetFlow v5/v1 export datagrams, bounded-queue
   backpressure with a load-shedding policy, micro-batched commits,
@@ -51,12 +52,11 @@ import asyncio
 import dataclasses
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.cluster import ClusterReport, ClusterSupervisor
     from repro.core.persistence import CheckpointWriter
-    from repro.serve import ServeDaemon, ServeReport
 
 from repro.core import (
     ENSEMBLE_POLICIES,
@@ -89,6 +89,7 @@ from repro.obs import (
     render_prometheus,
     use_registry,
 )
+from repro.serve import CommitWorker, ServeConfig, ServeDaemon, ServeReport
 from repro.util.errors import ReproError
 from repro.util.ip import Prefix
 from repro.util.rng import SeededRng
@@ -268,150 +269,161 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return code
 
 
-def _run_detect(args: argparse.Namespace) -> int:
-    out = sys.stderr if args.idmef else sys.stdout
+def _prepare_detector(
+    args: argparse.Namespace,
+    seed_label: str,
+    default_training: Callable[[EnhancedInFilter], List[FlowRecord]],
+) -> Tuple[EnhancedInFilter, int, Optional["CheckpointWriter"], int]:
+    """What ``detect`` and ``serve`` do before their commit worker runs.
+
+    Checks the checkpoint flags, then restores the ``--load-state``
+    detector or builds one from the EIA plan (:func:`_build_detector`).
+    Returns ``(detector, cursor_base, writer, checkpoint_every)``:
+    ``cursor_base`` is the restored checkpoint's cursor under
+    ``--resume`` and 0 otherwise, ``writer`` the ``--save-state``
+    checkpoint writer (the one the detector was loaded through, when
+    both flags name one path).
+    """
     checkpoint_every = args.checkpoint_every or 0
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        print("error: --checkpoint-every must be >= 1", file=sys.stderr)
-        return 2
+        raise ReproError("--checkpoint-every must be >= 1")
     if checkpoint_every and not args.save_state:
+        raise ReproError(
+            "--checkpoint-every needs --save-state for the checkpoint path"
+        )
+    if args.resume and not args.load_state:
+        raise ReproError("--resume needs --load-state")
+    restored, saved_cursor, writer = _open_state(args.load_state, args.save_state)
+    if restored is None:
+        detector = _build_detector(args, seed_label, default_training)
+        return detector, 0, writer, checkpoint_every
+    if args.eia_plan:
         print(
-            "error: --checkpoint-every needs --save-state for the"
-            " checkpoint path",
+            "note: --load-state supplied; ignoring the EIA plan file",
             file=sys.stderr,
         )
-        return 2
-    if args.resume and not args.load_state:
-        print("error: --resume needs --load-state", file=sys.stderr)
-        return 2
+    if args.detectors is not None or args.ensemble_policy is not None:
+        print(
+            "note: --load-state supplied; the detector composition"
+            " comes from the checkpoint",
+            file=sys.stderr,
+        )
+    if not args.resume:
+        return restored, 0, writer, checkpoint_every
+    if saved_cursor is None:
+        raise ReproError("the checkpoint has no cursor to resume from")
+    return restored, saved_cursor, writer, checkpoint_every
+
+
+def _build_detector(
+    args: argparse.Namespace,
+    seed_label: str,
+    default_training: Callable[[EnhancedInFilter], List[FlowRecord]],
+) -> EnhancedInFilter:
+    """Preload the EIA plan and, unless ``--basic``, train.
+
+    ``default_training`` supplies the training flows when there is no
+    ``--training-file`` — or raises, where there is nothing to fall back
+    on.
+    """
+    if not args.eia_plan:
+        raise ReproError("an EIA plan file is required without --load-state")
+    plan = _load_eia_plan(args.eia_plan)
+    detector = EnhancedInFilter(
+        _pipeline_config(args), rng=SeededRng(args.seed, seed_label)
+    )
+    for peer, prefixes in plan.items():
+        detector.preload_eia(peer, prefixes)
+    if not args.basic:
+        training = (
+            _load_flows(args.training_file)
+            if args.training_file
+            else default_training(detector)
+        )
+        if not training:
+            raise ReproError("no training flows available")
+        detector.train(training)
+    return detector
+
+
+def _run_detect(args: argparse.Namespace) -> int:
+    out = sys.stderr if args.idmef else sys.stdout
     records = _load_flows(args.flow_file)
-    resume_cursor = 0
-    training: List[FlowRecord] = []
-    restored, saved_cursor, writer = _open_state(args.load_state, args.save_state)
-    if restored is not None:
-        detector = restored
-        if args.eia_plan:
-            print(
-                "note: --load-state supplied; ignoring the EIA plan file",
-                file=sys.stderr,
+
+    def eia_legal_input(detector: EnhancedInFilter) -> List[FlowRecord]:
+        # Self-train on the input's EIA-legal traffic.
+        return [
+            record
+            for record in records
+            if not detector.infilter.check(record).suspect
+        ]
+
+    detector, resume_cursor, writer, checkpoint_every = _prepare_detector(
+        args, "cli-detect", eia_legal_input
+    )
+    if args.resume:
+        if resume_cursor > len(records):
+            raise ReproError(
+                f"checkpoint cursor {resume_cursor} is beyond the"
+                f" {len(records)}-record input"
             )
-        if args.detectors is not None or args.ensemble_policy is not None:
-            print(
-                "note: --load-state supplied; the detector composition"
-                " comes from the checkpoint",
-                file=sys.stderr,
-            )
-        if args.resume:
-            if saved_cursor is None:
-                print(
-                    "error: the checkpoint has no cursor to resume from",
-                    file=sys.stderr,
-                )
-                return 2
-            if saved_cursor > len(records):
-                print(
-                    f"error: checkpoint cursor {saved_cursor} is beyond the"
-                    f" {len(records)}-record input",
-                    file=sys.stderr,
-                )
-                return 2
-            resume_cursor = saved_cursor
-            print(
-                f"resuming at record {resume_cursor} of {len(records)}",
-                file=out,
-            )
-    else:
-        if not args.eia_plan:
-            print("error: an EIA plan file is required without --load-state",
-                  file=sys.stderr)
-            return 2
-        plan = _load_eia_plan(args.eia_plan)
-        config = _pipeline_config(args)
-        detector = EnhancedInFilter(config, rng=SeededRng(args.seed, "cli-detect"))
-        for peer, prefixes in plan.items():
-            detector.preload_eia(peer, prefixes)
-        if not args.basic:
-            if args.training_file:
-                training = _load_flows(args.training_file)
-            else:
-                # Self-train on the input's EIA-legal traffic.
-                training = [
-                    record
-                    for record in records
-                    if not detector.infilter.check(record).suspect
-                ]
-            if not training:
-                print("error: no training flows available", file=sys.stderr)
-                return 2
-            detector.train(training)
-    run_records = records[resume_cursor:]
+        print(f"resuming at record {resume_cursor} of {len(records)}", file=out)
+    # A periodic-checkpoint run hands the worker its writer, so the final
+    # checkpoint records the cursor and --resume can skip the whole
+    # committed stream; a plain --save-state carries no cursor.
+    periodic = writer if checkpoint_every else None
+    worker = CommitWorker(
+        detector,
+        None,
+        ServeConfig(
+            batch_size=args.batch_size,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=args.save_state if checkpoint_every else None,
+        ),
+        cursor_base=resume_cursor,
+        writer=periodic,
+    )
     # Restored stats are cumulative across the detector's lifetime;
     # summarize *this run* by diffing against the starting snapshot.
     stats = detector.stats
-    base_processed = stats.processed
     base_legal = stats.legal
     base_suspects = stats.suspects
     base_attacks = stats.attacks
     base_latency_s = stats.latency_total_s
     alerts_before = len(detector.alert_sink.alerts)
-    engine_report = None
-    if args.batch_size is not None:
-        from repro.engine import BatchIngestEngine, EngineConfig
-
-        engine = BatchIngestEngine(
-            detector,
-            EngineConfig(
-                batch_size=args.batch_size, checkpoint_every=checkpoint_every
-            ),
-            checkpoint_path=writer if checkpoint_every else None,
-            cursor_base=resume_cursor,
-        )
-        with engine:
-            engine_report = engine.run(run_records)
-        if args.idmef:
-            for alert in detector.alert_sink.alerts[alerts_before:]:
-                print(alert.to_xml())
-    else:
-        for offset, record in enumerate(run_records, start=1):
-            decision = detector.process(record)
-            if decision.is_attack and args.idmef and decision.alert is not None:
-                print(decision.alert.to_xml())
-            if writer is not None and checkpoint_every and (
-                offset % checkpoint_every == 0
-            ):
-                writer.save(detector, cursor=resume_cursor + offset)
-    run_processed = stats.processed - base_processed
+    worker.run_offline(records[resume_cursor:])
+    run_alerts = detector.alert_sink.alerts[alerts_before:]
+    if args.idmef:
+        for alert in run_alerts:
+            print(alert.to_xml())
     run_latency_s = stats.latency_total_s - base_latency_s
-    mean_latency_s = run_latency_s / run_processed if run_processed else 0.0
+    mean_latency_s = run_latency_s / worker.committed if worker.committed else 0.0
     print(
-        f"processed {run_processed} flows:"
+        f"processed {worker.committed} flows:"
         f" {stats.legal - base_legal} legal,"
         f" {stats.suspects - base_suspects} suspect,"
         f" {stats.attacks - base_attacks} flagged as attacks"
         f" (mean latency {mean_latency_s * 1e3:.3f} ms)",
         file=out,
     )
-    if engine_report is not None:
-        print(engine_report.describe(), file=out)
-        memo = detector.fastpath.stats()
-        print(
-            f"fastpath: {memo['hits']} memo hits,"
-            f" {memo['misses']} misses,"
-            f" {memo['evictions']} evictions,"
-            f" {memo['invalidations']} invalidations",
-            file=out,
-        )
+    print(f"batches: {worker.batches} committed", file=out)
+    if worker.checkpoints:
+        print(f"checkpoints: {worker.checkpoints} written", file=out)
+    memo = detector.fastpath.stats()
+    print(
+        f"fastpath: {memo['hits']} memo hits,"
+        f" {memo['misses']} misses,"
+        f" {memo['evictions']} evictions,"
+        f" {memo['invalidations']} invalidations",
+        file=out,
+    )
     analyzer = TracebackAnalyzer()
-    analyzer.consume_all(detector.alert_sink.alerts[alerts_before:])
+    analyzer.consume_all(run_alerts)
     if len(analyzer):
         print(f"trace-back: {analyzer.report().summary()}", file=out)
     if writer is not None:
-        # A periodic-checkpoint run records its final cursor so --resume
-        # can skip the whole committed stream; a plain save carries none.
-        final_cursor = (
-            resume_cursor + len(run_records) if checkpoint_every else None
-        )
-        writer.save(detector, cursor=final_cursor)
+        if periodic is None:
+            writer.save(detector)
         print(f"detector state saved to {args.save_state}", file=out)
     return 0
 
@@ -435,6 +447,13 @@ def _parse_listen(value: str) -> Tuple[str, int]:
     return host, port
 
 
+def _refuse_self_training(detector: EnhancedInFilter) -> List[FlowRecord]:
+    raise ReproError(
+        "an EI serve daemon needs --training-file (or --load-state);"
+        " there is no input file to self-train on"
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     with use_registry(registry):
@@ -448,73 +467,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace, registry: MetricsRegistry) -> int:
-    from repro.serve import ServeConfig, ServeDaemon
-
     if args.workers is not None:
         return _run_cluster(args, registry)
-    checkpoint_every = args.checkpoint_every or 0
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        print("error: --checkpoint-every must be >= 1", file=sys.stderr)
-        return 2
-    if checkpoint_every and not args.save_state:
-        print(
-            "error: --checkpoint-every needs --save-state for the"
-            " checkpoint path",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and not args.load_state:
-        print("error: --resume needs --load-state", file=sys.stderr)
-        return 2
-    cursor_base = 0
-    restored, saved_cursor, writer = _open_state(args.load_state, args.save_state)
-    if restored is not None:
-        detector = restored
-        if args.eia_plan:
-            print(
-                "note: --load-state supplied; ignoring the EIA plan file",
-                file=sys.stderr,
-            )
-        if args.detectors is not None or args.ensemble_policy is not None:
-            print(
-                "note: --load-state supplied; the detector composition"
-                " comes from the checkpoint",
-                file=sys.stderr,
-            )
-        if args.resume:
-            if saved_cursor is None:
-                print(
-                    "error: the checkpoint has no cursor to resume from",
-                    file=sys.stderr,
-                )
-                return 2
-            cursor_base = saved_cursor
-            print(f"resuming warm at cursor {cursor_base}")
-    else:
-        if not args.eia_plan:
-            print(
-                "error: an EIA plan file is required without --load-state",
-                file=sys.stderr,
-            )
-            return 2
-        plan = _load_eia_plan(args.eia_plan)
-        config = _pipeline_config(args)
-        detector = EnhancedInFilter(config, rng=SeededRng(args.seed, "cli-serve"))
-        for peer, prefixes in plan.items():
-            detector.preload_eia(peer, prefixes)
-        if not args.basic:
-            if not args.training_file:
-                print(
-                    "error: an EI serve daemon needs --training-file (or"
-                    " --load-state); there is no input file to self-train on",
-                    file=sys.stderr,
-                )
-                return 2
-            training = _load_flows(args.training_file)
-            if not training:
-                print("error: no training flows available", file=sys.stderr)
-                return 2
-            detector.train(training)
+    detector, cursor_base, writer, checkpoint_every = _prepare_detector(
+        args, "cli-serve", _refuse_self_training
+    )
+    if args.resume:
+        print(f"resuming warm at cursor {cursor_base}")
     host, port = _parse_listen(args.listen)
     serve_config = ServeConfig(
         host=host,
@@ -549,7 +508,7 @@ def _run_serve(args: argparse.Namespace, registry: MetricsRegistry) -> int:
     return 0
 
 
-async def _serve_and_announce(daemon: "ServeDaemon") -> "ServeReport":
+async def _serve_and_announce(daemon: ServeDaemon) -> ServeReport:
     """Run the daemon, printing the bound addresses once listening."""
     task = asyncio.ensure_future(daemon.run())
     await daemon.wait_started()
@@ -624,36 +583,7 @@ def _run_cluster(args: argparse.Namespace, registry: MetricsRegistry) -> int:
                 )
                 detector.alert_sink.alerts.clear()
         else:
-            if not args.eia_plan:
-                print(
-                    "error: an EIA plan file is required without"
-                    " --load-state",
-                    file=sys.stderr,
-                )
-                return 2
-            plan = _load_eia_plan(args.eia_plan)
-            config = _pipeline_config(args)
-            detector = EnhancedInFilter(
-                config, rng=SeededRng(args.seed, "cli-serve")
-            )
-            for peer, prefixes in plan.items():
-                detector.preload_eia(peer, prefixes)
-            if not args.basic:
-                if not args.training_file:
-                    print(
-                        "error: an EI cluster needs --training-file (or"
-                        " --load-state) to seed the workers",
-                        file=sys.stderr,
-                    )
-                    return 2
-                training = _load_flows(args.training_file)
-                if not training:
-                    print(
-                        "error: no training flows available",
-                        file=sys.stderr,
-                    )
-                    return 2
-                detector.train(training)
+            detector = _build_detector(args, "cli-serve", _refuse_self_training)
         seed_cluster_state(detector, args.state_dir, workers=args.workers)
         print(f"seeded {args.state_dir} for {args.workers} workers")
     elif args.load_state:
@@ -1034,6 +964,64 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_detector_arguments(command: argparse.ArgumentParser) -> None:
+    """The flags ``detect`` and ``serve`` share, with one meaning each:
+    how the detector is built or restored, and how its commit worker
+    batches and checkpoints."""
+    command.add_argument(
+        "eia_plan", nargs="?", default=None, help="'<peer> <prefix>' per line"
+    )
+    command.add_argument(
+        "--training-file", default=None, help="flow file to train the EI model on"
+    )
+    command.add_argument("--basic", action="store_true", help="BI configuration")
+    command.add_argument(
+        "--detectors",
+        default=None,
+        metavar="NAMES",
+        help="comma-separated detector composition, in vote order"
+        f" (available: {', '.join(available_detectors())};"
+        " default: infilter alone)",
+    )
+    command.add_argument(
+        "--ensemble-policy",
+        default=None,
+        metavar="POLICY",
+        help="multi-detector vote combiner:"
+        f" {', '.join(ENSEMBLE_POLICIES)} (default: any)",
+    )
+    command.add_argument(
+        "--load-state", default=None, help="restore detector state instead of training"
+    )
+    command.add_argument(
+        "--save-state",
+        default=None,
+        help="checkpoint path: periodic (with --checkpoint-every) plus the"
+        " detector state once the input is committed or the daemon drained",
+    )
+    command.add_argument(
+        "--resume",
+        action="store_true",
+        help="continue from the --load-state checkpoint's committed-record"
+        " cursor: detect skips that many input records, serve restarts warm",
+    )
+    command.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=None,
+        metavar="N",
+        help="write an atomic checkpoint to --save-state every N committed"
+        " batches",
+    )
+    command.add_argument(
+        "--batch-size",
+        type=int,
+        default=ServeConfig.batch_size,
+        help="records per commit batch (default %(default)s); a size,"
+        " not a mode: verdicts and checkpoints are the same at any value",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infilter",
@@ -1067,66 +1055,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = commands.add_parser("detect", help="run the detector over a flow file")
     detect.add_argument("flow_file")
-    detect.add_argument(
-        "eia_plan", nargs="?", default=None, help="'<peer> <prefix>' per line"
-    )
-    detect.add_argument("--training-file", default=None)
-    detect.add_argument("--basic", action="store_true", help="BI configuration")
-    detect.add_argument(
-        "--detectors",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated detector composition, in vote order"
-        f" (available: {', '.join(available_detectors())};"
-        " default: infilter alone)",
-    )
-    detect.add_argument(
-        "--ensemble-policy",
-        default=None,
-        metavar="POLICY",
-        help="multi-detector vote combiner:"
-        f" {', '.join(ENSEMBLE_POLICIES)} (default: any)",
-    )
+    _add_detector_arguments(detect)
     detect.add_argument("--idmef", action="store_true", help="print IDMEF XML per alert")
-    detect.add_argument(
-        "--save-state", default=None, help="save detector state (JSON) after the run"
-    )
-    detect.add_argument(
-        "--load-state", default=None, help="restore detector state instead of training"
-    )
     detect.add_argument(
         "--metrics-out",
         default=None,
         help="write the run's metrics snapshot (.json = JSON, else Prometheus text)",
-    )
-    detect.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="run through the batch ingest engine, N records per batch",
-    )
-    detect.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="write an atomic checkpoint to --save-state every N records"
-        " (inline) or N batches (engine)",
-    )
-    detect.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip the records a --load-state checkpoint already committed"
-        " (its saved cursor)",
     )
     detect.set_defaults(handler=_cmd_detect)
 
     serve = commands.add_parser(
         "serve", help="run the live NetFlow serving daemon (Figure 9)"
     )
-    serve.add_argument(
-        "eia_plan", nargs="?", default=None, help="'<peer> <prefix>' per line"
-    )
+    _add_detector_arguments(serve)
     serve.add_argument(
         "--listen",
         default="127.0.0.1:9995",
@@ -1135,59 +1076,12 @@ def build_parser() -> argparse.ArgumentParser:
         " ephemeral; default %(default)s)",
     )
     serve.add_argument(
-        "--training-file", default=None, help="flow file to train the EI model on"
-    )
-    serve.add_argument("--basic", action="store_true", help="BI configuration")
-    serve.add_argument(
-        "--detectors",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated detector composition, in vote order"
-        f" (available: {', '.join(available_detectors())};"
-        " default: infilter alone)",
-    )
-    serve.add_argument(
-        "--ensemble-policy",
-        default=None,
-        metavar="POLICY",
-        help="multi-detector vote combiner:"
-        f" {', '.join(ENSEMBLE_POLICIES)} (default: any)",
-    )
-    serve.add_argument(
-        "--load-state", default=None, help="restore detector state instead of training"
-    )
-    serve.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue from the --load-state checkpoint's committed-record"
-        " cursor (warm restart)",
-    )
-    serve.add_argument(
-        "--save-state",
-        default=None,
-        help="checkpoint path: periodic (with --checkpoint-every) plus a"
-        " final atomic checkpoint after the drain",
-    )
-    serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint every N committed batches",
-    )
-    serve.add_argument(
         "--http-port",
         type=int,
         default=None,
         metavar="PORT",
         help="serve /healthz, /metrics and /stats.json on this port (0 ="
         " ephemeral)",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=256,
-        help="records per commit micro-batch (default %(default)s)",
     )
     serve.add_argument(
         "--queue-capacity",

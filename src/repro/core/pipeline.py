@@ -476,7 +476,7 @@ class EnhancedInFilter:
 
         ``rows`` is a :class:`~repro.fastpath.columnar.RowBatch` of
         decoded-datagram column slices (the serve path) or a sequence of
-        records, adapted to one here (the engine).  Either way one loop
+        records, adapted to one here (library callers).  Either way one loop
         reads two columns per row and probes the EIA owner table once: a
         row whose source block the table says is expected at the row's
         ingress is *legal* and gets its decision there; every other row

@@ -144,7 +144,7 @@ _CHAIN_COLUMNS = (
 class RecordColumns:
     """Already-built records behind the columns the chain reads.
 
-    The adapter that lets a ``Sequence[FlowRecord]`` (the offline engine,
+    The adapter that lets a ``Sequence[FlowRecord]`` (the offline driver,
     the oracle tests) ride the same loop as a decoded datagram.  The two
     probe columns are gathered up front; the seven suspect columns are
     gathered together the first time one of them is read, so a batch with

@@ -101,8 +101,6 @@ class ServeDaemon:
         writer: Optional[CheckpointWriter] = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
-        if cursor_base < 0:
-            raise ServeError(f"cursor_base must be >= 0, got {cursor_base}")
         registry = registry if registry is not None else detector.registry
         self.registry = registry
         self.queue = IngestQueue(

@@ -3,13 +3,16 @@
 One :class:`CommitWorker` coroutine owns the authoritative detector: it
 awaits micro-batches from the ingest queue — column slices of decoded
 datagrams, never a list of records — and commits each through
-:meth:`~repro.core.pipeline.EnhancedInFilter.process_batch` — the same
-memoised batch path the offline batch engine drives, so verdicts,
+:meth:`~repro.core.pipeline.EnhancedInFilter.process_batch`, so verdicts,
 absorptions, alerts and stats are exactly what serial processing would
 produce.  Because the commit plane is a single task, batch boundaries
 are also safe points for everything else that touches detector state:
 periodic checkpoints, the final drain checkpoint, and SIGHUP hot
 reloads all happen *between* batches, never inside one.
+
+Offline (``infilter detect``) it is the same worker, driven from a list:
+:meth:`CommitWorker.run_offline` cuts a record sequence into the same
+batches and hands each to the same :meth:`CommitWorker.commit`.
 
 The worker keeps a committed-record cursor (counting from
 ``cursor_base``, the resume offset of a restored checkpoint) and writes
@@ -20,10 +23,12 @@ how much traffic its restored state already accounts for.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.persistence import CheckpointWriter, load_checkpoint
 from repro.core.pipeline import EnhancedInFilter
+from repro.fastpath.columnar import RecordColumns
+from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
 from repro.serve.config import ServeConfig
 from repro.serve.queue import IngestQueue, QueuedBatch
@@ -51,13 +56,14 @@ class CommitWorker:
     The worker exits its :meth:`run` loop only when the queue is closed
     *and* fully drained — the graceful-shutdown contract: everything
     admitted before the drain began is committed and captured by the
-    final checkpoint.
+    final checkpoint.  A worker that is only ever driven through
+    :meth:`run_offline` has no queue (``None``).
     """
 
     def __init__(
         self,
         detector: EnhancedInFilter,
-        queue: IngestQueue,
+        queue: Optional[IngestQueue],
         config: ServeConfig,
         *,
         registry: Optional[MetricsRegistry] = None,
@@ -65,6 +71,8 @@ class CommitWorker:
         on_progress: Optional[Callable[[], None]] = None,
         writer: Optional[CheckpointWriter] = None,
     ) -> None:
+        if cursor_base < 0:
+            raise ServeError(f"cursor_base must be >= 0, got {cursor_base}")
         self.detector = detector
         self.queue = queue
         self.config = config
@@ -160,6 +168,8 @@ class CommitWorker:
         checkpoint is written (when checkpointing is configured), so a
         restart resumes with every committed record accounted for.
         """
+        if self.queue is None:
+            raise ServeError("serve worker has no ingest queue to drain")
         while True:
             if self._pending_reload:
                 self._apply_reload()
@@ -168,6 +178,28 @@ class CommitWorker:
             )
             if not batch:
                 break
+            self.commit(batch)
+        if self._writer is not None:
+            self.checkpoint()
+
+    def run_offline(self, records: Sequence[FlowRecord]) -> None:
+        """:meth:`run` for a stream that is already here.
+
+        Cuts ``records`` into ``config.batch_size``-row batches, commits
+        each in order through :meth:`commit` — so batch boundaries,
+        cursor, periodic checkpoints and metrics are the daemon's — and
+        writes the final checkpoint when checkpointing is configured.
+        The batches are built here, not taken from the ingest queue: a
+        file can wait where a network cannot, so ``queue_capacity`` and
+        ``shed_policy`` have no say and no record is ever shed.  Ingest
+        latency offline is hand-off to verdict: the batch's commit time.
+        """
+        size = self.config.batch_size
+        for start in range(0, len(records), size):
+            chunk = records[start:start + size]
+            batch = QueuedBatch()
+            batch.append(RecordColumns(chunk), 0, len(chunk))
+            batch.enqueued_s.append(time.perf_counter())
             self.commit(batch)
         if self._writer is not None:
             self.checkpoint()

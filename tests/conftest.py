@@ -8,7 +8,9 @@ from repro.core import EnhancedInFilter, PipelineConfig
 from repro.core.eia import EIACheck, EIAVerdict
 from repro.core.pipeline import Decision, Verdict
 from repro.flowgen import Dagflow, SubBlockSpace, eia_allocation, synthesize_trace
+from repro.obs import MetricsRegistry
 from repro.routing import TopologyParams, generate_internet
+from repro.serve import CommitWorker, ServeConfig
 from repro.util import Prefix, SeededRng
 
 
@@ -89,6 +91,15 @@ def make_detector(eia_plan, target_prefix, *, seed=5150, config=None, n_train=15
         [lr.record.with_key(input_if=0) for lr in dagflow.replay(trace)]
     )
     return detector
+
+
+def offline_worker(detector, *, cursor_base=0, writer=None, **config):
+    """A queue-less commit worker, as ``infilter detect`` builds it;
+    ``config`` is :class:`ServeConfig`'s fields."""
+    return CommitWorker(
+        detector, None, ServeConfig(**config), registry=MetricsRegistry(),
+        cursor_base=cursor_base, writer=writer,
+    )
 
 
 def legal_decision(latency_s):

@@ -295,9 +295,9 @@ class TestRep006MetricNames:
         findings = lint_source(
             tmp_path,
             "def register(registry):\n"
-            "    registry.counter('infilter_engine_batches_total', 'B.')\n"
-            "    registry.gauge('infilter_engine_queue_depth', 'Q.')\n"
-            "    registry.histogram('infilter_engine_wait_seconds', 'W.')\n",
+            "    registry.counter('infilter_serve_batches_total', 'B.')\n"
+            "    registry.gauge('infilter_serve_queue_depth', 'Q.')\n"
+            "    registry.histogram('infilter_serve_wait_seconds', 'W.')\n",
             select=["REP006"],
         )
         assert findings == []

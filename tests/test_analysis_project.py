@@ -301,7 +301,7 @@ class TestRep014CheckpointContainment:
     def test_flags_raw_os_replace_on_checkpoint_path(self, tmp_path):
         write_module(
             tmp_path,
-            "repro.engine.snapshots",
+            "repro.serve.snapshots",
             "import os\n"
             "\n"
             "def save(tmp_name, checkpoint_path):\n"
@@ -314,7 +314,7 @@ class TestRep014CheckpointContainment:
     def test_flags_raw_open_for_write(self, tmp_path):
         write_module(
             tmp_path,
-            "repro.engine.snapshots",
+            "repro.serve.snapshots",
             "import json\n"
             "\n"
             "def save(state, checkpoint_path):\n"
@@ -338,7 +338,7 @@ class TestRep014CheckpointContainment:
     def test_non_checkpoint_write_is_fine(self, tmp_path):
         write_module(
             tmp_path,
-            "repro.engine.snapshots",
+            "repro.serve.snapshots",
             "def save(report_path, text):\n"
             "    with open(report_path, 'w') as handle:\n"
             "        handle.write(text)\n",

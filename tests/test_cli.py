@@ -127,6 +127,38 @@ class TestDetect:
         out = capsys.readouterr().out
         assert "<IDMEF-Message" in out
 
+    def test_idmef_stdout_is_the_serial_alert_stream(
+        self, tmp_path, plan_file, normal_file, capsys
+    ):
+        """``--idmef`` prints, byte for byte, the XML of the alerts
+        record-at-a-time ``process_all`` raises on the same input."""
+        from repro.core import EnhancedInFilter, PipelineConfig
+        from repro.netflow.files import read_flow_file
+        from repro.util import SeededRng
+
+        attack = tmp_path / "atk.bin"
+        main(["synth", str(attack), "--attack", "slammer", "--spoof"])
+        serial = EnhancedInFilter(
+            PipelineConfig.enhanced_default(), rng=SeededRng(2005, "cli-detect")
+        )
+        # The plan_file fixture's plan, and the CLI's default seed.
+        for peer, prefixes in eia_allocation(SubBlockSpace()).items():
+            serial.preload_eia(peer, prefixes)
+        serial.train(read_flow_file(normal_file))
+        serial.process_all(read_flow_file(str(attack)))
+        assert serial.alert_sink.alerts
+        capsys.readouterr()
+        assert (
+            main(
+                ["detect", str(attack), plan_file,
+                 "--training-file", normal_file, "--idmef"]
+            )
+            == 0
+        )
+        assert capsys.readouterr().out == "".join(
+            alert.to_xml() + "\n" for alert in serial.alert_sink.alerts
+        )
+
     def test_bad_plan_file(self, tmp_path, normal_file, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a plan\n")
@@ -255,11 +287,61 @@ class TestCheckpointResume:
         _detector, cursor = load_checkpoint(state)
         assert cursor == 400
 
+    def test_checkpoint_every_counts_batches_at_any_batch_size(
+        self, tmp_path, plan_file, normal_file, capsys
+    ):
+        """``--checkpoint-every 2`` is two committed batches whether or
+        not ``--batch-size`` is given, and the size changes nothing in
+        the files: head (less its wall-clock stats), base and journal."""
+        import json
+
+        from repro.netflow.files import read_flow_file, write_flow_file
+        from tests.test_fastpath import _scrub_wall_clock
+
+        attack = tmp_path / "atk.bin"
+        main(["synth", str(attack), "--attack", "slammer", "--spoof"])
+        mixed = tmp_path / "mixed.bin"
+        flows = write_flow_file(
+            str(mixed), read_flow_file(normal_file) + read_flow_file(str(attack))
+        )
+        assert flows > 256
+        capsys.readouterr()
+        files = {}
+        for name, extra, batch_size in (
+            ("default", [], 256), ("fifty", ["--batch-size", "50"], 50)
+        ):
+            state = tmp_path / name / "state.json"
+            state.parent.mkdir()
+            assert (
+                main(
+                    ["detect", str(mixed), plan_file,
+                     "--training-file", normal_file,
+                     "--save-state", str(state), "--checkpoint-every", "2"]
+                    + extra
+                )
+                == 0
+            )
+            batches = -(-flows // batch_size)
+            out = capsys.readouterr().out
+            assert f"batches: {batches} committed" in out
+            # One per two batches, and the final one.
+            assert f"checkpoints: {batches // 2 + 1} written" in out
+            files[name] = {
+                path.name: (
+                    _scrub_wall_clock(json.loads(path.read_text()))
+                    if path == state
+                    else path.read_bytes()
+                )
+                for path in state.parent.iterdir()
+            }
+            assert len(files[name]) == 3
+        assert files["default"] == files["fifty"]
+
     def test_second_run_reports_per_run_counts(
         self, tmp_path, plan_file, normal_file, capsys
     ):
         """A restored detector's cumulative stats must not leak into the
-        next run's summary — in either execution path."""
+        next run's summary — at either batch size."""
         state = tmp_path / "state.json"
         attack = tmp_path / "atk.bin"
         main(["synth", str(attack), "--attack", "slammer", "--spoof"])
@@ -273,8 +355,8 @@ class TestCheckpointResume:
         )
         first_out = capsys.readouterr().out
         assert "flagged as attacks" in first_out
-        # Second run sees only legal traffic; with per-run counting both
-        # the inline and the engine paths report zero attacks.
+        # Second run sees only legal traffic; with per-run counting it
+        # reports zero attacks at the default and an explicit batch size.
         for extra in ([], ["--batch-size", "256"]):
             assert (
                 main(

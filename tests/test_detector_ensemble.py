@@ -34,6 +34,8 @@ from repro.obs import MetricsRegistry
 from repro.util import Prefix, SeededRng
 from repro.util.errors import ConfigError
 
+from tests.conftest import offline_worker
+
 ENSEMBLE = ("infilter", "ttl_profile", "bogon")
 
 
@@ -483,9 +485,11 @@ class TestCheckpointRoundTrip:
 
 
 class TestEngineWithEnsemble:
-    """The batch engine's serial-equivalence contract holds for
-    multi-detector compositions: batching and a kill-and-resume cycle
-    change no verdict, alert, or stat."""
+    """The commit worker's offline serial-equivalence contract holds
+    for multi-detector compositions: batching and a kill-and-resume
+    cycle change no verdict, alert, or stat."""
+
+    _worker = staticmethod(offline_worker)
 
     def _trace(self, eia_plan, target_prefix):
         return _probe_records(
@@ -499,15 +503,13 @@ class TestEngineWithEnsemble:
                 s.absorbed, s.attacks_by_stage)
 
     def test_batched_run_matches_serial(self, eia_plan, target_prefix):
-        from repro.engine import BatchIngestEngine, EngineConfig
-
         records = self._trace(eia_plan, target_prefix)
         serial = _make_ensemble_detector(eia_plan, target_prefix)
         serial.process_all(records)
         batched = _make_ensemble_detector(eia_plan, target_prefix)
-        with BatchIngestEngine(batched, EngineConfig(batch_size=64)) as engine:
-            report = engine.run(records)
-        assert report.flows == len(records)
+        worker = self._worker(batched, batch_size=64)
+        worker.run_offline(records)
+        assert worker.committed == len(records)
         assert self._stats_tuple(batched) == self._stats_tuple(serial)
         assert [
             (a.ident, a.classification, a.attribution)
@@ -520,8 +522,6 @@ class TestEngineWithEnsemble:
     def test_killed_and_resumed_run_matches_uninterrupted(
         self, eia_plan, target_prefix, tmp_path
     ):
-        from repro.engine import BatchIngestEngine, EngineConfig
-
         records = self._trace(eia_plan, target_prefix)
         serial = _make_ensemble_detector(
             eia_plan, target_prefix, policy="weighted"
@@ -532,25 +532,17 @@ class TestEngineWithEnsemble:
         victim = _make_ensemble_detector(
             eia_plan, target_prefix, policy="weighted"
         )
-        engine = BatchIngestEngine(
-            victim,
-            EngineConfig(batch_size=50, checkpoint_every=2),
-            checkpoint_path=path,
+        config = dict(
+            batch_size=50, checkpoint_every=2, checkpoint_path=str(path)
         )
-        with engine:
-            engine.run(records[:200])
+        self._worker(victim, **config).run_offline(records[:200])
 
         restored, cursor = load_checkpoint(path)
         assert cursor == 200
         assert restored.config.detectors == ENSEMBLE
-        resumed = BatchIngestEngine(
-            restored,
-            EngineConfig(batch_size=50, checkpoint_every=2),
-            checkpoint_path=path,
-            cursor_base=cursor,
+        self._worker(restored, cursor_base=cursor, **config).run_offline(
+            records[cursor:]
         )
-        with resumed:
-            resumed.run(records[cursor:])
         assert self._stats_tuple(restored) == self._stats_tuple(serial)
         assert [
             (a.ident, a.classification, a.attribution)
@@ -559,7 +551,7 @@ class TestEngineWithEnsemble:
             (a.ident, a.classification, a.attribution)
             for a in serial.alert_sink.alerts
         ]
-        # The tail is not a whole number of checkpoint periods, so the
-        # file ends at the last boundary the resumed run crossed.
+        # The tail is not a whole number of checkpoint periods; the
+        # driver's final checkpoint still covers the whole stream.
         _final, final_cursor = load_checkpoint(path)
-        assert final_cursor == 300
+        assert final_cursor == len(records)

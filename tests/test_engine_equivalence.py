@@ -1,12 +1,13 @@
-"""Serial-equivalence properties of the batch ingest engine.
+"""Serial-equivalence properties of the commit worker, driven offline.
 
-The engine's contract is that batching is *invisible* in the output:
-for any batch size the decision stream, stats, absorption set, EIA
-state, alert stream and checkpoint equal what serial ``process_all``
+``CommitWorker.run_offline`` is what ``infilter detect`` commits a flow
+file through, and its contract is that batching is *invisible* in the
+output: for any batch size the decision-derived stats, absorption set,
+EIA state, alert stream and checkpoint equal what serial ``process_all``
 produces on an identically built detector.  These tests run one mixed
 trace — legal traffic, a route-changed block that must be absorbed by
 online learning, and a Slammer flood — through a serial reference and
-through engines at several batch sizes, and compare every observable.
+through workers at several batch sizes, and compare every observable.
 """
 
 import hashlib
@@ -16,13 +17,13 @@ from typing import List
 import pytest
 
 from repro.core import EIAConfig, NNSConfig, PipelineConfig
-from repro.core.persistence import load_checkpoint
-from repro.engine import BatchIngestEngine, EngineConfig
+from repro.core.persistence import CheckpointWriter, load_checkpoint
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
+from repro.serve import ServeConfig
 from repro.util import SeededRng
-from repro.util.errors import ConfigError
+from repro.util.errors import ServeError
 
-from tests.conftest import make_detector
+from tests.conftest import make_detector, offline_worker as _worker
 from tests.test_fastpath import _scrub_wall_clock
 
 _SEED = 90210
@@ -102,9 +103,9 @@ def _eia_state(detector):
     }
 
 
-def _assert_equivalent(detector, report, serial_reference, n_records):
+def _assert_equivalent(detector, worker, serial_reference, n_records):
     serial_detector, serial_decisions = serial_reference
-    assert report.flows == n_records
+    assert worker.committed == worker.cursor == n_records
     ref, got = serial_detector.stats, detector.stats
     assert (got.processed, got.legal, got.suspects, got.benign, got.attacks,
             got.absorbed, got.attacks_by_stage) == (
@@ -121,9 +122,9 @@ def test_inline_engine_matches_serial(
     eia_plan, target_prefix, mixed_trace, serial_reference
 ):
     detector = _build_detector(eia_plan, target_prefix)
-    with BatchIngestEngine(detector, EngineConfig(batch_size=111)) as engine:
-        report = engine.run(mixed_trace)
-    _assert_equivalent(detector, report, serial_reference, len(mixed_trace))
+    worker = _worker(detector, batch_size=111)
+    worker.run_offline(mixed_trace)
+    _assert_equivalent(detector, worker, serial_reference, len(mixed_trace))
 
 
 def _alert_digest(detector) -> str:
@@ -145,14 +146,13 @@ def test_engine_alerts_and_checkpoint_equal_serial(
 ):
     """At ``m1 = 2`` every NNS probe draws from the structure's pick
     RNG, so the alert stream *and* the RNG cursors in the checkpoint's
-    model section only match if the engine makes exactly serial's
+    model section only match if the worker makes exactly serial's
     searches, in serial's order."""
     serial = _build_detector(eia_plan, target_prefix, m1=m1)
     serial.process_all(mixed_trace)
     assert serial.stats.attacks_by_stage.get("nns", 0) > 0
     detector = _build_detector(eia_plan, target_prefix, m1=m1)
-    with BatchIngestEngine(detector, EngineConfig(batch_size=111)) as engine:
-        engine.run(mixed_trace)
+    _worker(detector, batch_size=111).run_offline(mixed_trace)
     assert _alert_digest(detector) == _alert_digest(serial)
     assert _checkpoint_text(detector) == _checkpoint_text(serial)
 
@@ -175,35 +175,17 @@ def test_inline_decision_stream_is_identical(
 def test_batch_size_does_not_matter(
     eia_plan, target_prefix, mixed_trace, serial_reference
 ):
-    for batch_size in (1, 64, 10_000):
+    serial_detector, _ = serial_reference
+    for batch_size in (1, 256, len(mixed_trace) + 1):
         detector = _build_detector(eia_plan, target_prefix)
-        engine = BatchIngestEngine(detector, EngineConfig(batch_size=batch_size))
-        with engine:
-            report = engine.run(mixed_trace)
+        worker = _worker(detector, batch_size=batch_size)
+        worker.run_offline(mixed_trace)
         _assert_equivalent(
-            detector, report, serial_reference, len(mixed_trace)
+            detector, worker, serial_reference, len(mixed_trace)
         )
-
-
-def test_incremental_submit_equals_run(
-    eia_plan, target_prefix, mixed_trace, serial_reference
-):
-    detector = _build_detector(eia_plan, target_prefix)
-    engine = BatchIngestEngine(detector, EngineConfig(batch_size=100))
-    for record in mixed_trace:
-        engine.submit(record)
-    engine.flush()
-    report = engine.report()
-    engine.close()
-    _assert_equivalent(detector, report, serial_reference, len(mixed_trace))
-
-
-def test_closed_engine_rejects_records(eia_plan, target_prefix, mixed_trace):
-    detector = _build_detector(eia_plan, target_prefix)
-    engine = BatchIngestEngine(detector)
-    engine.close()
-    with pytest.raises(ConfigError):
-        engine.submit(mixed_trace[0])
+        assert worker.batches == -(-len(mixed_trace) // batch_size)
+        assert _alert_digest(detector) == _alert_digest(serial_detector)
+        assert _checkpoint_text(detector) == _checkpoint_text(serial_detector)
 
 
 def test_absorptions_happen_and_are_routed(
@@ -216,7 +198,7 @@ def test_absorptions_happen_and_are_routed(
     assert serial_detector.stats.absorbed >= 2
 
 
-# -- warm restart: kill an engine run mid-stream and resume -------------------
+# -- warm restart: kill an offline run mid-stream and resume -----------------
 
 
 def _assert_warm_restart_equivalent(detector, serial_reference):
@@ -240,36 +222,27 @@ def test_killed_and_resumed_run_matches_uninterrupted(
     """Kill after a checkpoint boundary, resume from the checkpoint file:
     the stitched run's decisions, stats, EIA state, and alert stream are
     identical to an uninterrupted run (and hence to serial)."""
-    path = tmp_path / "engine.ckpt"
+    path = tmp_path / "worker.ckpt"
+    config = dict(batch_size=111, checkpoint_every=2, checkpoint_path=str(path))
     detector = _build_detector(eia_plan, target_prefix)
-    engine = BatchIngestEngine(
-        detector,
-        EngineConfig(batch_size=111, checkpoint_every=2),
-        checkpoint_path=path,
-    )
+    worker = _worker(detector, **config)
     # The "killed" first run: 4 full batches; checkpoints land after
-    # batches 2 and 4, so the file ends at cursor 444.
-    with engine:
-        report = engine.run(mixed_trace[:444])
-    assert report.checkpoints == 2
+    # batches 2 and 4 and once more when the driver returns, all three
+    # at or before cursor 444.
+    worker.run_offline(mixed_trace[:444])
+    assert worker.checkpoints == 3
 
-    restored, cursor = load_checkpoint(path)
+    writer = CheckpointWriter(path)
+    restored, cursor = writer.load()
     assert cursor == 444
-    resumed = BatchIngestEngine(
-        restored,
-        EngineConfig(batch_size=111, checkpoint_every=2),
-        checkpoint_path=path,
-        cursor_base=cursor,
-    )
-    with resumed:
-        resumed_report = resumed.run(mixed_trace[cursor:])
-    assert resumed_report.flows == len(mixed_trace) - cursor
+    resumed = _worker(restored, cursor_base=cursor, writer=writer, **config)
+    resumed.run_offline(mixed_trace[cursor:])
+    assert resumed.committed == len(mixed_trace) - cursor
     _assert_warm_restart_equivalent(restored, serial_reference)
 
-    # The resumed tail is 337 records = 4 batches, so its last batch
-    # lands on a checkpoint boundary: the final checkpoint file covers
-    # the whole stream.
-    assert resumed_report.checkpoints == 2
+    # The resumed tail is 337 records = 4 batches: two periodic
+    # checkpoints and the final one, which covers the whole stream.
+    assert resumed.checkpoints == 3
     _final, final_cursor = load_checkpoint(path)
     assert final_cursor == len(mixed_trace)
 
@@ -277,60 +250,68 @@ def test_killed_and_resumed_run_matches_uninterrupted(
 def test_resume_from_mid_stream_checkpoint(
     eia_plan, target_prefix, mixed_trace, serial_reference, tmp_path
 ):
-    """A resumed engine that takes no checkpoints of its own continues
+    """A resumed worker that takes no checkpoints of its own continues
     the stream all the same."""
-    path = tmp_path / "engine.ckpt"
+    path = tmp_path / "worker.ckpt"
     detector = _build_detector(eia_plan, target_prefix)
-    engine = BatchIngestEngine(
-        detector,
-        EngineConfig(batch_size=74, checkpoint_every=3),
-        checkpoint_path=path,
-    )
-    with engine:
-        engine.run(mixed_trace[:444])
+    _worker(
+        detector, batch_size=74, checkpoint_every=3, checkpoint_path=str(path)
+    ).run_offline(mixed_trace[:444])
     restored, cursor = load_checkpoint(path)
     # 444 records = 6 batches of 74: checkpoints after batches 3 and 6.
     assert cursor == 444
-    resumed = BatchIngestEngine(
-        restored, EngineConfig(batch_size=74), cursor_base=cursor
-    )
-    with resumed:
-        resumed.run(mixed_trace[cursor:])
+    resumed = _worker(restored, batch_size=74, cursor_base=cursor)
+    resumed.run_offline(mixed_trace[cursor:])
+    assert resumed.checkpoints == 0
+    assert resumed.cursor == len(mixed_trace)
     _assert_warm_restart_equivalent(restored, serial_reference)
-
-
-def test_checkpoint_every_requires_a_path(eia_plan, target_prefix):
-    detector = _build_detector(eia_plan, target_prefix)
-    with pytest.raises(ConfigError):
-        BatchIngestEngine(detector, EngineConfig(checkpoint_every=2))
 
 
 def test_negative_cursor_base_rejected(eia_plan, target_prefix):
     detector = _build_detector(eia_plan, target_prefix)
-    with pytest.raises(ConfigError):
-        BatchIngestEngine(detector, cursor_base=-1)
+    with pytest.raises(ServeError):
+        _worker(detector, cursor_base=-1)
 
 
 def test_explicit_checkpoint_call(eia_plan, target_prefix, mixed_trace, tmp_path):
-    """``checkpoint()`` on demand writes the current cursor."""
+    """With a path and no period the driver writes the final checkpoint
+    and only that; ``checkpoint()`` on demand rewrites it at the cursor."""
     path = tmp_path / "manual.ckpt"
     detector = _build_detector(eia_plan, target_prefix)
-    engine = BatchIngestEngine(
-        detector, EngineConfig(batch_size=100), checkpoint_path=path
-    )
-    for record in mixed_trace[:250]:
-        engine.submit(record)
-    engine.flush()
-    cursor = engine.checkpoint()
-    engine.close()
-    assert cursor == 250
+    worker = _worker(detector, batch_size=100, checkpoint_path=str(path))
+    worker.run_offline(mixed_trace[:250])
+    assert worker.checkpoints == 1
     _restored, read_cursor = load_checkpoint(path)
     assert read_cursor == 250
+    assert worker.checkpoint() == 250
+    assert worker.checkpoints == 2
 
 
 def test_checkpoint_without_path_rejected(eia_plan, target_prefix):
     detector = _build_detector(eia_plan, target_prefix)
-    engine = BatchIngestEngine(detector)
-    with pytest.raises(ConfigError):
-        engine.checkpoint()
-    engine.close()
+    with pytest.raises(ServeError):
+        _worker(detector).checkpoint()
+
+
+# -- a file can wait: the driver never sheds ----------------------------------
+
+
+@pytest.mark.parametrize("batch_size", [70_000, 256])
+def test_offline_driver_never_sheds(
+    eia_plan, target_prefix, mixed_trace, batch_size
+):
+    """70,000 records under the default ``ServeConfig``, whose ingest
+    queue holds 65,536: routed through that queue, one 70,000-row batch
+    would lose 4,464 rows to the shed policy, silently.  The driver
+    builds its batches itself, so every record commits."""
+    background = [r for r in mixed_trace if r.key.input_if == 0][:500]
+    stream = (background * 140)[: 70_000 - len(mixed_trace)] + mixed_trace
+    assert len(stream) == 70_000 > ServeConfig().queue_capacity
+    serial = _build_detector(eia_plan, target_prefix)
+    serial.process_all(stream)
+    detector = _build_detector(eia_plan, target_prefix)
+    worker = _worker(detector, batch_size=batch_size)
+    worker.run_offline(stream)
+    assert worker.committed == detector.stats.processed == 70_000
+    assert serial.alert_sink.alerts
+    assert _alert_digest(detector) == _alert_digest(serial)

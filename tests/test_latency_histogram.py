@@ -6,6 +6,7 @@ sorted quantile; the state round-trips through JSON.
 
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -55,3 +56,30 @@ def test_state_round_trips_through_json(latencies):
     restored.load_state(json.loads(text))
     assert restored == stats
     assert json.dumps(restored.state_dict(), sort_keys=True) == text
+
+
+class TestLatencyHistogram:
+    """Bounded state, whole-stream coverage, determinism."""
+
+    def test_state_is_bounded_and_counts_the_whole_stream(self):
+        # 10,000 latencies over ten octaves: 8 buckets an octave, not
+        # one entry a flow.
+        stats = _noted(0.001 * 1.0007 ** i for i in range(10_000))
+        assert sum(stats.latency_buckets.values()) == 10_000
+        assert len(stats.latency_buckets) <= 8 * 11
+        assert len(stats.state_dict()["latency_buckets"]) == len(
+            stats.latency_buckets
+        )
+
+    def test_is_deterministic_across_runs(self):
+        def run():
+            return _noted(float(i + 1) for i in range(300)).state_dict()
+
+        assert run() == run()
+
+    def test_percentiles_reflect_late_stream(self):
+        stats = _noted(float(i + 1) for i in range(10_000))
+        # A first-N sample would put p90 near 90; the histogram covers
+        # the whole stream, whose 9,001st smallest latency is 9,001.
+        assert stats.latency_percentile(0.9) == pytest.approx(9001.0, rel=0.07)
+        assert stats.latency_percentile(1.0) <= stats.latency_max_s
