@@ -74,11 +74,6 @@ def test_e14_serve_loopback_throughput():
         task = asyncio.ensure_future(daemon.run())
         await asyncio.wait_for(daemon.wait_started(), timeout=10)
         assert daemon.address is not None
-        sock_info = daemon._transport.get_extra_info("socket")  # noqa: SLF001
-        if sock_info is not None:
-            sock_info.setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVBUF, 8 * 1024 * 1024
-            )
         sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         start = time.perf_counter()
         try:

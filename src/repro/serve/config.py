@@ -64,10 +64,11 @@ class ServeConfig:
     #: queue — how examples and CI runs bound an otherwise-forever loop.
     idle_exit_s: Optional[float] = None
     #: Ask the kernel for this much UDP receive buffer (``SO_RCVBUF``)
-    #: on the ingest socket; ``None`` keeps the system default.  Bursty
-    #: exporters overrun small kernel buffers long before the queue's
-    #: shed policy ever gets a say, so cluster workers raise this.
-    recv_buffer_bytes: Optional[int] = None
+    #: on the ingest socket; ``None`` keeps the system default.  A burst
+    #: overruns the kernel's 208 KiB default long before the queue's
+    #: shed policy gets a say; the kernel caps the request at
+    #: ``net.core.rmem_max``.
+    recv_buffer_bytes: Optional[int] = 8 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65_535:

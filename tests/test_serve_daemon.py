@@ -19,6 +19,7 @@ The daemon's contracts under test:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -389,6 +390,37 @@ class TestDaemonLoopback:
         assert report.records_committed == 0
         assert report.batches == 0
 
+    def test_receive_buffer_is_requested_by_default_and_not_with_none(
+        self, eia_plan, target_prefix
+    ):
+        detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
+
+        def bound_rcvbuf(config: ServeConfig) -> int:
+            seen: List[int] = []
+
+            async def drive(daemon: ServeDaemon) -> None:
+                sock = daemon._transport.get_extra_info("socket")  # noqa: SLF001
+                seen.append(
+                    sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+                )
+                daemon.request_shutdown()
+
+            run_daemon(detector, config, drive)
+            return seen[0]
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as plain:
+            system_default = plain.getsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF
+            )
+        assert ServeConfig().recv_buffer_bytes == 8 * 1024 * 1024
+        # The kernel grants min(request, net.core.rmem_max) and reports
+        # it doubled, so a granted request reads above the default.
+        assert bound_rcvbuf(ServeConfig(port=0)) > system_default
+        assert (
+            bound_rcvbuf(ServeConfig(port=0, recv_buffer_bytes=None))
+            == system_default
+        )
+
     def test_daemon_runs_only_once(self, eia_plan, target_prefix):
         detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
         config = ServeConfig(port=0, idle_exit_s=0.2)
@@ -654,6 +686,18 @@ class TestServeSubprocess:
             text=True,
         )
 
+    @contextlib.contextmanager
+    def _serving(self, arguments, tmp_path):
+        """An ``infilter serve`` subprocess, killed on the way out if the
+        test did not see it exit."""
+        process = self._spawn(arguments, tmp_path)
+        try:
+            yield process
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate(timeout=30)
+
     def _await_lines(self, process):
         """Read stdout until both bound addresses are announced."""
         udp_port = http_port = None
@@ -672,9 +716,9 @@ class TestServeSubprocess:
                 )
         return udp_port, http_port
 
-    def test_sigterm_drains_and_resume_matches_uninterrupted(
-        self, eia_plan, target_prefix, serve_trace, tmp_path
-    ):
+    def _write_inputs(self, eia_plan, target_prefix, tmp_path):
+        """``plan.txt`` and ``train.flows`` for a CLI-built daemon;
+        returns the training records."""
         from repro.netflow.files import write_flow_file
 
         rng = SeededRng(2005, "cli-serve-test")
@@ -696,8 +740,50 @@ class TestServeSubprocess:
             for block in blocks
         ]
         (tmp_path / "plan.txt").write_text("\n".join(plan_lines) + "\n")
+        return training
 
-        process = self._spawn(
+    def _uninterrupted_alerts(self, eia_plan, training, trace):
+        """The IDMEF stream of one serial run of a CLI-built detector."""
+        from repro.core import EnhancedInFilter, PipelineConfig
+
+        reference = EnhancedInFilter(
+            PipelineConfig.enhanced_default(),
+            rng=SeededRng(2005, "cli-serve"),
+        )
+        for peer, blocks in eia_plan.items():
+            reference.preload_eia(peer, blocks)
+        reference.train(training)
+        reference.process_all(trace)
+        expected = "".join(
+            alert.to_xml() + "\n" for alert in reference.alert_sink.alerts
+        )
+        assert expected
+        return expected
+
+    def _send(self, records, udp_port, *, initial_sequence=0):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            for datagram in datagrams_for(
+                records,
+                sys_uptime=0,
+                unix_secs=0,
+                initial_sequence=initial_sequence,
+            ):
+                sock.sendto(datagram, ("127.0.0.1", udp_port))
+        finally:
+            sock.close()
+
+    def _health(self, http_port):
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{http_port}/healthz", timeout=5
+        ) as response:
+            return json.load(response)
+
+    def test_sigterm_drains_and_resume_matches_uninterrupted(
+        self, eia_plan, target_prefix, serve_trace, tmp_path
+    ):
+        training = self._write_inputs(eia_plan, target_prefix, tmp_path)
+        with self._serving(
             [
                 "serve",
                 "plan.txt",
@@ -717,25 +803,14 @@ class TestServeSubprocess:
                 "60",
             ],
             tmp_path,
-        )
-        try:
+        ) as process:
             udp_port, http_port = self._await_lines(process)
             half = len(serve_trace) // 2
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            try:
-                for datagram in datagrams_for(
-                    serve_trace[:half], sys_uptime=0, unix_secs=0
-                ):
-                    sock.sendto(datagram, ("127.0.0.1", udp_port))
-            finally:
-                sock.close()
+            self._send(serve_trace[:half], udp_port)
             deadline = 200
             committed = -1
             while deadline > 0:
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{http_port}/healthz", timeout=5
-                ) as response:
-                    committed = json.load(response)["records_committed"]
+                committed = self._health(http_port)["records_committed"]
                 if committed >= half:
                     break
                 deadline -= 1
@@ -743,10 +818,6 @@ class TestServeSubprocess:
             assert committed == half
             process.send_signal(signal.SIGTERM)
             out, err = process.communicate(timeout=60)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate(timeout=30)
         assert process.returncode == 0, err
         assert f"serve: {half} committed" in out
         _detector, cursor = load_checkpoint(str(tmp_path / "ckpt.json"))
@@ -754,7 +825,7 @@ class TestServeSubprocess:
 
         # Resume warm and replay the second half; the combined alert
         # stream must match one uninterrupted CLI-built run.
-        process = self._spawn(
+        with self._serving(
             [
                 "serve",
                 "--load-state",
@@ -774,45 +845,101 @@ class TestServeSubprocess:
                 "60",
             ],
             tmp_path,
-        )
-        try:
+        ) as process:
             udp_port, _http_port = self._await_lines(process)
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            try:
-                for datagram in datagrams_for(
-                    serve_trace[half:],
-                    sys_uptime=0,
-                    unix_secs=0,
-                    initial_sequence=half,
-                ):
-                    sock.sendto(datagram, ("127.0.0.1", udp_port))
-            finally:
-                sock.close()
+            self._send(serve_trace[half:], udp_port, initial_sequence=half)
             out, err = process.communicate(timeout=120)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate(timeout=30)
         assert process.returncode == 0, err
         assert f"(cursor {len(serve_trace)})" in out
 
-        from repro.core import EnhancedInFilter, PipelineConfig
-
-        reference = EnhancedInFilter(
-            PipelineConfig.enhanced_default(),
-            rng=SeededRng(2005, "cli-serve"),
-        )
-        for peer, blocks in eia_plan.items():
-            reference.preload_eia(peer, blocks)
-        reference.train(training)
-        reference.process_all(serve_trace)
-        expected = "".join(
-            alert.to_xml() + "\n" for alert in reference.alert_sink.alerts
-        )
-        assert expected
+        expected = self._uninterrupted_alerts(eia_plan, training, serve_trace)
         # --resume writes the full alert history, so the second file IS
         # the complete stream of the interrupted-and-resumed run.
         assert (tmp_path / "alerts-2.xml").read_text() == expected
+
+    def test_sigkill_and_resume_from_the_checkpoint_matches_uninterrupted(
+        self, eia_plan, target_prefix, serve_trace, tmp_path
+    ):
+        """What a process supervisor does for a crashed daemon: no drain,
+        no final checkpoint — the every-batch checkpoint on disk is all
+        that survives; the datagrams in the socket buffer and the
+        uncommitted batch die with the process.  The streams match here
+        only because this harness can resend from the checkpoint's
+        cursor: a live NetFlow v5 exporter cannot, so a real crash loses
+        whatever was in flight unless the source is replayable (a
+        recorded stream)."""
+        training = self._write_inputs(eia_plan, target_prefix, tmp_path)
+        checkpointing = [
+            "--listen",
+            "127.0.0.1:0",
+            "--http-port",
+            "0",
+            "--save-state",
+            "ckpt.json",
+            "--checkpoint-every",
+            "1",
+            # Batches that split the 30-record datagrams, so the cursor
+            # can land inside one.
+            "--batch-size",
+            "32",
+            "--idle-exit-s",
+            "60",
+        ]
+        with self._serving(
+            ["serve", "plan.txt", "--training-file", "train.flows", *checkpointing],
+            tmp_path,
+        ) as process:
+            udp_port, http_port = self._await_lines(process)
+            half = len(serve_trace) // 2
+            self._send(serve_trace[:half], udp_port)
+            deadline = 200
+            checkpoints = 0
+            while deadline > 0:
+                checkpoints = self._health(http_port)["checkpoints"]
+                if checkpoints >= 1:
+                    break
+                deadline -= 1
+                time.sleep(0.05)
+            assert checkpoints >= 1
+            # Freeze it, so the second half is in flight — received by
+            # the kernel, (almost all) never read — when the kill lands.
+            # SIGSTOP is asynchronous: the daemon may commit a few
+            # second-half datagrams first, so the cursor is not bounded
+            # by ``half``; the resume resends from wherever it is.
+            process.send_signal(signal.SIGSTOP)
+            self._send(serve_trace[half:], udp_port, initial_sequence=half)
+            process.send_signal(signal.SIGKILL)
+            process.communicate(timeout=60)
+        assert process.returncode == -signal.SIGKILL
+        _detector, cursor = load_checkpoint(str(tmp_path / "ckpt.json"))
+        assert cursor is not None and 0 < cursor < len(serve_trace)
+
+        with self._serving(
+            [
+                "serve",
+                "--load-state",
+                "ckpt.json",
+                "--resume",
+                *checkpointing,
+                "--max-records",
+                str(len(serve_trace) - cursor),
+            ],
+            tmp_path,
+        ) as process:
+            udp_port, _http_port = self._await_lines(process)
+            self._send(serve_trace[cursor:], udp_port, initial_sequence=cursor)
+            out, err = process.communicate(timeout=120)
+        assert process.returncode == 0, err
+        assert f"(cursor {len(serve_trace)})" in out
+
+        restored, cursor = load_checkpoint(str(tmp_path / "ckpt.json"))
+        assert cursor == len(serve_trace)
+        journal = "".join(
+            alert.to_xml() + "\n" for alert in restored.alert_sink.alerts
+        )
+        assert journal == self._uninterrupted_alerts(
+            eia_plan, training, serve_trace
+        )
 
 
 class TestHealthComposition:
