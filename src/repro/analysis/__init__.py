@@ -1,6 +1,6 @@
 """Static analysis for the reproduction's own invariants.
 
-The batch engine's serial-equivalence guarantee, the measurement
+The commit loop's serial-equivalence guarantee, the measurement
 studies' bit-for-bit replays and the decoder's robustness contract all
 rest on conventions — simulated time, seeded randomness, one error
 taxonomy, guarded parsing — that Python will not enforce by itself.

@@ -1,23 +1,14 @@
 """Project graph — the whole-program view the cross-module rules run on.
 
-Phase 1 of the analyzer assembles one :class:`ProjectGraph` from every
-module's :class:`~repro.analysis.symbols.ModuleSymbols` (plus the
-observability doc's metric catalogue).  Phase 2
-(:mod:`repro.analysis.project_rules`) never touches an AST: everything
-it needs is in the graph, which is why a warm incremental lint can
-rebuild it from cached symbol tables alone.
-
-The graph's identity is its :meth:`ProjectGraph.fingerprint` — a digest
-of the canonical JSON of all symbol tables and the doc catalogue.  The
-incremental cache keys project-rule findings on that fingerprint, so
-touching a file in a way that does not change its symbols (comments,
-docstrings) re-runs nothing but that file's own per-file rules.
+The runner assembles one :class:`ProjectGraph` from every module's
+:class:`~repro.analysis.symbols.ModuleSymbols` (plus the observability
+doc's metric catalogue).  The cross-module rules
+(:mod:`repro.analysis.project_rules`) never touch an AST: everything
+they join on is in the graph.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,9 +29,6 @@ class DocCatalogue:
     path: str
     #: documented metric name -> first line it appears on.
     names: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"path": self.path, "names": dict(self.names)}
 
 
 def load_doc_catalogue(path: Path) -> Optional[DocCatalogue]:
@@ -97,15 +85,3 @@ class ProjectGraph:
                     seen[resolved] = line
             for resolved, line in seen.items():
                 yield module, resolved, line
-
-    def fingerprint(self) -> str:
-        """Content digest of the graph — the project-rule cache key."""
-        payload = {
-            "modules": {
-                name: self.modules[name].to_dict()
-                for name in sorted(self.modules)
-            },
-            "doc": self.doc.to_dict() if self.doc is not None else None,
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -34,6 +34,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -66,6 +67,29 @@ class ModuleInfo:
     #: junk metric name to provoke an error path).
     is_test: bool
 
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Map local names to the qualified names they import.
+
+        ``import time`` binds ``time -> time``; ``from datetime import
+        datetime as dt`` binds ``dt -> datetime.datetime``.  Relative
+        imports are project-internal and never resolve to a banned
+        stdlib name, so they are skipped.  Walked once per module, for
+        every rule that resolves names.
+        """
+        aliases: Dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    aliases[local] = alias.name if alias.asname else local
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        return aliases
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -96,28 +120,6 @@ def _finding(info: ModuleInfo, rule: str, node: ast.AST, message: str) -> Findin
         line=getattr(node, "lineno", 1),
         message=message,
     )
-
-
-def _import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the qualified names they import.
-
-    ``import time`` binds ``time -> time``; ``from datetime import
-    datetime as dt`` binds ``dt -> datetime.datetime``.  Relative imports
-    are project-internal and never resolve to a banned stdlib name, so
-    they are skipped.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                aliases[local] = alias.name if alias.asname else local
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
 
 
 def _resolve(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
@@ -179,7 +181,7 @@ _WALL_CLOCK = frozenset(
 
 
 def _check_wall_clock(info: ModuleInfo) -> Iterator[Finding]:
-    aliases = _import_aliases(info.tree)
+    aliases = info.aliases
     for node in ast.walk(info.tree):
         if not isinstance(node, (ast.Name, ast.Attribute)):
             continue
@@ -198,7 +200,7 @@ def _check_wall_clock(info: ModuleInfo) -> Iterator[Finding]:
 
 
 def _check_direct_random(info: ModuleInfo) -> Iterator[Finding]:
-    aliases = _import_aliases(info.tree)
+    aliases = info.aliases
     for node in ast.walk(info.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -353,7 +355,7 @@ def _guard_lines(scope: ast.AST) -> List[int]:
 
 
 def _check_guarded_unpack(info: ModuleInfo) -> Iterator[Finding]:
-    aliases = _import_aliases(info.tree)
+    aliases = info.aliases
     guard_cache: Dict[int, List[int]] = {}
     for node, scope in _walk_scoped(info.tree):
         if not isinstance(node, ast.Call) or not _is_unpack_call(node, aliases):
@@ -661,7 +663,7 @@ _BLOCKING_METHODS = frozenset(
 
 
 def _check_async_blocking(info: ModuleInfo) -> Iterator[Finding]:
-    aliases = _import_aliases(info.tree)
+    aliases = info.aliases
     # A call that is directly awaited is the event loop doing its job
     # (``await loop.sock_recv(...)``), never a blocking wait.
     awaited = {

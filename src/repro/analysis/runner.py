@@ -5,26 +5,21 @@ directories), get back a sorted list of findings.  The CLI, the CI gate
 and the self-clean test all call this one function, so they cannot drift
 apart on discovery or suppression semantics.
 
-Since PR 8 the run has two phases.  The file phase parses each module
-and applies the per-file rules (REP001–REP010), optionally in parallel
-across a :class:`~concurrent.futures.ProcessPoolExecutor` and
-optionally backed by the content-hash cache in
-:mod:`repro.analysis.cache`.  The project phase assembles every
-module's symbol table into a :class:`~repro.analysis.graph.ProjectGraph`
-and runs the cross-module rules (REP011–REP015) against it — cached on
-the graph fingerprint, so a warm lint of an unchanged tree re-runs
-neither phase.  All three modes (serial, parallel, incremental) produce
-byte-identical sorted output.
+A run is one serial pass in one process.  Each file is parsed once; the
+selected per-file rules (REP001–REP010) run on its AST and its symbol
+table is built from the same tree.  The tables are then assembled into
+a :class:`~repro.analysis.graph.ProjectGraph` for the cross-module
+rules (REP011–REP015), which are relations *between* modules and so can
+only run once every module has been seen.  There is no other mode: the
+same paths and the same selection give the same findings however and
+whenever the command is invoked.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -34,11 +29,11 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
-from repro.analysis.cache import LintCache, content_hash
 from repro.analysis.findings import Finding
-from repro.analysis.graph import DocCatalogue, ProjectGraph, load_doc_catalogue
+from repro.analysis.graph import ProjectGraph, load_doc_catalogue
 from repro.analysis.pragmas import PragmaTable, parse_pragmas
 from repro.analysis.project_rules import PROJECT_RULES, PROJECT_RULE_IDS
 from repro.analysis.rules import ALL_RULES, RULE_IDS, ModuleInfo
@@ -48,9 +43,7 @@ from repro.util.errors import ConfigError
 __all__ = ["run", "iter_python_files", "KNOWN_RULE_IDS"]
 
 #: directory names never descended into.
-_SKIP_DIRS = frozenset(
-    {".git", "__pycache__", ".mypy_cache", ".pytest_cache", ".infilter-cache"}
-)
+_SKIP_DIRS = frozenset({".git", "__pycache__", ".mypy_cache", ".pytest_cache"})
 
 #: every rule id a pragma or --select/--ignore may name.
 KNOWN_RULE_IDS: FrozenSet[str] = RULE_IDS | PROJECT_RULE_IDS
@@ -66,7 +59,9 @@ def _discover(paths: Sequence[str]) -> List[Tuple[Path, Tuple[str, ...]]]:
     basename: ``infilter lint tests`` really is linting test code) are
     what test-file detection matches against, so a checkout living
     under a directory named ``test`` does not turn the whole tree into
-    test files.
+    test files.  A file named directly has no root, so its parts are
+    the packages it lives in: ``tests/reference_chain.py`` is test code
+    whether reached by name or through ``tests``.
     """
     discovered: List[Tuple[Path, Tuple[str, ...]]] = []
     seen: Set[str] = set()
@@ -83,7 +78,7 @@ def _discover(paths: Sequence[str]) -> List[Tuple[Path, Tuple[str, ...]]]:
         if not path.exists():
             raise ConfigError(f"lint path does not exist: {raw}")
         if path.is_file():
-            add(path, (path.name,))
+            add(path, _package_parts(path) + (path.name,))
             continue
         root_name = (path.name,) if path.name else ()
         for child in sorted(path.rglob("*.py")):
@@ -113,29 +108,37 @@ def _is_test_file(name: str, rel_parts: Tuple[str, ...]) -> bool:
     return name.startswith("test_") or name == "conftest.py"
 
 
+def _package_parts(path: Path) -> Tuple[str, ...]:
+    """The packages enclosing one file, outermost first.
+
+    Climbs parents while ``__init__.py`` exists, from the resolved path
+    so that a bare file name given from inside a package still climbs
+    (and terminates).
+    """
+    parts: List[str] = []
+    current = path.resolve().parent
+    while (current / "__init__.py").is_file():
+        parts.insert(0, current.name)
+        current = current.parent
+    return tuple(parts)
+
+
 def _module_name(path: Path, rel_parts: Tuple[str, ...]) -> str:
     """Best-effort dotted module name for one source file.
 
-    Prefer the real package structure: climb parents while
-    ``__init__.py`` exists (``src/repro/fastpath/plane.py`` →
+    Prefer the real package structure (``src/repro/fastpath/plane.py`` →
     ``repro.fastpath.plane`` however the lint was invoked).  Fall back
     to the root-relative parts with a leading ``src`` stripped, which
     covers bare fixture trees without ``__init__.py`` files.
     """
-    parts = [path.stem] if path.name != "__init__.py" else []
-    current = path.parent
-    climbed = False
-    while (current / "__init__.py").is_file():
-        parts.insert(0, current.name)
-        current = current.parent
-        climbed = True
-    if climbed or path.name == "__init__.py":
-        return ".".join(parts)
-    fallback = [p for p in rel_parts[:-1]]
-    if fallback and fallback[0] == "src":
-        fallback = fallback[1:]
-    fallback.append(path.stem)
-    return ".".join(fallback)
+    packages = list(_package_parts(path))
+    if path.name == "__init__.py":
+        return ".".join(packages)
+    if not packages:
+        packages = list(rel_parts[:-1])
+        if packages and packages[0] == "src":
+            packages = packages[1:]
+    return ".".join(packages + [path.stem])
 
 
 def _normalise_selection(
@@ -158,90 +161,26 @@ def _normalise_selection(
     return frozenset(selection)
 
 
-def _serialize_pragmas(table: PragmaTable) -> Dict[str, Any]:
-    return {
-        "file_rules": sorted(table.file_rules),
-        "line_rules": {
-            str(line): sorted(rules)
-            for line, rules in sorted(table.line_rules.items())
-        },
-    }
-
-
-def _deserialize_pragmas(data: Dict[str, Any]) -> PragmaTable:
-    return PragmaTable(
-        file_rules=frozenset(data["file_rules"]),
-        line_rules={
-            int(line): frozenset(rules)
-            for line, rules in data["line_rules"].items()
-        },
-    )
-
-
-def _analyse_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Parse and file-rule one module; the parallel-phase unit of work.
-
-    Returns the cache-entry shape: pragma-filtered findings of *every*
-    file rule (select/ignore apply at assembly so one cache record
-    serves any selection), the serialized pragma table, and the symbol
-    table for phase 2.  Must stay module-level and take/return plain
-    dicts — it crosses a process boundary.
-    """
-    reported: str = task["reported"]
-    path = Path(task["file"])
-    entry: Dict[str, Any] = {
-        "findings": [],
-        "pragmas": _serialize_pragmas(PragmaTable()),
-        "symbols": None,
-        "content": None,
-    }
+def _load(path: Path, is_test: bool) -> Union[ModuleInfo, Finding]:
+    """Read and parse one file, or say as ``REP000`` why it cannot be."""
+    reported = str(path)
     try:
-        data = path.read_bytes()
-        source = data.decode("utf-8")
+        source = path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as error:
-        entry["findings"].append(
-            Finding("REP000", reported, 1, f"unreadable file: {error}").to_dict()
-        )
-        return entry
-    entry["content"] = content_hash(data)
+        return Finding("REP000", reported, 1, f"unreadable file: {error}")
     try:
         tree = ast.parse(source, filename=reported)
     except SyntaxError as error:
-        entry["findings"].append(
-            Finding(
-                "REP000",
-                reported,
-                error.lineno or 1,
-                f"syntax error: {error.msg}",
-            ).to_dict()
+        return Finding(
+            "REP000", reported, error.lineno or 1, f"syntax error: {error.msg}"
         )
-        return entry
-    info = ModuleInfo(
+    return ModuleInfo(
         path=reported,
         posix=path.resolve().as_posix(),
         source=source,
         tree=tree,
-        is_test=task["is_test"],
+        is_test=is_test,
     )
-    pragmas = parse_pragmas(reported, source, KNOWN_RULE_IDS)
-    entry["pragmas"] = _serialize_pragmas(pragmas)
-    findings: List[Finding] = list(pragmas.errors)
-    for rule in ALL_RULES:
-        if not rule.applies_to(info):
-            continue
-        for finding in rule.check(info):
-            if not pragmas.allows(finding.rule, finding.line):
-                findings.append(finding)
-    entry["findings"] = [finding.to_dict() for finding in findings]
-    entry["symbols"] = build_symbols(
-        module=task["module"],
-        path=reported,
-        posix=info.posix,
-        tree=tree,
-        is_test=task["is_test"],
-        is_package=path.name == "__init__.py",
-    ).to_dict()
-    return entry
 
 
 def _find_doc(paths: Sequence[str]) -> Optional[Path]:
@@ -266,146 +205,70 @@ def run(
     *,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
 ) -> List[Finding]:
     """Lint ``paths`` and return all surviving findings, sorted.
 
-    ``select`` restricts checking to the listed rule ids; ``ignore``
-    drops the listed ids after checking.  Pragma suppressions (see
-    :mod:`repro.analysis.pragmas`) apply in either mode, and pragma
-    *errors* surface as ``REP000`` findings subject to the same
-    select/ignore filtering.
-
-    ``jobs`` parallelises the per-file phase across that many worker
-    processes (``0`` means one per CPU; ``None``/``1`` stays serial).
-    ``cache_dir`` turns on the incremental cache: per-file results are
-    reused while a file's bytes and the analysis package are unchanged,
-    and project-rule results while the whole graph is unchanged.  Both
-    knobs change wall-clock only — findings and their order are
-    identical in every mode.
+    ``select`` restricts checking to the listed rule ids — a rule that
+    is not selected is not run, and with no project rule selected no
+    symbol table is built; ``ignore`` drops the listed ids after
+    checking.  Pragma suppressions (see :mod:`repro.analysis.pragmas`)
+    apply either way, and pragma *errors* surface as ``REP000`` findings
+    subject to the same select/ignore filtering.
     """
     selected = _normalise_selection(select, "--select")
     ignored = _normalise_selection(ignore, "--ignore") or frozenset()
 
-    def wanted(rule_id: str) -> bool:
-        if rule_id in ignored:
-            return False
+    def selects(rule_id: str) -> bool:
         return selected is None or rule_id in selected
 
-    discovered = _discover(paths)
-    tasks: List[Dict[str, Any]] = []
-    for path, rel_parts in discovered:
-        tasks.append(
-            {
-                "file": str(path),
-                "reported": str(path),
-                "is_test": _is_test_file(path.name, rel_parts),
-                "module": _module_name(path, rel_parts),
-            }
-        )
-
-    cache = LintCache(cache_dir) if cache_dir is not None else None
-
-    # File phase: resolve each task from the cache or by analysing it,
-    # preserving discovery order in `entries`.
-    entries: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    misses: List[int] = []
-    if cache is not None:
-        for position, task in enumerate(tasks):
-            try:
-                digest = content_hash(Path(task["file"]).read_bytes())
-            except OSError:
-                misses.append(position)
-                continue
-            entry = cache.load_file(task["reported"], digest)
-            if entry is None:
-                misses.append(position)
-            else:
-                entries[position] = entry
-    else:
-        misses = list(range(len(tasks)))
-
-    worker_count = jobs if jobs is not None else 1
-    if worker_count == 0:
-        worker_count = os.cpu_count() or 1
-    if worker_count > 1 and len(misses) > 1:
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            chunk = max(1, len(misses) // (worker_count * 4))
-            fresh = list(
-                pool.map(
-                    _analyse_task,
-                    [tasks[i] for i in misses],
-                    chunksize=chunk,
-                )
-            )
-    else:
-        fresh = [_analyse_task(tasks[i]) for i in misses]
-    for position, entry in zip(misses, fresh):
-        entries[position] = entry
-        if cache is not None and entry["content"] is not None:
-            cache.store_file(
-                tasks[position]["reported"], entry["content"], entry
-            )
+    file_rules = [rule for rule in ALL_RULES if selects(rule.id)]
+    project_rules = [rule for rule in PROJECT_RULES if selects(rule.id)]
 
     findings: List[Finding] = []
     pragma_tables: Dict[str, PragmaTable] = {}
     modules: Dict[str, ModuleSymbols] = {}
-    for task, entry in zip(tasks, entries):
-        assert entry is not None
-        for record in entry["findings"]:
-            if wanted(record["rule"]):
-                findings.append(
-                    Finding(
-                        rule=record["rule"],
-                        path=record["path"],
-                        line=record["line"],
-                        message=record["message"],
-                    )
-                )
-        pragma_tables[task["reported"]] = _deserialize_pragmas(
-            entry["pragmas"]
-        )
-        if entry["symbols"] is not None:
-            symbols = ModuleSymbols.from_dict(entry["symbols"])
+    for path, rel_parts in _discover(paths):
+        info = _load(path, _is_test_file(path.name, rel_parts))
+        if isinstance(info, Finding):
+            findings.append(info)
+            continue
+        pragmas = parse_pragmas(info.path, info.source, KNOWN_RULE_IDS)
+        pragma_tables[info.path] = pragmas
+        findings.extend(pragmas.errors)
+        for rule in file_rules:
+            if not rule.applies_to(info):
+                continue
+            for finding in rule.check(info):
+                if not pragmas.allows(finding.rule, finding.line):
+                    findings.append(finding)
+        if project_rules:
+            symbols = build_symbols(
+                module=_module_name(path, rel_parts),
+                path=info.path,
+                posix=info.posix,
+                tree=info.tree,
+                is_test=info.is_test,
+                is_package=path.name == "__init__.py",
+            )
             modules.setdefault(symbols.module, symbols)
 
-    # Project phase: assemble the graph and run the cross-module rules,
-    # cached on the graph fingerprint.
-    doc_path = _find_doc(paths)
-    doc: Optional[DocCatalogue] = (
-        load_doc_catalogue(doc_path) if doc_path is not None else None
-    )
-    graph = ProjectGraph(modules=modules, doc=doc)
-    project_records: Optional[List[Dict[str, Any]]] = None
-    fingerprint = ""
-    if cache is not None:
-        fingerprint = graph.fingerprint()
-        cached = cache.load_project(fingerprint)
-        if isinstance(cached, list):
-            project_records = cached
-    if project_records is None:
-        project_findings: List[Finding] = []
-        for rule in PROJECT_RULES:
-            project_findings.extend(rule.check(graph))
-        project_records = [finding.to_dict() for finding in project_findings]
-        if cache is not None:
-            cache.store_project(fingerprint, project_records)
-    for record in project_records:
-        rule_id = str(record["rule"])
-        if not wanted(rule_id):
-            continue
-        table = pragma_tables.get(str(record["path"]))
-        if table is not None and table.allows(rule_id, int(record["line"])):
-            continue
-        findings.append(
-            Finding(
-                rule=rule_id,
-                path=str(record["path"]),
-                line=int(record["line"]),
-                message=str(record["message"]),
-            )
+    if project_rules:
+        doc_path = _find_doc(paths)
+        graph = ProjectGraph(
+            modules=modules,
+            doc=load_doc_catalogue(doc_path) if doc_path is not None else None,
         )
+        for project_rule in project_rules:
+            for finding in project_rule.check(graph):
+                table = pragma_tables.get(finding.path)
+                if table is None or not table.allows(finding.rule, finding.line):
+                    findings.append(finding)
 
+    # Only REP000 can still be unselected here; ``ignore`` drops the rest.
+    findings = [
+        finding
+        for finding in findings
+        if selects(finding.rule) and finding.rule not in ignored
+    ]
     findings.sort(key=Finding.sort_key)
     return findings

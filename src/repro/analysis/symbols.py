@@ -2,11 +2,10 @@
 
 A :class:`ModuleSymbols` is everything the cross-module rules
 (:mod:`repro.analysis.project_rules`) need to know about one source
-file, extracted in a single AST pass and — crucially — fully
-JSON-serializable.  That last property is what makes the incremental
-runner work: a warm lint loads symbol tables from the on-disk cache and
-rebuilds the :class:`~repro.analysis.graph.ProjectGraph` without
-parsing a single unchanged file.
+file, extracted from the tree the per-file rules have just read.  The
+runner keeps the table and drops the AST, so the
+:class:`~repro.analysis.graph.ProjectGraph` holds a summary per module
+rather than every parsed file at once.
 
 The tables are deliberately *conservative summaries*, not full dataflow
 facts: imports resolved to absolute dotted names, per-class attribute
@@ -22,7 +21,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
     "ClassSymbol",
@@ -139,107 +138,6 @@ class ModuleSymbols:
     metrics: Tuple[MetricReg, ...] = ()
     #: raw checkpoint-style write sites: ``(line, description)``.
     checkpoint_writes: Tuple[Tuple[int, str], ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (the incremental cache's symbols record)."""
-        return {
-            "module": self.module,
-            "path": self.path,
-            "posix": self.posix,
-            "is_test": self.is_test,
-            "imports": dict(self.imports),
-            "import_targets": dict(self.import_targets),
-            "module_globals": dict(self.module_globals),
-            "mutable_globals": dict(self.mutable_globals),
-            "functions": [
-                {
-                    "qualname": fn.qualname,
-                    "line": fn.line,
-                    "is_async": fn.is_async,
-                    "global_writes": [list(w) for w in fn.global_writes],
-                    "lock_waits": list(fn.lock_waits),
-                }
-                for fn in self.functions
-            ],
-            "classes": {
-                name: {
-                    "name": cls.name,
-                    "line": cls.line,
-                    "self_attrs": dict(cls.self_attrs),
-                    "attr_ctors": dict(cls.attr_ctors),
-                    "method_lines": dict(cls.method_lines),
-                    "method_self_reads": {
-                        m: list(v) for m, v in cls.method_self_reads.items()
-                    },
-                    "method_self_calls": {
-                        m: list(v) for m, v in cls.method_self_calls.items()
-                    },
-                }
-                for name, cls in self.classes.items()
-            },
-            "metrics": [[m.name, m.kind, m.line] for m in self.metrics],
-            "checkpoint_writes": [list(w) for w in self.checkpoint_writes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSymbols":
-        """Rebuild a symbol table from its :meth:`to_dict` form."""
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            posix=data["posix"],
-            is_test=data["is_test"],
-            imports={str(k): str(v) for k, v in data["imports"].items()},
-            import_targets={
-                str(k): int(v) for k, v in data["import_targets"].items()
-            },
-            module_globals={
-                str(k): int(v) for k, v in data["module_globals"].items()
-            },
-            mutable_globals={
-                str(k): int(v) for k, v in data["mutable_globals"].items()
-            },
-            functions=tuple(
-                FunctionSymbol(
-                    qualname=fn["qualname"],
-                    line=fn["line"],
-                    is_async=fn["is_async"],
-                    global_writes=tuple(
-                        (str(m), str(n), int(line), str(kind))
-                        for m, n, line, kind in fn["global_writes"]
-                    ),
-                    lock_waits=tuple(int(n) for n in fn["lock_waits"]),
-                )
-                for fn in data["functions"]
-            ),
-            classes={
-                name: ClassSymbol(
-                    name=c["name"],
-                    line=c["line"],
-                    self_attrs={str(k): int(v) for k, v in c["self_attrs"].items()},
-                    attr_ctors={str(k): str(v) for k, v in c["attr_ctors"].items()},
-                    method_lines={
-                        str(k): int(v) for k, v in c["method_lines"].items()
-                    },
-                    method_self_reads={
-                        str(k): tuple(str(x) for x in v)
-                        for k, v in c["method_self_reads"].items()
-                    },
-                    method_self_calls={
-                        str(k): tuple(str(x) for x in v)
-                        for k, v in c["method_self_calls"].items()
-                    },
-                )
-                for name, c in data["classes"].items()
-            },
-            metrics=tuple(
-                MetricReg(name=str(n), kind=str(k), line=int(line))
-                for n, k, line in data["metrics"]
-            ),
-            checkpoint_writes=tuple(
-                (int(line), str(desc)) for line, desc in data["checkpoint_writes"]
-            ),
-        )
 
 
 # -- extraction ---------------------------------------------------------------

@@ -903,7 +903,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.analysis import (
         ALL_RULES,
@@ -918,18 +917,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for project_rule in PROJECT_RULES:
             print(f"{project_rule.id}  {project_rule.summary}")
         return 0
-    cache_dir: Path | None = None
-    if args.cache_dir is not None:
-        cache_dir = Path(args.cache_dir)
-    elif args.cache:
-        cache_dir = Path(".infilter-cache")
-    findings = run_lint(
-        args.paths,
-        select=args.select,
-        ignore=args.ignore,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-    )
+    findings = run_lint(args.paths, select=args.select, ignore=args.ignore)
     if args.format == "json":
         print(json.dumps([finding.to_dict() for finding in findings], indent=2))
     elif args.format == "sarif":
@@ -1265,24 +1253,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RULE",
         help="drop findings from the listed rules (repeatable)",
-    )
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallelise the per-file phase over N processes (0 = one per CPU)",
-    )
-    lint.add_argument(
-        "--cache",
-        action="store_true",
-        help="enable the incremental cache under .infilter-cache/",
-    )
-    lint.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="incremental cache directory (implies --cache)",
     )
     lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"

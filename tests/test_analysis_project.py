@@ -1,9 +1,9 @@
 """Tests for the whole-program phase of repro.analysis (PR 8).
 
 Covers the project graph, the cross-module rules REP011–REP015 (each
-with positive and negative fixtures), the SARIF renderer, the
-incremental cache, the parallel runner, and the discovery fixes
-(duplicate yields, root-relative test detection).
+with positive and negative fixtures), the SARIF renderer, the discovery
+fixes (duplicate yields, root-relative test detection, a file linted by
+name) and what ``select`` / ``ignore`` do to the one pass ``run`` makes.
 
 Fixture trees emulate the real layout — ``repro/<package>/<module>.py``
 with ``__init__.py`` files so module names resolve by package climbing —
@@ -13,12 +13,15 @@ stay out of the assertions.
 
 from __future__ import annotations
 
+import inspect
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
+    ALL_RULES,
     KNOWN_RULE_IDS,
     LAYERS,
     PROJECT_RULE_IDS,
@@ -29,6 +32,7 @@ from repro.analysis import (
     render_sarif,
     run,
 )
+from repro.analysis import runner
 from repro.analysis.graph import load_doc_catalogue
 from repro.cli import main
 from repro.util.errors import ConfigError
@@ -451,6 +455,31 @@ class TestDiscoveryFixes:
         module.write_text("def helper():\n    return 1\n")
         assert run([str(root)], select=["REP007"]) == []
 
+    def test_file_and_its_directory_lint_alike(self, tmp_path):
+        # A helper under a ``tests`` package is test code whether it is
+        # reached through the directory or named directly.
+        root = tmp_path / "tests"
+        root.mkdir()
+        (root / "__init__.py").write_text("")
+        helper = root / "reference_helper.py"
+        helper.write_text("def helper():\n    raise ValueError('x')\n")
+        by_directory = run([str(root)], select=["REP003", "REP007"])
+        by_name = run([str(helper)], select=["REP003", "REP007"])
+        assert by_name == by_directory == []
+
+    def test_bare_name_inside_a_package_is_linted(self, tmp_path, monkeypatch):
+        path = write_module(tmp_path, "pkg.mod", "def helper():\n    return 1\n")
+        monkeypatch.chdir(path.parent)
+        assert rules_of(run(["mod.py"], select=["REP007"])) == ["REP007"]
+
+    def test_reference_helpers_are_clean_by_name(self):
+        tests_dir = Path(__file__).resolve().parent
+        helpers = [
+            str(tests_dir / "reference_chain.py"),
+            str(tests_dir / "reference_nns.py"),
+        ]
+        assert main(["lint", *helpers]) == 0
+
 
 class TestPragmaEdgeCases:
     def test_allow_file_after_first_statement_applies(self, tmp_path):
@@ -563,87 +592,71 @@ class TestSarifOutput:
         assert document["runs"][0]["results"] == []
 
 
-def fixture_tree(tmp_path: Path) -> Path:
-    """A small tree with one finding of each phase for mode-equivalence."""
-    write_module(
-        tmp_path,
-        "repro.serve.pump",
-        "import time\n"
-        "\n"
-        "QUEUE = []\n"
-        "STARTED = time.time()\n"
-        "\n"
-        "async def pump(item):\n"
-        "    QUEUE.append(item)\n",
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("unselected work was run")
+
+
+class TestOnePass:
+    SOURCE = "import random\nimport time\n\nSTARTED = time.time()\n"
+
+    def test_select_skips_unselected_rules(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            runner,
+            "ALL_RULES",
+            tuple(
+                rule if rule.id == "REP002" else replace(rule, check=_must_not_run)
+                for rule in ALL_RULES
+            ),
+        )
+        monkeypatch.setattr(
+            runner,
+            "PROJECT_RULES",
+            tuple(replace(rule, check=_must_not_run) for rule in PROJECT_RULES),
+        )
+        monkeypatch.setattr(runner, "build_symbols", _must_not_run)
+        write_module(tmp_path, "repro.serve.pump", self.SOURCE)
+        assert rules_of(run([str(tmp_path)], select=["REP002"])) == ["REP002"]
+        with pytest.raises(AssertionError):
+            run([str(tmp_path)], select=["REP002", "REP013"])
+
+    def test_ignore_runs_then_drops(self, tmp_path, monkeypatch):
+        called = []
+        wall_clock = next(rule for rule in ALL_RULES if rule.id == "REP001")
+
+        def recording(info):
+            called.append(info.path)
+            return wall_clock.check(info)
+
+        monkeypatch.setattr(
+            runner,
+            "ALL_RULES",
+            tuple(
+                replace(rule, check=recording) if rule is wall_clock else rule
+                for rule in ALL_RULES
+            ),
+        )
+        module = tmp_path / "mod.py"
+        module.write_text(self.SOURCE)
+        findings = run([str(module)], ignore=["REP001", "REP007"])
+        assert called == [str(module)]
+        assert rules_of(findings) == ["REP002"]
+
+    @pytest.mark.parametrize(
+        "flag", [["--jobs", "2"], ["--cache"], ["--cache-dir", "x"]]
     )
-    write_module(tmp_path, "repro.netflow.record", "X = 1\n")
-    return tmp_path
+    def test_retired_mode_flags_are_usage_errors(self, tmp_path, flag, capsys):
+        module = tmp_path / "mod.py"
+        module.write_text("X = 1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(module), *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-
-class TestIncrementalAndParallel:
-    def test_all_modes_produce_identical_findings(self, tmp_path):
-        root = fixture_tree(tmp_path)
-        cache_dir = tmp_path / "cachedir"
-        serial = run([str(root)], select=["REP001", "REP013"])
-        parallel = run([str(root)], select=["REP001", "REP013"], jobs=2)
-        cold = run(
-            [str(root)], select=["REP001", "REP013"], cache_dir=cache_dir
-        )
-        warm = run(
-            [str(root)], select=["REP001", "REP013"], cache_dir=cache_dir
-        )
-        assert serial == parallel == cold == warm
-        assert len(serial) == 2
-
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        root = fixture_tree(tmp_path)
-        cache_dir = tmp_path / "cachedir"
-        before = run([str(root)], cache_dir=cache_dir)
-        target = root / "repro" / "serve" / "pump.py"
-        target.write_text(
-            target.read_text().replace("time.time()", "time.monotonic()")
-        )
-        after = run([str(root)], cache_dir=cache_dir)
-        assert [f.rule for f in before if f.rule == "REP001"] == ["REP001"]
-        assert all(f.rule != "REP001" for f in after)
-        assert run([str(root)]) == after
-
-    def test_pragma_added_later_filters_cached_project_finding(self, tmp_path):
-        # Adding a pragma comment changes the file's hash but not its
-        # symbols, so the project phase replays from cache — the pragma
-        # must still filter the cached finding at assembly time.
-        root = fixture_tree(tmp_path)
-        cache_dir = tmp_path / "cachedir"
-        before = run([str(root)], select=["REP013"], cache_dir=cache_dir)
-        assert rules_of(before) == ["REP013"]
-        target = root / "repro" / "serve" / "pump.py"
-        target.write_text(
-            target.read_text().replace(
-                "QUEUE.append(item)",
-                "QUEUE.append(item)  # repro: allow[REP013] -- one task",
-            )
-        )
-        after = run([str(root)], select=["REP013"], cache_dir=cache_dir)
-        assert after == []
-
-    def test_corrupt_cache_record_degrades_to_miss(self, tmp_path):
-        root = fixture_tree(tmp_path)
-        cache_dir = tmp_path / "cachedir"
-        expected = run([str(root)], cache_dir=cache_dir)
-        for record in (cache_dir / "files").glob("*.json"):
-            record.write_text("{not json")
-        for record in (cache_dir / "project").glob("*.json"):
-            record.write_text("[truncated")
-        assert run([str(root)], cache_dir=cache_dir) == expected
-
-    def test_cache_directory_is_never_linted(self, tmp_path):
-        root = fixture_tree(tmp_path)
-        cache_dir = root / ".infilter-cache"
-        first = run([str(root)], cache_dir=cache_dir)
-        # a second run must not descend into .infilter-cache/ even
-        # though it now exists inside the lint root.
-        assert run([str(root)], cache_dir=cache_dir) == first
-
-    def test_jobs_zero_means_cpu_count(self, tmp_path):
-        root = fixture_tree(tmp_path)
-        assert run([str(root)], jobs=0) == run([str(root)])
+    def test_run_takes_paths_select_and_ignore_only(self, tmp_path):
+        assert list(inspect.signature(run).parameters) == [
+            "paths",
+            "select",
+            "ignore",
+        ]
+        with pytest.raises(TypeError):
+            run([str(tmp_path)], jobs=2)
