@@ -16,6 +16,7 @@ unexpected peer is absorbed into that peer's set.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -61,19 +62,45 @@ class EIACheck:
 
 @stateful("eia_set")
 class EIASet:
-    """The expected source address blocks of one peer AS."""
+    """The expected source address blocks of one peer AS.
 
-    def __init__(self, peer: int) -> None:
+    Besides the trie it answers from, the set keeps its checkpoint text:
+    the sorted canonical strings :meth:`state_dict` returns.  The three
+    mutation points keep that list current — :meth:`add` inserts a block
+    new to the set, :meth:`discard` deletes, :meth:`load_state` renders
+    once — so a save copies a list instead of walking the trie and
+    formatting every block.  The text is derived from the trie: a
+    restore renders it from the trie it parsed, not from the list it was
+    given.  ``texts`` (block -> its text) is where a block's text is
+    formatted once; :class:`BasicInFilter` shares one across its sets,
+    so a block that moves between peers is not formatted again.
+    """
+
+    def __init__(self, peer: int, texts: Optional[Dict[Prefix, str]] = None) -> None:
         self.peer = peer
         self._trie: PrefixTrie[bool] = PrefixTrie()
+        self._text: List[str] = []
+        self._block_texts: Dict[Prefix, str] = texts if texts is not None else {}
+
+    def _text_of(self, prefix: Prefix) -> str:
+        text = self._block_texts.get(prefix)
+        if text is None:
+            text = self._block_texts[prefix] = str(prefix)
+        return text
 
     def add(self, prefix: Prefix) -> None:
         """Add an expected source block."""
+        size = len(self._trie)
         self._trie.insert(prefix, True)
+        if len(self._trie) != size:
+            bisect.insort(self._text, self._text_of(prefix))
 
     def discard(self, prefix: Prefix) -> bool:
         """Remove a block; True when it was present."""
-        return self._trie.remove(prefix)
+        if not self._trie.remove(prefix):
+            return False
+        del self._text[bisect.bisect_left(self._text, self._text_of(prefix))]
+        return True
 
     def contains(self, address: int) -> bool:
         """True when some stored block covers ``address``."""
@@ -89,16 +116,14 @@ class EIASet:
         return self.contains(address)
 
     def state_dict(self) -> StateDict:
-        return {
-            "peer": self.peer,
-            "prefixes": sorted(str(prefix) for prefix in self.prefixes()),
-        }
+        return {"peer": self.peer, "prefixes": list(self._text)}
 
     def load_state(self, state: StateDict) -> None:
         self.peer = int(state["peer"])
         self._trie = PrefixTrie()
         for text in state["prefixes"]:
             self._trie.insert(Prefix.parse(text), True)
+        self._text = sorted(self._text_of(prefix) for prefix in self._trie.prefixes())
 
 
 @stateful("eia")
@@ -120,11 +145,17 @@ class BasicInFilter:
     ) -> None:
         self.config = config if config is not None else EIAConfig()
         self._sets: Dict[int, EIASet] = {}
+        # Block -> checkpoint text, shared by the sets: derived, and no
+        # larger than the owner index (a block moves, it never leaves).
+        self._block_texts: Dict[Prefix, str] = {}
         self._owner: PrefixTrie[int] = PrefixTrie()
         # (peer, source address >> _pending_shift) -> benign observations,
         # for the learning rule; a Prefix only when an absorption fires.
         self._pending: Dict[Tuple[int, int], int] = {}
         self._pending_shift = 32 - self.config.granularity
+        # address >> _pending_shift -> that block's checkpoint text; at
+        # most 2**granularity entries, derived, filled by state_dict().
+        self._pending_text: Dict[int, str] = {}
         #: Right-shift collapsing an address onto its verdict-sharing
         #: block: 32 minus the longest stored prefix length.  Two
         #: addresses agreeing above the shift have the same expected
@@ -156,7 +187,7 @@ class BasicInFilter:
         """The EIA set for ``peer``, created empty on first reference."""
         eia = self._sets.get(peer)
         if eia is None:
-            self._sets[peer] = eia = EIASet(peer)
+            self._sets[peer] = eia = EIASet(peer, self._block_texts)
         return eia
 
     def peers(self) -> List[int]:
@@ -323,6 +354,12 @@ class BasicInFilter:
     def _pending_block(self, block: int) -> Prefix:
         return Prefix(block << self._pending_shift, self.config.granularity)
 
+    def _pending_text_of(self, block: int) -> str:
+        text = self._pending_text.get(block)
+        if text is None:
+            text = self._pending_text[block] = str(self._pending_block(block))
+        return text
+
     # -- the stage-state protocol --------------------------------------------
 
     def state_dict(self) -> StateDict:
@@ -332,7 +369,9 @@ class BasicInFilter:
         its entry) and is rebuilt on load rather than stored.  The owner
         table in front of it and the memo shift are likewise derived and
         excluded: a checkpoint is byte-identical whether the table is hot
-        or cold, and a restored detector starts it cold.
+        or cold, and a restored detector starts it cold.  Rendering costs
+        what changed: each set hands over the text it keeps current, and
+        a pending block is formatted once per block ever counted.
         """
         return {
             "peers": {
@@ -342,7 +381,7 @@ class BasicInFilter:
             "pending": [
                 {"peer": peer, "prefix": prefix, "count": count}
                 for peer, prefix, count in sorted(
-                    (peer, str(self._pending_block(block)), count)
+                    (peer, self._pending_text_of(block), count)
                     for (peer, block), count in self._pending.items()
                 )
             ],
@@ -362,18 +401,33 @@ class BasicInFilter:
             key = (int(entry["peer"]), prefix.network >> self._pending_shift)
             pending[key] = int(entry["count"])
         sets: Dict[int, EIASet] = {}
+        texts: Dict[Prefix, str] = {}
+        owner: PrefixTrie[int] = PrefixTrie()
+        memo_shift = 32
         for peer_text, section in state["peers"].items():
-            eia = EIASet(int(peer_text))
+            eia = EIASet(int(peer_text), texts)
             eia.load_state(section)
+            if str(eia.peer) != peer_text:
+                raise StateError(
+                    f"EIA section {peer_text!r} holds the set of peer"
+                    f" {eia.peer}"
+                )
+            for prefix in eia.prefixes():
+                holder = owner.get(prefix)
+                if holder is not None:
+                    raise StateError(
+                        f"EIA block {prefix} is listed under peers {holder}"
+                        f" and {eia.peer}: one block has one owner"
+                    )
+                owner.insert(prefix, eia.peer)
+                memo_shift = min(memo_shift, 32 - prefix.length)
             sets[eia.peer] = eia
         self._sets = sets
+        self._block_texts = texts
         self._pending = pending
-        self._owner = PrefixTrie()
+        self._owner = owner
         # A restore rewrites everything the table answers from.
         self.table.invalidate()
-        self.memo_shift = 32
+        self.memo_shift = memo_shift
         for eia in sets.values():
-            for prefix in eia.prefixes():
-                self._owner.insert(prefix, eia.peer)
-                self.memo_shift = min(self.memo_shift, 32 - prefix.length)
             self._set_gauge(eia)

@@ -111,6 +111,30 @@ def _lines(alerts) -> bytes:
     )
 
 
+def _trie_walk_eia(infilter) -> dict:
+    """The ``eia`` section rendered the long way, from the tries: every
+    set's blocks walked out and formatted, every pending counter's block
+    built and formatted — none of the text the sets keep is read."""
+    return {
+        "peers": {
+            str(peer): {
+                "peer": peer,
+                "prefixes": sorted(
+                    str(prefix) for prefix in infilter.eia_set(peer).prefixes()
+                ),
+            }
+            for peer in infilter.peers()
+        },
+        "pending": [
+            {"peer": peer, "prefix": prefix, "count": count}
+            for peer, prefix, count in sorted(
+                (peer, str(block), count)
+                for (peer, block), count in infilter.pending_counts().items()
+            )
+        ],
+    }
+
+
 def _counters(detector) -> dict:
     stats = detector.stats.state_dict()
     for wall_clock in ("latency_total_s", "latency_max_s", "latency_buckets"):
@@ -163,6 +187,10 @@ class TestIncrementalWrites:
             assert (extent["alerts"], extent["bytes"]) == (
                 len(detector.alert_sink.alerts), written,
             )
+            # The head's EIA text is what the tries hold now, not what
+            # they held at some earlier save.
+            head = json.loads(path.read_text())
+            assert head["components"]["eia"] == _trie_walk_eia(detector.infilter)
         # What the incremental writer left is what a one-shot write of
         # the same detector leaves, file for file.
         one_shot = tmp_path / "full" / "ckpt.json"

@@ -8,10 +8,11 @@ table.  The model here knows none of that.  It keeps ``{prefix: owner}``
 every stored prefix — the same memo-free question
 ``tests/reference_chain.py`` asks of ``BasicInFilter.check`` — and the
 state machine asserts after every step that the two agree for every
-stored network and its neighbours, at every peer.
+stored network and its neighbours, at every peer — and that the
+checkpoint text the sets keep current equals a rendering of the model.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 from hypothesis import settings
@@ -74,6 +75,8 @@ class OwnerTableMachine(RuleBasedStateMachine):
         self.infilter = _new_filter()
         self.owners: Dict[Prefix, int] = {}
         self.pending: Dict[Tuple[int, Prefix], int] = {}
+        #: Every peer a rule has named: each has a set, maybe empty.
+        self.known: Set[int] = set()
 
     # -- the oracle -----------------------------------------------------------
 
@@ -97,12 +100,14 @@ class OwnerTableMachine(RuleBasedStateMachine):
     @rule(peer=peers, blocks=st.lists(prefixes, min_size=1, max_size=3))
     def preload(self, peer: int, blocks: List[Prefix]) -> None:
         self.infilter.preload(peer, blocks)
+        self.known.add(peer)
         for block in blocks:
             self.owners[block] = peer
 
     @rule(mapping=st.dictionaries(prefixes, peers, min_size=1, max_size=3))
     def ingress_map(self, mapping: Dict[Prefix, int]) -> None:
         self.infilter.initialize_from_ingress_map(mapping)
+        self.known.update(mapping.values())
         self.owners.update(mapping)
 
     @rule(flows=st.lists(st.tuples(addresses, peers), min_size=1, max_size=4))
@@ -111,6 +116,7 @@ class OwnerTableMachine(RuleBasedStateMachine):
             [_record(address, peer) for address, peer in flows]
         )
         for address, peer in flows:
+            self.known.add(peer)
             if not self.covered_at(peer, address):
                 self.owners[Prefix.from_address(address, _GRANULARITY)] = peer
 
@@ -120,6 +126,7 @@ class OwnerTableMachine(RuleBasedStateMachine):
         than the longest stored both happen."""
         previous = self.expected(block.network)
         assert self.infilter.apply_absorption(peer, block) == previous
+        self.known.add(peer)
         self.owners[block] = peer
 
     @rule(peer=peers, address=addresses)
@@ -129,6 +136,7 @@ class OwnerTableMachine(RuleBasedStateMachine):
         absorbed = self.infilter.learn(peer, address)
         if count >= _THRESHOLD:
             assert absorbed == block
+            self.known.add(peer)
             self.owners[block] = peer
         else:
             assert absorbed is None
@@ -185,6 +193,30 @@ class OwnerTableMachine(RuleBasedStateMachine):
         longest = max((p.length for p in self.owners), default=0)
         assert self.infilter.memo_shift == 32 - longest
 
+    @invariant()
+    def checkpoint_text_is_the_models(self) -> None:
+        """What a save writes, rendered from the model alone: the text
+        the sets keep must never drift from what they hold."""
+        texts: Dict[int, List[str]] = {peer: [] for peer in self.known}
+        for prefix, owner in self.owners.items():
+            texts[owner].append(str(prefix))
+        pending = sorted(
+            (peer, str(block), count)
+            for (peer, block), count in self.pending.items()
+        )
+        state = self.infilter.state_dict()
+        assert list(state["peers"]) == [str(peer) for peer in sorted(texts)]
+        assert state == {
+            "peers": {
+                str(peer): {"peer": peer, "prefixes": sorted(texts[peer])}
+                for peer in sorted(texts)
+            },
+            "pending": [
+                {"peer": peer, "prefix": block, "count": count}
+                for peer, block, count in pending
+            ],
+        }
+
 
 TestOwnerTableMachine = OwnerTableMachine.TestCase
 TestOwnerTableMachine.settings = settings(
@@ -192,7 +224,7 @@ TestOwnerTableMachine.settings = settings(
 )
 
 
-# -- the two restore bugs -------------------------------------------------------
+# -- restores: what a checkpoint may not say ------------------------------------
 
 
 def _answers(infilter: BasicInFilter, addresses_: List[int]) -> List[Tuple]:
@@ -224,23 +256,52 @@ def test_a_block_trained_at_two_peers_checks_the_same_after_a_restore():
     assert restored.state_dict() == infilter.state_dict()
 
 
-@pytest.mark.parametrize("prefix", ["10.32.0.0/11", "10.16.0.0/13", "10.16.1.0/24"])
-def test_load_state_refuses_a_pending_block_of_another_length(prefix):
+def _restorable() -> BasicInFilter:
+    """Sets at peers 3 and 7, a pending counter at 7, a warm table."""
     infilter = _new_filter()
     infilter.preload(3, [Prefix.parse("10.0.0.0/8")])
+    infilter.preload(7, [Prefix.parse("12.0.0.0/8")])
     infilter.learn(7, (10 << 24) | 0x100001)
+    return infilter
+
+
+def _assert_refused(infilter: BasicInFilter, state: dict, match: str) -> None:
     kept = infilter.state_dict()
-    probes = [(10 << 24) | 0x100001, 11 << 24]
+    probes = [(10 << 24) | 0x100001, 11 << 24, 12 << 24]
     before = _answers(infilter, probes)
     warm = dict(infilter.table.entries)
     assert warm
-
-    state = infilter.state_dict()
-    state["peers"] = {"0": {"peer": 0, "prefixes": ["11.0.0.0/8"]}}
-    state["pending"].append({"peer": 3, "prefix": prefix, "count": 1})
-    with pytest.raises(StateError, match=prefix.replace(".", r"\.")):
+    with pytest.raises(StateError, match=match):
         infilter.load_state(state)
     # Refused means untouched: sets, counters and the warm table.
     assert infilter.state_dict() == kept
     assert dict(infilter.table.entries) == warm
     assert _answers(infilter, probes) == before
+
+
+@pytest.mark.parametrize("prefix", ["10.32.0.0/11", "10.16.0.0/13", "10.16.1.0/24"])
+def test_load_state_refuses_a_pending_block_of_another_length(prefix):
+    infilter = _restorable()
+    state = infilter.state_dict()
+    state["peers"] = {"0": {"peer": 0, "prefixes": ["11.0.0.0/8"]}}
+    state["pending"].append({"peer": 3, "prefix": prefix, "count": 1})
+    _assert_refused(infilter, state, prefix.replace(".", r"\."))
+
+
+def test_load_state_refuses_a_block_listed_under_two_peers():
+    """Both sets would list it while the owner index kept one peer, and
+    a later move would take it from one set only."""
+    infilter = _restorable()
+    state = infilter.state_dict()
+    state["peers"]["7"]["prefixes"].insert(0, "10.0.0.0/8")
+    _assert_refused(infilter, state, r"10\.0\.0\.0/8 .*peers 3 and 7")
+
+
+def test_load_state_refuses_a_section_filed_under_another_peer():
+    """Section "3" says it is peer 7's set: it would silently replace
+    (or be replaced by) the real one."""
+    infilter = _restorable()
+    state = infilter.state_dict()
+    state["peers"]["3"]["peer"] = 7
+    state["peers"]["3"]["prefixes"] = ["13.0.0.0/8"]
+    _assert_refused(infilter, state, r"'3' holds the set of peer 7")
