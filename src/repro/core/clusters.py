@@ -12,6 +12,7 @@ own KOR search structure.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -19,7 +20,6 @@ from repro.core.config import NNSConfig
 from repro.core.encoding import UnaryEncoder
 from repro.core.nns import NNSStructure, SearchResult, TrainingFlow
 from repro.core.state import StateDict, stateful
-from repro.fastpath.bitpack import PackedCodes
 from repro.netflow.records import (
     PORT_DNS,
     PORT_FTP,
@@ -53,6 +53,13 @@ PROTOCOL_CLASSES: Tuple[str, ...] = (
 )
 
 _TCP_SERVICES = {PORT_HTTP: "http", PORT_SMTP: "smtp", PORT_FTP: "ftp"}
+
+#: How many flows of a subcluster probe its threshold calibration; a
+#: larger subcluster is probed at a deterministic stride sample of this
+#: many.  The cap fixes *which* flows are sampled, and so the
+#: reproduction's thresholds.  It does not bound cost: calibration works
+#: over distinct codes (:func:`_calibrate_threshold`).
+THRESHOLD_SAMPLE_CAP = 400
 
 
 def protocol_class(record: FlowRecord) -> str:
@@ -134,13 +141,8 @@ class ClusterModel:
         config: NNSConfig = NNSConfig(),
         *,
         rng: Optional[SeededRng] = None,
-        threshold_sample_cap: int = 400,
     ) -> "ClusterModel":
-        """Section 5.1.3(b)–(d): partition, thresholds, structures.
-
-        ``threshold_sample_cap`` bounds the O(n²) exact-NN threshold
-        calibration; beyond it a deterministic stride sample is used.
-        """
+        """Section 5.1.3(b)–(d): partition, thresholds, structures."""
         if not records:
             raise TrainingError("training requires at least one flow")
         if rng is None:
@@ -151,14 +153,10 @@ class ClusterModel:
         subclusters: Dict[str, SubCluster] = {}
         for name, group in sorted(cluster.partition().items()):
             flows = [
-                TrainingFlow(
-                    index=i, stats=r.stats(), encoded=encoder.encode(r.stats())
-                )
-                for i, r in enumerate(group)
+                TrainingFlow(index=i, stats=stats, encoded=encoder.encode(stats))
+                for i, stats in enumerate(r.stats() for r in group)
             ]
-            threshold = _calibrate_threshold(
-                flows, config, cap=threshold_sample_cap
-            )
+            threshold = _calibrate_threshold(flows, config)
             structure = NNSStructure(
                 encoder, config, flows, rng=rng.fork(f"cluster-{name}")
             )
@@ -236,10 +234,16 @@ class ClusterModel:
         return model
 
 
-def _calibrate_threshold(
-    flows: Sequence[TrainingFlow], config: NNSConfig, *, cap: int
-) -> int:
+def _calibrate_threshold(flows: Sequence[TrainingFlow], config: NNSConfig) -> int:
     """Quantile of leave-one-out nearest-neighbour distances, with slack.
+
+    The probes are every flow, or a stride sample of
+    :data:`THRESHOLD_SAMPLE_CAP` of them.  A probe's leave-one-out
+    distance depends only on its code and the cluster's code multiset:
+    0 when another flow shares the code, else the distance to the
+    closest *other* distinct code.  So it is computed once per distinct
+    code, over distinct codes — training clusters repeat codes heavily —
+    and equals the minimum over every other flow by construction.
 
     A single-flow cluster gets a small floor threshold: anything not very
     close to the lone exemplar is anomalous.
@@ -247,21 +251,26 @@ def _calibrate_threshold(
     if len(flows) < 2:
         return max(1, int(0.02 * config.dimension))
     sample: Sequence[TrainingFlow] = flows
-    if len(flows) > cap:
-        stride = len(flows) / cap
-        sample = [flows[int(i * stride)] for i in range(cap)]
-    # One packed popcount sweep per probe instead of a per-flow hamming()
-    # call: identical distances, a fraction of the interpreter traffic.
-    packed = PackedCodes([flow.encoded for flow in flows], config.dimension)
+    if len(flows) > THRESHOLD_SAMPLE_CAP:
+        stride = len(flows) / THRESHOLD_SAMPLE_CAP
+        sample = [flows[int(i * stride)] for i in range(THRESHOLD_SAMPLE_CAP)]
+    multiplicity = Counter(flow.encoded for flow in flows)
+    nearest: Dict[int, int] = {}
     distances: List[int] = []
     for probe in sample:
-        sweep = packed.distances(probe.encoded)
-        nearest = min(
-            distance
-            for distance, other in zip(sweep, flows)
-            if other.index != probe.index
-        )
-        distances.append(nearest)
+        code = probe.encoded
+        distance = nearest.get(code)
+        if distance is None:
+            if multiplicity[code] > 1:
+                distance = 0
+            else:
+                distance = min(
+                    (code ^ other).bit_count()
+                    for other in multiplicity
+                    if other != code
+                )
+            nearest[code] = distance
+        distances.append(distance)
     distances.sort()
     position = min(
         len(distances) - 1,

@@ -15,8 +15,9 @@ performed periodically") is available through :meth:`retrain`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.alerts import IdmefAlert
 from repro.core.config import PipelineConfig
@@ -71,8 +72,8 @@ class Deployment:
             if channel_config is not None
             else None
         )
-        self._reservoir_limit = retrain_reservoir
-        self._reservoir: List[FlowRecord] = []
+        # The newest benign flows, at most `retrain_reservoir` of them.
+        self._reservoir: Deque[FlowRecord] = deque(maxlen=retrain_reservoir)
         self.decisions: List[Decision] = []
         self.collector.add_sink(self._on_record)
 
@@ -107,7 +108,7 @@ class Deployment:
     def train(self, records: Sequence[FlowRecord]) -> None:
         """Initial model training (Section 5.1.3 (b)-(d))."""
         self.detector.train(records)
-        self._reservoir.extend(records[-self._reservoir_limit :])
+        self._reservoir.extend(records)
 
     # -- data plane --------------------------------------------------------------
 
@@ -165,10 +166,8 @@ class Deployment:
         self.decisions.append(decision)
         if decision.alert is not None:
             self.traceback.consume(decision.alert)
-        elif decision.verdict == Verdict.LEGAL and self._reservoir_limit:
+        elif decision.verdict == Verdict.LEGAL:
             self._reservoir.append(record)
-            if len(self._reservoir) > self._reservoir_limit:
-                del self._reservoir[: len(self._reservoir) - self._reservoir_limit]
 
     # -- control plane ---------------------------------------------------------
 

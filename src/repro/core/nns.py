@@ -47,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import NNSConfig
 from repro.core.encoding import UnaryEncoder, hamming
 from repro.core.state import StateDict, stateful
-from repro.fastpath.bitpack import PackedCodes
 from repro.netflow.records import FlowStats
 from repro.util.errors import StateError, TrainingError
 from repro.util.rng import SeededRng
@@ -201,11 +200,10 @@ class NNSStructure:
         self._deltas = _ball_deltas(config.m2, config.m3)
         self._scales: Dict[int, List[_TraceTable]] = {}
         self.scales_built = 0
-        # Derived caches over `flows`: the codes bit-packed for popcount
-        # distance sweeps, and each flow's interval indices for filing it
-        # into trace tables.  Built lazily, never checkpointed, dropped
-        # (with the tables) whenever `flows` is replaced (load_state).
-        self._packed: Optional[PackedCodes] = None
+        # A derived cache over `flows`: each flow's interval indices for
+        # filing it into trace tables.  Built lazily, never checkpointed,
+        # dropped (with the tables) whenever `flows` is replaced
+        # (load_state).
         self._flow_lanes: Optional[List[Tuple[int, ...]]] = None
 
     @property
@@ -331,7 +329,6 @@ class NNSStructure:
         self._pick_rng.load_state(state["pick_rng"])
         self._scales = {}
         self.scales_built = 0
-        self._packed = None
         self._flow_lanes = None
 
     @classmethod
@@ -348,32 +345,15 @@ class NNSStructure:
         structure.load_state(state)
         return structure
 
-    def packed_codes(self) -> PackedCodes:
-        """The training codes packed for popcount distance sweeps.
-
-        A derived cache over ``self.flows`` — positions match the flows
-        list, so a ``distances()`` sweep lines up with it index for
-        index.
-        """
-        if self._packed is None:
-            self._packed = PackedCodes(
-                [flow.encoded for flow in self.flows], self.dimension
-            )
-        return self._packed
-
     def nearest_exact(self, encoded: int) -> SearchResult:
-        """Brute-force exact nearest neighbour (calibration & testing).
+        """Brute-force exact nearest neighbour (tests and bench A4).
 
-        One packed popcount sweep over the corpus; the winner (ties to
-        the earliest training index) is identical to a per-flow
-        ``min(..., key=(hamming, index))`` scan.
+        The closest training flow by Hamming distance, ties to the
+        earliest training index.
         """
-        flows = self.flows
-        distances = self.packed_codes().distances(encoded)
-        position = min(
-            range(len(distances)),
-            key=lambda i: (distances[i], flows[i].index),
+        flow = min(
+            self.flows, key=lambda f: ((f.encoded ^ encoded).bit_count(), f.index)
         )
         return SearchResult(
-            flow=flows[position], distance=distances[position], scale=0
+            flow=flow, distance=hamming(flow.encoded, encoded), scale=0
         )

@@ -2,13 +2,13 @@
 
 E11/E19 showed the per-flow cost of the reproduction is dominated by
 pure-Python EIA lookups and d=720 unary Hamming distances.  This
-package is the documented, benchmarked answer (bench E15, tuning guide
+package is the batch-plane half of the answer (bench E15, tuning guide
 ``docs/performance.md``): columnar zero-copy NetFlow decoding and the
-row batches the serve path moves (:mod:`repro.fastpath.columnar`),
-bit-packed popcount Hamming sweeps over NNS codes
-(:mod:`repro.fastpath.bitpack`), and the bounded write-through
-block -> owner table (:mod:`repro.fastpath.plane`) every EIA check
-answers from.
+row batches the serve path moves (:mod:`repro.fastpath.columnar`), and
+the bounded write-through block -> owner table
+(:mod:`repro.fastpath.plane`) every EIA check answers from.  The
+Hamming half lives in :mod:`repro.core.nns` and
+:mod:`repro.core.clusters`, which XOR and popcount int codes directly.
 
 Layering: imports :mod:`repro.util`, :mod:`repro.obs`, and
 :mod:`repro.netflow` only — never :mod:`repro.core`; the detector
@@ -19,7 +19,6 @@ checkpoints by construction.
 
 from __future__ import annotations
 
-from repro.fastpath.bitpack import PackedCodes, hamming_per_bit
 from repro.fastpath.columnar import (
     ColumnarBatch,
     RecordColumns,
@@ -32,8 +31,6 @@ from repro.fastpath.columnar import (
 from repro.fastpath.plane import DEFAULT_MEMO_CAPACITY, MISSING, FastPath
 
 __all__ = [
-    "PackedCodes",
-    "hamming_per_bit",
     "ColumnarBatch",
     "RecordColumns",
     "RecordRow",

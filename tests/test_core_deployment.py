@@ -164,3 +164,17 @@ class TestRetraining:
         deployment.add_border_router("br", 0, [WEST])
         with pytest.raises(ExperimentError):
             deployment.retrain()
+
+    def test_zero_reservoir_files_no_training_flow(self):
+        deployment = Deployment(rng=SeededRng(1), retrain_reservoir=0)
+        deployment.add_border_router("br", 0, [WEST])
+        deployment.train(training_records(300))
+        with pytest.raises(ExperimentError):
+            deployment.retrain()
+
+    def test_training_twice_keeps_the_reservoir_at_its_limit(self):
+        deployment = Deployment(rng=SeededRng(1), retrain_reservoir=200)
+        deployment.add_border_router("br", 0, [WEST])
+        deployment.train(training_records(300))
+        deployment.train(training_records(300, seed=6))
+        assert deployment.retrain() == 200

@@ -1,8 +1,7 @@
 """Equivalence and invalidation properties of the fastpath data plane.
 
-The fastpath's entire contract is *observable equivalence*: bit-packed
-popcount distances equal the per-bit reference, columnar datagram
-decode equals the record-at-a-time decoders byte for byte (including
+The fastpath's entire contract is *observable equivalence*: popcount
+Hamming distances equal the per-bit reference, columnar datagram decode equals the record-at-a-time decoders byte for byte (including
 error messages on malformed input), the cross-batch verdict memo
 changes no decision even across learning-rule absorptions, and a
 checkpoint is byte-identical whether the memo is hot or cold.
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import EIAConfig, PipelineConfig
 from repro.core.encoding import hamming
 from repro.core.persistence import render_state
-from repro.fastpath import MISSING, FastPath, PackedCodes, hamming_per_bit
+from repro.fastpath import MISSING, FastPath
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.netflow.collector import FlowCollector
 from repro.netflow.v1 import (
@@ -46,43 +45,40 @@ codes = st.integers(min_value=0, max_value=2**_DIMENSION - 1)
 small_codes = st.integers(min_value=0, max_value=2**48 - 1)
 
 
-# -- bit-packed distances -----------------------------------------------------
+def hamming_per_bit(a, b, dimension):
+    """The Hamming distance walked one bit position at a time: the naive
+    per-bit loop over two unary vectors, independent of popcount."""
+    return sum(
+        ((a >> position) & 1) != ((b >> position) & 1)
+        for position in range(dimension)
+    )
+
+
+# -- popcount distances over int-packed codes ---------------------------------
 
 
 class TestPackedCodes:
+    """Unary codes are bits packed into one int; every NNS distance is
+    an XOR + popcount over them.  (The class keeps the name it had when
+    a separate byte-buffer corpus packed them; the ints are the packing
+    now.)"""
+
     @given(small_codes, small_codes)
     @settings(max_examples=150)
     def test_popcount_equals_per_bit_reference(self, a, b):
-        """The fastpath Hamming (XOR + popcount) == naive per-bit NNS
-        distance, on a width where the bit walk is affordable."""
-        packed = PackedCodes([a], 48)
-        assert packed.distances(b) == [hamming_per_bit(a, b, 48)]
-        assert packed.distances(b) == [hamming(a, b)]
+        """XOR + popcount == the naive per-bit distance, on a width
+        where the bit walk is cheap enough for many examples."""
+        assert hamming(a, b) == hamming_per_bit(a, b, 48)
+        assert (a ^ b).bit_count() == hamming(a, b)
 
     @given(st.lists(codes, min_size=1, max_size=8), codes)
     @settings(max_examples=60)
     def test_full_dimension_sweep_matches_hamming(self, corpus, query):
-        packed = PackedCodes(corpus, _DIMENSION)
-        assert packed.distances(query) == [hamming(c, query) for c in corpus]
-        for i, code in enumerate(corpus):
-            assert packed.code_at(i) == code
-
-    @given(st.lists(codes, min_size=1, max_size=12), codes)
-    @settings(max_examples=60)
-    def test_argmin_ties_to_lowest_index(self, corpus, query):
-        index, distance = PackedCodes(corpus, _DIMENSION).argmin(query)
-        expected = min(
-            range(len(corpus)), key=lambda i: (hamming(corpus[i], query), i)
-        )
-        assert (index, distance) == (expected, hamming(corpus[expected], query))
-
-    def test_oversized_code_rejected(self):
-        with pytest.raises(ConfigError):
-            PackedCodes([1 << 8], 8)
-
-    def test_empty_argmin_rejected(self):
-        with pytest.raises(ConfigError):
-            PackedCodes([], 8).argmin(0)
+        """A sweep over a corpus at d = 720 equals the per-bit reference
+        code for code."""
+        assert [hamming(c, query) for c in corpus] == [
+            hamming_per_bit(c, query, _DIMENSION) for c in corpus
+        ]
 
 
 # -- the verdict memo ---------------------------------------------------------
@@ -406,7 +402,7 @@ class TestVerdictEquivalence:
         assert detector.fastpath.stats()["size"] == 0
 
 
-# -- NNS packed sweeps match the min() formulation ----------------------------
+# -- the exact NNS matches the min() formulation ------------------------------
 
 
 class TestPackedNNS:
