@@ -16,9 +16,10 @@ including every substrate the paper's system and evaluation depend on:
   experiment sets;
 - :mod:`repro.validation` — the Section 3 hypothesis-validation studies;
 - :mod:`repro.baselines` — uRPF, history-based filtering, signature IDS;
-- :mod:`repro.cluster` — the multi-process serving cluster: a flow
-  director steering NetFlow to shard-affine worker processes under one
-  supervisor with federated observability and supervised restart.
+- :mod:`repro.serve` — the Figure 9 deployment: one daemon per
+  collector host taking NetFlow over UDP into one commit loop, with
+  batch-boundary checkpoints, warm restart and an HTTP observability
+  endpoint.
 
 Quick start::
 

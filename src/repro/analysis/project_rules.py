@@ -68,7 +68,6 @@ LAYERS: Dict[str, int] = {
     "serve": 5,
     "testbed": 5,
     "baselines": 6,
-    "cluster": 6,
     "cli": 7,
 }
 

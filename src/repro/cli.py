@@ -21,12 +21,7 @@
   batch-boundary checkpoints (``--save-state``/``--checkpoint-every``),
   warm restart (``--load-state --resume``), graceful SIGTERM drain,
   SIGHUP hot reload, and an HTTP observability endpoint (``--http-port``);
-  ``--workers N --state-dir DIR`` scales the same daemon across N
-  shard-affine worker processes (:mod:`repro.cluster`): a flow director
-  steers each datagram's records to the worker owning its source block,
-  the supervisor restarts crashed workers from their own checkpoints,
-  and the HTTP endpoint serves the federated (``worker``-labelled)
-  cluster view;
+  one daemon per collector host, as Figure 9 draws it;
 * ``infilter state``      — checkpoint tooling: ``state inspect CKPT``
   summarizes a saved checkpoint without loading it;
 * ``infilter validate``   — run the Section 3 hypothesis-validation studies;
@@ -55,7 +50,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
-    from repro.cluster import ClusterReport, ClusterSupervisor
     from repro.core.persistence import CheckpointWriter
 
 from repro.core import (
@@ -458,17 +452,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     with use_registry(registry):
         code = _run_serve(args, registry)
-    # The cluster path writes the federated (worker-labelled) snapshot
-    # itself; only the single-daemon path snapshots this registry.
-    if code == 0 and args.metrics_out and args.workers is None:
+    if code == 0 and args.metrics_out:
         _write_metrics(registry, args.metrics_out)
         print(f"metrics written to {args.metrics_out}")
     return code
 
 
 def _run_serve(args: argparse.Namespace, registry: MetricsRegistry) -> int:
-    if args.workers is not None:
-        return _run_cluster(args, registry)
     detector, cursor_base, writer, checkpoint_every = _prepare_detector(
         args, "cli-serve", _refuse_self_training
     )
@@ -518,128 +508,6 @@ async def _serve_and_announce(daemon: ServeDaemon) -> ServeReport:
         print(
             f"observability on http://{daemon.http_address[0]}:"
             f"{daemon.http_address[1]} (/healthz /metrics /stats.json)"
-        )
-    sys.stdout.flush()
-    return await task
-
-
-def _run_cluster(args: argparse.Namespace, registry: MetricsRegistry) -> int:
-    """``infilter serve --workers N``: the multi-process cluster path.
-
-    A fresh ``--state-dir`` is seeded from the trained (or
-    ``--load-state``-restored) detector; a state dir that already holds a
-    cluster manifest resumes every worker from its own checkpoint, and a
-    worker-count mismatch against the manifest is a ``ConfigError`` (the
-    supervisor names both values).
-    """
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterSupervisor,
-        seed_cluster_state,
-    )
-    from repro.core.persistence import load_cluster_manifest
-    from repro.util.errors import ConfigError
-
-    if not args.state_dir:
-        print(
-            "error: --workers needs --state-dir for the per-worker"
-            " checkpoints and the cluster manifest",
-            file=sys.stderr,
-        )
-        return 2
-    if args.save_state:
-        print(
-            "error: --save-state does not apply to a cluster; workers"
-            " checkpoint into --state-dir",
-            file=sys.stderr,
-        )
-        return 2
-    host, port = _parse_listen(args.listen)
-    manifest = load_cluster_manifest(args.state_dir)
-    if manifest is None:
-        if args.resume:
-            print(
-                "error: --resume needs an already-seeded --state-dir"
-                " (no cluster manifest found)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.load_state:
-            from repro.core.persistence import load_checkpoint
-
-            detector, _cursor = load_checkpoint(args.load_state)
-            if args.eia_plan:
-                print(
-                    "note: --load-state supplied; ignoring the EIA plan"
-                    " file",
-                    file=sys.stderr,
-                )
-            if detector.alert_sink.alerts:
-                print(
-                    f"note: dropping {len(detector.alert_sink.alerts)}"
-                    " stored alerts from the seed checkpoint (a cluster"
-                    " seed is a trained model, not a serving history)",
-                    file=sys.stderr,
-                )
-                detector.alert_sink.alerts.clear()
-        else:
-            detector = _build_detector(args, "cli-serve", _refuse_self_training)
-        seed_cluster_state(detector, args.state_dir, workers=args.workers)
-        print(f"seeded {args.state_dir} for {args.workers} workers")
-    elif args.load_state:
-        raise ConfigError(
-            f"--load-state conflicts with the already-seeded state dir"
-            f" {args.state_dir!r}; drop --load-state to resume its"
-            " checkpoints, or remove the state dir to re-seed"
-        )
-    cluster_config = ClusterConfig(
-        state_dir=args.state_dir,
-        host=host,
-        port=port,
-        http_port=args.http_port,
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        shed_policy=args.shed_policy,
-        batch_size=args.batch_size,
-        checkpoint_every=(
-            args.checkpoint_every if args.checkpoint_every is not None else 1
-        ),
-        max_records=args.max_records,
-        idle_exit_s=args.idle_exit_s,
-        drain_timeout_s=args.drain_timeout_s,
-    )
-    supervisor = ClusterSupervisor(cluster_config, registry=registry)
-    report = asyncio.run(_cluster_and_announce(supervisor))
-    print(report.describe())
-    if args.alerts_out:
-        alerts = supervisor.merged_alerts()
-        Path(args.alerts_out).write_text(
-            "".join(alert.to_xml() + "\n" for alert in alerts)
-        )
-        print(f"{len(alerts)} alerts written to {args.alerts_out}")
-    if args.metrics_out:
-        _write_metrics(supervisor.federated_registry(), args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-    return 0
-
-
-async def _cluster_and_announce(
-    supervisor: "ClusterSupervisor",
-) -> "ClusterReport":
-    """Run the cluster, printing the bound addresses once serving."""
-    task = asyncio.ensure_future(supervisor.run())
-    await supervisor.wait_started()
-    assert supervisor.address is not None
-    print(
-        f"listening on udp://{supervisor.address[0]}:"
-        f"{supervisor.address[1]}"
-        f" ({supervisor.config.workers} workers)"
-    )
-    if supervisor.http_address is not None:
-        print(
-            f"observability on http://{supervisor.http_address[0]}:"
-            f"{supervisor.http_address[1]} (/healthz /metrics /stats.json,"
-            " federated)"
         )
     sys.stdout.flush()
     return await task
@@ -1096,30 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="drain and exit after S seconds without traffic",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run a multi-process cluster of N shard-affine workers"
-        " behind one flow-director front (needs --state-dir)",
-    )
-    serve.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help="cluster state directory: one checkpoint per worker plus"
-        " the composition manifest; a fresh dir is seeded from the"
-        " trained detector, an existing one is resumed",
-    )
-    serve.add_argument(
-        "--drain-timeout-s",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="cluster drain: how long to wait for each worker to consume"
-        " its routed stream (default %(default)s)",
     )
     serve.add_argument(
         "--alerts-out",

@@ -74,21 +74,15 @@ from repro.util.errors import StateError
 
 __all__ = [
     "STATE_FORMAT_VERSION",
-    "CLUSTER_MANIFEST_VERSION",
     "CheckpointWriter",
     "render_state",
     "save_detector",
     "load_checkpoint",
     "load_detector",
     "describe_state",
-    "worker_checkpoint_path",
-    "cluster_manifest_path",
-    "save_cluster_manifest",
-    "load_cluster_manifest",
 ]
 
 STATE_FORMAT_VERSION = 3
-CLUSTER_MANIFEST_VERSION = 1
 
 #: How much of a journal is read and hashed at a time while verifying
 #: its extent.
@@ -558,90 +552,6 @@ def load_detector(
     """Restore just the detector from a checkpoint."""
     detector, _ = load_checkpoint(source, registry=registry)
     return detector
-
-
-def worker_checkpoint_path(
-    state_dir: Union[str, Path], worker: int, workers: int
-) -> Path:
-    """The canonical per-worker checkpoint path inside a cluster state dir.
-
-    Encoding the composition in the file name (``worker-01-of-04.json``)
-    makes a state directory self-describing on disk and keeps a worker
-    from ever opening a checkpoint written under a different shard count.
-    """
-    if workers <= 0:
-        raise StateError(f"cluster composition must be positive: {workers}")
-    if not 0 <= worker < workers:
-        raise StateError(
-            f"worker index {worker} out of range for {workers} workers"
-        )
-    return Path(state_dir) / f"worker-{worker:02d}-of-{workers:02d}.json"
-
-
-def cluster_manifest_path(state_dir: Union[str, Path]) -> Path:
-    """Where a cluster state directory keeps its composition manifest."""
-    return Path(state_dir) / "cluster.json"
-
-
-def save_cluster_manifest(
-    state_dir: Union[str, Path], *, workers: int, granularity: int
-) -> None:
-    """Atomically record the cluster composition alongside its checkpoints.
-
-    The manifest pins the two values that make per-worker checkpoints
-    mutually compatible: the worker count (== shard count) and the router
-    granularity.  Resuming under a different composition is refused by the
-    CLI with a :class:`~repro.util.errors.ConfigError` naming both sides.
-    """
-    if workers <= 0:
-        raise StateError(f"cluster composition must be positive: {workers}")
-    document = {
-        "format": CLUSTER_MANIFEST_VERSION,
-        "granularity": granularity,
-        "workers": workers,
-    }
-    _write_atomic(
-        cluster_manifest_path(state_dir), _canonical(document).encode("ascii")
-    )
-
-
-def load_cluster_manifest(
-    state_dir: Union[str, Path]
-) -> Optional[Dict[str, int]]:
-    """Read a state directory's composition manifest, or ``None`` if absent.
-
-    Raises :class:`StateError` when a manifest exists but is malformed —
-    a half-written or foreign ``cluster.json`` should never be mistaken
-    for "no prior composition".
-    """
-    path = cluster_manifest_path(state_dir)
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        return None
-    except OSError as error:
-        raise StateError(
-            f"could not read cluster manifest {path}: {error}"
-        ) from error
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise StateError(f"malformed cluster manifest: {error}") from error
-    if not isinstance(document, dict):
-        raise StateError("cluster manifest must be a JSON object")
-    try:
-        version = int(document["format"])
-        if version != CLUSTER_MANIFEST_VERSION:
-            raise StateError(
-                f"unsupported cluster manifest format {version!r}"
-            )
-        return {
-            "format": version,
-            "granularity": int(document["granularity"]),
-            "workers": int(document["workers"]),
-        }
-    except (KeyError, TypeError, ValueError) as error:
-        raise StateError(f"corrupt cluster manifest: {error}") from error
 
 
 def _size(path: Path) -> Optional[int]:

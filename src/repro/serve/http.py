@@ -37,7 +37,6 @@ log = get_logger(__name__)
 _KNOWN_PATHS = ("/healthz", "/metrics", "/stats.json")
 
 HealthProvider = Callable[[], Dict[str, object]]
-RegistryProvider = Callable[[], MetricsRegistry]
 
 
 class ObservabilityEndpoint:
@@ -48,15 +47,9 @@ class ObservabilityEndpoint:
         *,
         health: HealthProvider,
         registry: Optional[MetricsRegistry] = None,
-        registry_provider: Optional[RegistryProvider] = None,
     ) -> None:
         self._health = health
         self._registry = registry if registry is not None else get_registry()
-        # When set, /metrics and /stats.json render whatever registry the
-        # provider returns at scrape time (the cluster supervisor hands in
-        # its latest federated merge); request accounting stays on the
-        # endpoint's own registry either way.
-        self._registry_provider = registry_provider
         self._server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Tuple[str, int]] = None
         self._m_requests = self._registry.counter(
@@ -95,12 +88,7 @@ class ObservabilityEndpoint:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
-            # Drain headers; the response depends only on the path.
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
+            request_line = await self._read_request(reader)
             status, content_type, body = self._respond(request_line)
             head = (
                 f"HTTP/1.1 {status}\r\n"
@@ -109,6 +97,9 @@ class ObservabilityEndpoint:
                 "Connection: close\r\n"
                 "\r\n"
             )
+            if request_line.startswith(b"HEAD "):
+                # RFC 9110 9.3.2: the GET's status and headers, no content.
+                body = b""
             writer.write(head.encode("ascii") + body)
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -119,6 +110,28 @@ class ObservabilityEndpoint:
                 await writer.wait_closed()
             except ConnectionError:  # pragma: no cover - peer reset on close
                 pass
+
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader) -> bytes:
+        """The request line, once the whole request has been read.
+
+        The response depends only on the path, but closing with input
+        unread would reset the connection under the answer, so headers
+        are drained to the blank line.  A line over the reader's limit
+        makes the request malformed (``b""``); it is read to its end all
+        the same.
+        """
+        request_line: Optional[bytes] = None
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                request_line = b""
+                continue
+            if request_line is None:
+                request_line = line
+            if line in (b"\r\n", b"\n", b""):
+                return request_line
 
     def _respond(self, request_line: bytes) -> Tuple[str, str, bytes]:
         parts = request_line.decode("latin-1", "replace").split()
@@ -134,14 +147,9 @@ class ObservabilityEndpoint:
             body = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
             return "200 OK", "application/json", body
         if path == "/metrics":
-            text = render_prometheus(self._scrape_registry())
+            text = render_prometheus(self._registry)
             return "200 OK", "text/plain; version=0.0.4", text.encode("utf-8")
         if path == "/stats.json":
-            text = render_json(self._scrape_registry()) + "\n"
+            text = render_json(self._registry) + "\n"
             return "200 OK", "application/json", text.encode("utf-8")
         return "404 Not Found", "text/plain", b"unknown path\n"
-
-    def _scrape_registry(self) -> MetricsRegistry:
-        if self._registry_provider is not None:
-            return self._registry_provider()
-        return self._registry

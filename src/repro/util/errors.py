@@ -20,7 +20,6 @@ __all__ = [
     "ExperimentError",
     "StateError",
     "ServeError",
-    "ClusterError",
 ]
 
 
@@ -70,7 +69,3 @@ class StateError(ReproError, RuntimeError):
 
 class ServeError(ReproError, RuntimeError):
     """The live serving daemon violated or detected a usage contract."""
-
-
-class ClusterError(ReproError, RuntimeError):
-    """The multi-process serving cluster violated or detected a contract."""

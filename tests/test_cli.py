@@ -713,6 +713,23 @@ class TestServeValidation:
         assert code == 2
         assert "error" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--workers", "2"],
+            ["--state-dir", "state"],
+            ["--drain-timeout-s", "10"],
+        ],
+    )
+    def test_retired_cluster_flags_are_usage_errors(
+        self, plan_file, flag, capsys
+    ):
+        """``serve`` is one daemon: the multi-process flags are gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", plan_file, *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestEnsembleFlags:
     """``--detectors``/``--ensemble-policy`` validation and behaviour.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import os
 import signal
 import socket
@@ -52,6 +53,7 @@ from repro.serve import (
     CommitWorker,
     DatagramRouter,
     IngestQueue,
+    ObservabilityEndpoint,
     ServeConfig,
     ServeDaemon,
 )
@@ -175,6 +177,30 @@ async def http_get(address, path):
     await writer.wait_closed()
     head, _, body = raw.partition(b"\r\n\r\n")
     return int(head.split()[1]), body
+
+
+def raw_exchanges(requests):
+    """Send each raw request to a bare endpoint; the raw responses."""
+
+    async def main():
+        endpoint = ObservabilityEndpoint(
+            health=lambda: {"ok": 1}, registry=MetricsRegistry()
+        )
+        address = await endpoint.start("127.0.0.1", 0)
+        responses = []
+        try:
+            for request in requests:
+                reader, writer = await asyncio.open_connection(*address)
+                writer.write(request)
+                await writer.drain()
+                responses.append(await reader.read())
+                writer.close()
+                await writer.wait_closed()
+        finally:
+            await endpoint.stop()
+        return responses
+
+    return asyncio.run(main())
 
 
 class TestRouter:
@@ -600,9 +626,9 @@ class TestHotReload:
     def test_reloaded_detector_stays_on_the_daemons_registry(
         self, eia_plan, target_prefix, serve_trace, tmp_path
     ):
-        """A daemon on a private registry (a cluster worker, an embedded
-        daemon) must keep seeing pipeline counters move after a reload:
-        the reloaded detector reports into the registry it replaced."""
+        """A daemon on a private registry (an embedded daemon) must keep
+        seeing pipeline counters move after a reload: the reloaded
+        detector reports into the registry it replaced."""
         ckpt = str(tmp_path / "reload.json")
         save_detector(
             make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400),
@@ -669,6 +695,39 @@ class TestHttpEndpoint:
 
         _daemon, report = run_daemon(detector, config, drive)
         assert report.records_committed == 0
+
+    def test_head_is_the_get_response_without_its_body(self):
+        """RFC 9110 9.3.2: HEAD gets the GET's status line and headers,
+        ``Content-Length`` included, and no content."""
+        get, head = raw_exchanges(
+            [
+                b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+                b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+            ]
+        )
+        headers, _, body = get.partition(b"\r\n\r\n")
+        assert body == b'{"ok": 1}\n'
+        assert b"Content-Length: 10\r\n" in headers
+        assert head == headers + b"\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"b" * 70_000
+            + b"\r\n\r\n",
+            b"GET /" + b"a" * 300_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+        ],
+        ids=["request-line", "header-line", "past-the-read-buffer"],
+    )
+    def test_line_over_the_reader_limit_is_a_400(self, request_bytes, caplog):
+        """A line past the 64 KiB ``StreamReader`` limit is answered,
+        not dropped with an unhandled-exception log; the request is
+        read to its end first, so closing does not reset the answer."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            (response,) = raw_exchanges([request_bytes])
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestServeSubprocess:
