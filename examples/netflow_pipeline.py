@@ -82,19 +82,21 @@ def main() -> None:
 
     # --- 2. export over the v5 wire to a collector ------------------------
     collector = FlowCollector(registry=registry)
-    collector.retain_records()
-    for datagram in datagrams_for(iter(records), sys_uptime=now, unix_secs=0):
-        collector.receive(datagram, source=9001)
+    collected = [
+        record
+        for datagram in datagrams_for(iter(records), sys_uptime=now, unix_secs=0)
+        for record in collector.receive(datagram, source=9001)
+    ]
     stats = collector.stats
     print(f"collector: {stats.datagrams} datagrams, {stats.records} records,"
           f" {stats.lost_flows} lost, {stats.decode_errors} decode errors")
 
     # --- 3. persist to a flow file and read it back -----------------------
     buffer = io.BytesIO()
-    write_flow_file(buffer, collector.records)
+    write_flow_file(buffer, collected)
     buffer.seek(0)
     restored = read_flow_file(buffer)
-    assert restored == collector.records
+    assert restored == collected
     print(f"flow file round-trip: {len(restored)} records,"
           f" {buffer.getbuffer().nbytes} bytes")
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """An operational deployment: packets in, IDMEF + trace-back out.
 
-Uses the high-level :class:`~repro.core.deployment.Deployment` API — the
-assembled Figure 9 system — rather than wiring the pieces by hand:
+Uses the high-level :class:`~repro.serve.deployment.Deployment` API — the
+assembled Figure 9 system, driven through the serve daemon's router,
+queue and commit worker — rather than wiring the pieces by hand:
 
 * two border routers with NetFlow accounting and EIA sets,
 * a lossy UDP export path (NetFlow rides UDP; the collector's sequence
@@ -16,9 +17,10 @@ Run:  python examples/operational_deployment.py
 
 import os
 
-from repro.core import Deployment, PipelineConfig
+from repro.core import PipelineConfig
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.netflow.transport import ChannelConfig
+from repro.serve import Deployment
 from repro.util import Prefix, SeededRng
 
 #: The CI examples-smoke job sets INFILTER_EXAMPLE_QUICK=1 to bound
@@ -72,7 +74,7 @@ def main() -> None:
                      synthesize_trace(120 if QUICK else 600, rng=rng.fork("e")),
                      peer=1, rng=rng.fork("de")),
     )
-    print(f"peacetime: {len(deployment.decisions)} flows assessed,"
+    print(f"peacetime: {deployment.detector.stats.processed} flows assessed,"
           f" {len(deployment.alerts())} alerts")
 
     # The model refreshes itself from the benign reservoir.
@@ -95,7 +97,7 @@ def main() -> None:
     channel = deployment.channel_stats()
     print(f"\ntransport: {channel.sent} datagrams sent,"
           f" {channel.lost} lost in the network,"
-          f" collector accounted {deployment.collector.stats.lost_flows}"
+          f" collector accounted {deployment.daemon.report().lost_flows}"
           f" lost flows via sequence gaps")
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.core.alerts import AlertSink, IdmefAlert, parse_idmef
-from repro.core.deployment import BorderRouter, Deployment
 from repro.core.persistence import (
     STATE_FORMAT_VERSION,
     describe_state,
@@ -63,8 +62,6 @@ from repro.core.scan import ScanAnalyzer, ScanVerdict
 
 __all__ = [
     "AlertSink",
-    "BorderRouter",
-    "Deployment",
     "STATE_FORMAT_VERSION",
     "describe_state",
     "load_checkpoint",

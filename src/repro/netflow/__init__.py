@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.netflow.collector import CollectorStats, FlowCollector, PortMux
+from repro.netflow.collector import CollectorStats, FlowCollector
 from repro.netflow.emit import (
     ChannelTarget,
     DatagramEmitter,
@@ -83,7 +83,6 @@ __all__ = [
     "read_flow_file",
     "write_flow_file",
     "FlowCollector",
-    "PortMux",
     "ExporterConfig",
     "FlowExporter",
     "Packet",

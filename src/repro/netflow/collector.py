@@ -1,28 +1,25 @@
 """NetFlow collection (the flow-capture role of Flow-tools).
 
-:class:`FlowCollector` receives encoded v5 datagrams, decodes them, tracks
-per-source sequence numbers for loss detection, and hands the records to
-registered sinks.  In the testbed each Dagflow instance sends to a distinct
-UDP port; :class:`PortMux` reproduces that multiplexing by mapping a
-destination port to a peer-AS identity and stamping it onto the records
-(via ``input_if``) before collection.
+:class:`FlowCollector` receives encoded v5 datagrams, decodes them, and
+tracks per-source sequence numbers for loss detection.  The serve
+router decodes column-wise and puts only the header through
+:meth:`FlowCollector.receive_decoded`; :meth:`FlowCollector.receive` is
+the record-wise reference that returns the decoded records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sized, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sized, Tuple
 
 from repro.netflow.records import FlowRecord
 from repro.netflow.v5 import V5Header, decode_datagram
 from repro.obs import MetricsRegistry, get_logger, get_registry
 from repro.util.errors import NetFlowError
 
-__all__ = ["CollectorStats", "FlowCollector", "PortMux"]
+__all__ = ["CollectorStats", "FlowCollector"]
 
 log = get_logger(__name__)
-
-FlowSink = Callable[[FlowRecord], None]
 
 
 @dataclass
@@ -32,28 +29,35 @@ class CollectorStats:
     datagrams: int = 0
     records: int = 0
     decode_errors: int = 0
+    #: Net: flows of a late datagram move from here to ``late_flows``.
     lost_flows: int = 0
+    late_flows: int = 0
     sequence_resets: int = 0
     duplicates: int = 0
 
 
 class FlowCollector:
-    """Decode v5 datagrams from multiple exporters and fan records out.
+    """Decode v5 datagrams from multiple exporters and account for them.
 
-    ``source`` is an opaque exporter identity (the testbed uses the UDP
-    port number).  Sequence tracking is per source: a gap between the
-    expected and received ``flow_sequence`` counts as lost flows, and a
+    ``source`` is an opaque exporter identity (the UDP source port).
+    Sequence tracking is per source: a gap between the expected and
+    received ``flow_sequence`` counts as lost flows and stays open; a
+    regression that falls wholly inside an open gap is a late (reordered)
+    datagram and takes its flows back out of the loss count; any other
     regression counts as an exporter restart.
     """
 
     DEDUPE_WINDOW = 64
+    GAP_WINDOW = 64  # open gaps kept per source, oldest dropped first
 
     def __init__(self, *, registry: Optional[MetricsRegistry] = None) -> None:
-        self._sinks: List[FlowSink] = []
         self._expected_seq: Dict[int, int] = {}
+        # Per source: the [start, stop) sequence ranges counted lost and
+        # not yet filled, and where the run seen since the first datagram
+        # (or the last restart) begins.
+        self._open_gaps: Dict[int, List[Tuple[int, int]]] = {}
+        self._head: Dict[int, int] = {}
         self.stats = CollectorStats()
-        self._store: List[FlowRecord] = []
-        self._retain = False
         # Recently seen (per source) datagram headers, oldest first: a
         # UDP duplicate re-delivers a datagram verbatim; replaying its
         # records would double-count flows, so it is dropped here.  The
@@ -67,7 +71,7 @@ class FlowCollector:
         )
         self._m_records = registry.counter(
             "infilter_collector_records_total",
-            "Flow records delivered to sinks.",
+            "Flow records collected from accepted datagrams.",
         )
         self._m_decode_errors = registry.counter(
             "infilter_collector_decode_errors_total",
@@ -77,27 +81,19 @@ class FlowCollector:
             "infilter_collector_lost_flows_total",
             "Flows inferred lost from flow_sequence gaps.",
         )
+        self._m_late_flows = registry.counter(
+            "infilter_collector_late_flows_total",
+            "Flows counted lost that arrived late, in a reordered datagram.",
+        )
         self._m_sequence_resets = registry.counter(
             "infilter_collector_sequence_resets_total",
-            "flow_sequence regressions (exporter restarts).",
+            "flow_sequence regressions other than late datagrams"
+            " (exporter restarts).",
         )
         self._m_duplicates = registry.counter(
             "infilter_collector_duplicate_datagrams_total",
             "Datagrams dropped as UDP re-deliveries.",
         )
-
-    def add_sink(self, sink: FlowSink) -> None:
-        """Register a callback invoked once per collected record."""
-        self._sinks.append(sink)
-
-    def retain_records(self, retain: bool = True) -> None:
-        """Keep collected records in memory (the flow-file role)."""
-        self._retain = retain
-
-    @property
-    def records(self) -> List[FlowRecord]:
-        """Records retained so far (requires :meth:`retain_records`)."""
-        return self._store
 
     def receive(self, data: bytes, source: int = 0) -> List[FlowRecord]:
         """Ingest one datagram; returns the decoded records.
@@ -112,8 +108,6 @@ class FlowCollector:
             return []
         if not self.receive_decoded(header, records, source=source):
             return []
-        for record in records:
-            self._deliver(record)
         return records
 
     def note_decode_error(self, source: int, reason: str) -> None:
@@ -140,8 +134,7 @@ class FlowCollector:
         sequence tracking, the datagram and record counters — for front
         ends that decode elsewhere and move the rows themselves (the
         serve router hands :func:`repro.fastpath.columnar.
-        decode_v5_columnar`'s batch straight to its queue).  Nothing is
-        delivered to sinks here.
+        decode_v5_columnar`'s batch straight to its queue).
         """
         if self._is_duplicate(source, header):
             self.stats.duplicates += 1
@@ -170,69 +163,63 @@ class FlowCollector:
         self.stats.records += count
         self._m_records.inc(count)
 
-    def ingest_records(self, records: List[FlowRecord]) -> None:
-        """Bypass the wire format (already-decoded records)."""
-        self.note_records(len(records))
-        for record in records:
-            self._deliver(record)
-
-    def _deliver(self, record: FlowRecord) -> None:
-        if self._retain:
-            self._store.append(record)
-        for sink in self._sinks:
-            sink(record)
-
     def _track_sequence(self, source: int, header: V5Header) -> None:
         expected = self._expected_seq.get(source)
-        if expected is not None:
-            if header.flow_sequence > expected:
-                lost = header.flow_sequence - expected
-                self.stats.lost_flows += lost
-                self._m_lost_flows.inc(lost)
-                log.warning(
-                    "sequence gap: flows lost in transport",
-                    extra={"source": source, "lost": lost},
-                )
-            elif header.flow_sequence < expected:
-                self.stats.sequence_resets += 1
-                self._m_sequence_resets.inc()
-                log.info(
-                    "sequence regression: exporter restart",
-                    extra={"source": source},
-                )
+        if expected is None:
+            self._head[source] = header.flow_sequence
+        elif header.flow_sequence > expected:
+            lost = header.flow_sequence - expected
+            self.stats.lost_flows += lost
+            self._m_lost_flows.inc(lost)
+            log.warning(
+                "sequence gap: flows lost in transport",
+                extra={"source": source, "lost": lost},
+            )
+            gaps = self._open_gaps.setdefault(source, [])
+            gaps.append((expected, header.flow_sequence))
+            if len(gaps) > self.GAP_WINDOW:
+                del gaps[0]
+        elif header.flow_sequence < expected:
+            if self._is_late(source, header):
+                return
+            self.stats.sequence_resets += 1
+            self._m_sequence_resets.inc()
+            log.info(
+                "sequence regression: exporter restart",
+                extra={"source": source},
+            )
+            # A restarted exporter counts in a new sequence space.
+            self._open_gaps.pop(source, None)
+            self._head[source] = header.flow_sequence
         self._expected_seq[source] = header.flow_sequence + header.count
 
-
-@dataclass
-class PortMux:
-    """Map exporter UDP ports to peer-AS identities (testbed Section 6.2).
-
-    Each Dagflow instance sends NetFlow to a distinct destination port; the
-    Enhanced InFilter software uses the port to attribute incoming records
-    to the emulating peer AS.  ``demux`` rewrites ``input_if`` on the
-    records to the mapped peer-AS index so downstream analysis is uniform
-    whether records arrived via the mux or a real ifIndex.
-    """
-
-    port_to_peer: Dict[int, int] = field(default_factory=dict)
-
-    def bind(self, port: int, peer_as_index: int) -> None:
-        """Associate a UDP destination port with a peer-AS index."""
-        existing = self.port_to_peer.get(port)
-        if existing is not None and existing != peer_as_index:
-            raise NetFlowError(
-                f"port {port} already bound to peer AS {existing}"
-            )
-        self.port_to_peer[port] = peer_as_index
-
-    def demux(self, record: FlowRecord, port: int) -> FlowRecord:
-        """Stamp the record with the peer AS its arrival port maps to."""
-        try:
-            peer = self.port_to_peer[port]
-        except KeyError:
-            raise NetFlowError(f"no peer AS bound to port {port}") from None
-        return replace(record, key=replace(record.key, input_if=peer))
-
-    def peers(self) -> Tuple[int, ...]:
-        """All bound peer-AS indices, sorted."""
-        return tuple(sorted(set(self.port_to_peer.values())))
+    def _is_late(self, source: int, header: V5Header) -> bool:
+        """Account a regression as a late datagram; False when it is not
+        one (an exporter restart).  Late is a range wholly inside an open
+        gap (its flows leave the loss count), or one ending where the run
+        seen from this source begins: the first datagram seen overtook
+        it, and a gap before the first datagram is never counted."""
+        start = header.flow_sequence
+        stop = start + header.count
+        if stop == self._head[source]:
+            self._head[source] = start
+            return True
+        gaps = self._open_gaps.get(source, [])
+        for position, (gap_start, gap_stop) in enumerate(gaps):
+            if gap_start <= start and stop <= gap_stop:
+                gaps[position:position + 1] = [
+                    (low, high)
+                    for low, high in ((gap_start, start), (stop, gap_stop))
+                    if low < high
+                ]
+                break
+        else:
+            return False
+        self.stats.lost_flows -= header.count
+        self.stats.late_flows += header.count
+        self._m_late_flows.inc(header.count)
+        log.debug(
+            "late datagram: flows no longer lost",
+            extra={"source": source, "late": header.count},
+        )
+        return True

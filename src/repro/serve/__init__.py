@@ -5,7 +5,9 @@ Everything under :mod:`repro.serve` exists to run the Enhanced InFilter
 ingest queue with explicit load shedding, a micro-batching commit loop
 over :meth:`~repro.core.pipeline.EnhancedInFilter.process_batch`,
 batch-boundary checkpoints for warm restart, and graceful
-drain/reload signal semantics.  See ``docs/operations.md`` for the
+drain/reload signal semantics.  :class:`Deployment` is the paper's
+assembled Figure 9 system (border routers, an impaired UDP path) driven
+synchronously through the same router, queue and commit worker.  See ``docs/operations.md`` for the
 serving runbook and ``docs/architecture.md`` for the layer diagram.
 """
 
@@ -18,6 +20,7 @@ from repro.serve.config import (
     ServeConfig,
 )
 from repro.serve.daemon import ServeDaemon, ServeReport
+from repro.serve.deployment import BorderRouter, Deployment
 from repro.serve.http import ObservabilityEndpoint
 from repro.serve.listener import (
     DatagramRouter,
@@ -34,6 +37,8 @@ __all__ = [
     "ServeConfig",
     "ServeDaemon",
     "ServeReport",
+    "BorderRouter",
+    "Deployment",
     "ObservabilityEndpoint",
     "DatagramRouter",
     "NetFlowDatagramProtocol",

@@ -26,7 +26,7 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.persistence import CheckpointWriter, load_checkpoint
-from repro.core.pipeline import EnhancedInFilter
+from repro.core.pipeline import BatchResult, EnhancedInFilter
 from repro.fastpath.columnar import RecordColumns
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
@@ -204,10 +204,11 @@ class CommitWorker:
         if self._writer is not None:
             self.checkpoint()
 
-    def commit(self, batch: QueuedBatch) -> None:
-        """Commit one micro-batch synchronously (a batch boundary)."""
+    def commit(self, batch: QueuedBatch) -> BatchResult:
+        """Commit one micro-batch synchronously (a batch boundary);
+        returns the detector's decisions, in row order."""
         watch = Stopwatch()
-        self.detector.process_batch(batch)
+        result = self.detector.process_batch(batch)
         elapsed = watch.elapsed_s()
         done = time.perf_counter()
         # Ingest latency is stamped per datagram: one sample per slice,
@@ -229,6 +230,7 @@ class CommitWorker:
             self.checkpoint()
         if self._on_progress is not None:
             self._on_progress()
+        return result
 
     def _sample_latency(self, latency_s: float, records: int) -> None:
         """Offer ``records`` identical latencies to the histogram and,

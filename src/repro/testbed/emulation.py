@@ -10,8 +10,9 @@ Enhanced InFilter software on a distinct UDP port.  The testbed assembles
 * attack Dagflow sets that spoof from the other peers' blocks,
 
 and runs the merged, time-ordered record stream through the detector —
-optionally over the real v5 wire format (encode → UDP-port demux →
-decode), exactly the path Figure 13 draws.
+optionally over the real v5 wire format (encode → decode), with each
+record stamped with the peer its UDP port stands for, exactly the path
+Figure 13 draws.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.flowgen.addressing import (
 )
 from repro.flowgen.dagflow import Dagflow, LabeledRecord
 from repro.flowgen.traces import synthesize_trace
-from repro.netflow.collector import PortMux
 from repro.netflow.records import FlowRecord
 from repro.netflow.v5 import decode_datagram
 from repro.util.errors import ExperimentError
@@ -89,9 +89,6 @@ class Testbed:
         self.eia_plan = eia_allocation(
             self.space, config.n_peers, config.blocks_per_peer
         )
-        self.mux = PortMux()
-        for peer in range(config.n_peers):
-            self.mux.bind(_BASE_PORT + peer, peer)
 
     # -- detector construction ---------------------------------------------
 
@@ -184,7 +181,8 @@ class Testbed:
 
         ``streams`` pairs each stream with the peer it enters through.
         Optionally round-trips every record through the NetFlow v5 wire
-        format and the UDP-port demux, per ``config.use_wire``.
+        format, per ``config.use_wire``, then stamps it with the peer
+        (``input_if``) whose UDP port it arrived on.
         """
         def tagged(peer: int, stream: Iterable[LabeledRecord]) -> Iterator[
             Tuple[int, int, int, TimedRecord]
@@ -201,12 +199,12 @@ class Testbed:
         for _first, peer, _index, timed in merged:
             record = timed.record
             if self.config.use_wire:
-                record = self._through_wire(record, _BASE_PORT + peer)
-            record = self.mux.demux(record, _BASE_PORT + peer)
+                record = self._through_wire(record)
+            record = record.with_key(input_if=peer)
             yield TimedRecord(record=record, label=timed.label, peer=peer)
 
     @staticmethod
-    def _through_wire(record: FlowRecord, port: int) -> FlowRecord:
+    def _through_wire(record: FlowRecord) -> FlowRecord:
         """Round-trip one record through v5 encode/decode."""
         from repro.netflow.v5 import encode_datagram
 

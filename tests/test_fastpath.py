@@ -443,17 +443,18 @@ class TestRouterColumnarParity:
         router = DatagramRouter(queue, registry=MetricsRegistry())
         reference = FlowCollector(registry=MetricsRegistry())
         expected: List = []
-        reference.add_sink(expected.append)
         fates = RouterStats()
         for data in datagrams:
             router.route(data, source=7)
             version = int.from_bytes(data[:2], "big") if len(data) >= 2 else -1
             if version == NETFLOW_V5_VERSION:
-                reference.receive(data, source=7)
+                expected.extend(reference.receive(data, source=7))
                 fates.v5_datagrams += 1
             elif version == NETFLOW_V1_VERSION:
                 try:
-                    reference.ingest_records(decode_v1_datagram(data)[1])
+                    rows = decode_v1_datagram(data)[1]
+                    reference.note_records(len(rows))
+                    expected.extend(rows)
                     fates.v1_datagrams += 1
                 except NetFlowDecodeError:
                     fates.invalid_datagrams += 1

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import BasicInFilter, EIAConfig, EnhancedInFilter, PipelineConfig, Verdict
 from repro.flowgen import Dagflow, SubBlockSpace, eia_allocation, generate_attack, synthesize_trace
-from repro.netflow.collector import FlowCollector, PortMux
+from repro.netflow.collector import FlowCollector
 from repro.netflow.exporter import ExporterConfig, FlowExporter, Packet
 from repro.netflow.records import PROTO_UDP, FlowKey
 from repro.netflow.v5 import datagrams_for
@@ -72,13 +72,12 @@ class TestPacketToDetectionPath:
         assert len(records) == 2
 
         # ...over the wire into the collector, arriving on peer 0's port.
-        mux = PortMux()
-        mux.bind(9000, 0)
         collector = FlowCollector()
-        collector.retain_records()
-        for datagram in datagrams_for(iter(records), sys_uptime=0, unix_secs=0):
-            collector.receive(datagram, source=9000)
-        stamped = [mux.demux(r, 9000) for r in collector.records]
+        stamped = [
+            r.with_key(input_if=0)
+            for datagram in datagrams_for(iter(records), sys_uptime=0, unix_secs=0)
+            for r in collector.receive(datagram, source=9000)
+        ]
 
         decisions = {r.key.dst_port: detector.process(r) for r in stamped}
         assert decisions[53].verdict == Verdict.LEGAL        # legal src @ peer 0

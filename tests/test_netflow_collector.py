@@ -1,11 +1,13 @@
-"""Tests for the collector (flow-capture role) and the port demux."""
+"""Tests for the collector (flow-capture role)."""
 
 import pytest
 
-from repro.netflow.collector import FlowCollector, PortMux
+from repro.netflow.collector import FlowCollector
 from repro.netflow.records import FlowKey, FlowRecord
-from repro.netflow.v5 import decode_datagram, encode_datagram
-from repro.util.errors import NetFlowError
+from repro.netflow.transport import ChannelConfig, UdpChannel
+from repro.netflow.v5 import datagrams_for, decode_datagram, encode_datagram
+from repro.obs import MetricsRegistry
+from repro.util import SeededRng
 
 
 def record(index=0):
@@ -32,18 +34,10 @@ class TestFlowCollector:
         assert collector.stats.datagrams == 1
         assert collector.stats.records == 2
 
-    def test_sinks_invoked_per_record(self):
+    def test_receive_returns_records_in_order(self):
         collector = FlowCollector()
-        seen = []
-        collector.add_sink(seen.append)
-        collector.receive(datagram([record(), record(1)]))
+        seen = collector.receive(datagram([record(), record(1)]))
         assert [r.key.src_addr for r in seen] == [1, 2]
-
-    def test_retained_records(self):
-        collector = FlowCollector()
-        collector.retain_records()
-        collector.receive(datagram([record()]))
-        assert len(collector.records) == 1
 
     def test_malformed_datagram_counted_not_raised(self):
         collector = FlowCollector()
@@ -102,7 +96,6 @@ class TestFlowCollector:
         its flows must reach the detector (as a sequence reset)."""
         collector = FlowCollector()
         delivered = []
-        collector.add_sink(delivered.append)
         batch = [record(i) for i in range(30)]
 
         def export(sequence, *, sys_uptime, unix_secs):
@@ -111,18 +104,21 @@ class TestFlowCollector:
                 flow_sequence=sequence,
             )
 
+        def receive(data):
+            got = collector.receive(data, source=1)
+            delivered.extend(got)
+            return got
+
         first = export(0, sys_uptime=90_000, unix_secs=1_000)
-        assert len(collector.receive(first, source=1)) == 30
-        assert len(collector.receive(
-            export(30, sys_uptime=91_000, unix_secs=1_001), source=1
-        )) == 30
+        assert len(receive(first)) == 30
+        assert len(receive(export(30, sys_uptime=91_000, unix_secs=1_001))) == 30
         restart = export(0, sys_uptime=500, unix_secs=1_060)
-        assert len(collector.receive(restart, source=1)) == 30
+        assert len(receive(restart)) == 30
         stats = collector.stats
         assert (stats.duplicates, stats.sequence_resets) == (0, 1)
         # A verbatim re-delivery of either incarnation is still dropped.
-        assert collector.receive(first, source=1) == []
-        assert collector.receive(restart, source=1) == []
+        assert receive(first) == []
+        assert receive(restart) == []
         assert stats.duplicates == 2
         # Record fates reconcile: everything counted was delivered, no
         # flow was declared lost, nothing was delivered twice.
@@ -132,51 +128,95 @@ class TestFlowCollector:
 
     def test_receive_decoded_accounts_and_delivers_nothing(self):
         """The header-only entry the serve router uses: same counters
-        and duplicate verdicts as ``receive``, no sink traffic."""
+        and duplicate verdicts as ``receive``; the caller moves the rows."""
         collector = FlowCollector()
-        delivered = []
-        collector.add_sink(delivered.append)
         header, records = decode_datagram(datagram([record(), record(1)]))
         assert collector.receive_decoded(header, records, source=1) is True
         assert collector.receive_decoded(header, records, source=1) is False
         stats = collector.stats
         assert (stats.datagrams, stats.records, stats.duplicates) == (1, 2, 1)
-        assert delivered == []
 
-    def test_ingest_records_bypasses_wire(self):
+    def test_note_records_counts_rows_without_a_header(self):
+        """v1 carries no flow_sequence: its rows are only counted."""
         collector = FlowCollector()
-        collector.retain_records()
-        collector.ingest_records([record(), record(1)])
+        collector.note_records(2)
         assert collector.stats.records == 2
-        assert len(collector.records) == 2
+        assert collector.stats.datagrams == 0
 
 
-class TestPortMux:
-    def test_demux_stamps_peer(self):
-        mux = PortMux()
-        mux.bind(9003, 3)
-        stamped = mux.demux(record(), 9003)
-        assert stamped.key.input_if == 3
+def stream(flows=300):
+    """One exporter's flows as 30-flow v5 datagrams, in sequence order."""
+    return list(
+        datagrams_for(iter([record(i) for i in range(flows)]),
+                      sys_uptime=0, unix_secs=0)
+    )
 
-    def test_rebind_same_value_is_idempotent(self):
-        mux = PortMux()
-        mux.bind(9003, 3)
-        mux.bind(9003, 3)
-        assert mux.port_to_peer[9003] == 3
 
-    def test_conflicting_bind_rejected(self):
-        mux = PortMux()
-        mux.bind(9003, 3)
-        with pytest.raises(NetFlowError):
-            mux.bind(9003, 4)
+class TestLateDatagrams:
+    """A datagram that overtakes its predecessor opens a gap; the late
+    one fills it.  Nothing was lost, and the exporter never restarted."""
 
-    def test_unknown_port_rejected(self):
-        with pytest.raises(NetFlowError):
-            PortMux().demux(record(), 12345)
+    @pytest.mark.parametrize(
+        "first, late",
+        [(3, 30), (0, 0)],  # the gap before the first datagram was never lost
+        ids=["mid-stream", "first-datagram"],
+    )
+    def test_two_swapped_datagrams_lose_nothing(self, first, late):
+        datagrams = stream()
+        datagrams[first], datagrams[first + 1] = (
+            datagrams[first + 1], datagrams[first],
+        )
+        collector = FlowCollector(registry=MetricsRegistry())
+        received = [r for d in datagrams for r in collector.receive(d, source=1)]
+        stats = collector.stats
+        assert len(received) == stats.records == 300
+        assert (stats.lost_flows, stats.late_flows, stats.sequence_resets) == (
+            0, late, 0,
+        )
 
-    def test_peers_listing(self):
-        mux = PortMux()
-        mux.bind(9001, 1)
-        mux.bind(9002, 2)
-        mux.bind(9009, 2)
-        assert mux.peers() == (1, 2)
+    def test_a_reordering_channel_loses_nothing(self):
+        registry = MetricsRegistry()
+        channel = UdpChannel(
+            ChannelConfig(reorder_probability=0.2),
+            rng=SeededRng(11, "late"),
+            registry=registry,
+        )
+        collector = FlowCollector(registry=registry)
+        for data in channel.transmit(stream()):
+            collector.receive(data, source=1)
+        stats = collector.stats
+        assert channel.stats.reordered > 0
+        assert stats.records == 300
+        assert (stats.lost_flows, stats.sequence_resets) == (0, 0)
+
+    def test_a_late_datagram_fills_only_its_part_of_a_wider_gap(self):
+        d0, d1, d2, d3 = stream(120)
+        registry = MetricsRegistry()
+        collector = FlowCollector(registry=registry)
+        for data in (d0, d3, d2):  # d1 lost, d2 late
+            collector.receive(data, source=1)
+        stats = collector.stats
+        assert (stats.lost_flows, stats.late_flows, stats.sequence_resets) == (
+            30, 30, 0,
+        )
+        # The monotone counters keep both sides; their difference is
+        # the net loss.
+        assert registry.get("infilter_collector_lost_flows_total").value == 60
+        assert registry.get("infilter_collector_late_flows_total").value == 30
+        # The rest of the gap is still open: d1 turns up late too.
+        collector.receive(d1, source=1)
+        assert (stats.lost_flows, stats.late_flows) == (0, 60)
+
+    def test_a_regression_outside_every_gap_is_a_restart(self):
+        d0, _d1, d2 = stream(90)
+        collector = FlowCollector(registry=MetricsRegistry())
+        for data in (d0, d2):  # opens the gap [30, 60)
+            collector.receive(data, source=1)
+        restart = encode_datagram(
+            [record()], sys_uptime=5, unix_secs=9, flow_sequence=0
+        )
+        collector.receive(restart, source=1)
+        stats = collector.stats
+        assert (stats.lost_flows, stats.late_flows, stats.sequence_resets) == (
+            30, 0, 1,
+        )

@@ -178,9 +178,8 @@ class TestCollectorUnderFuzz:
     def test_collector_survives_garbage(self, datagrams):
         collector = FlowCollector(registry=MetricsRegistry())
         delivered = []
-        collector.add_sink(delivered.append)
         for data in datagrams:
-            collector.receive(data)
+            delivered.extend(collector.receive(data))
         assert (
             collector.stats.datagrams + collector.stats.decode_errors
             + collector.stats.duplicates
@@ -194,16 +193,16 @@ class TestCollectorUnderFuzz:
         self, records, garbage
     ):
         collector = FlowCollector(registry=MetricsRegistry())
-        delivered = []
-        collector.add_sink(delivered.append)
         first = encode_datagram(
             records, sys_uptime=1, unix_secs=2, flow_sequence=0
         )
         second = encode_datagram(
             records, sys_uptime=1, unix_secs=2, flow_sequence=len(records)
         )
-        collector.receive(first)
-        collector.receive(garbage)
-        collector.receive(second)
+        delivered = [
+            record
+            for data in (first, garbage, second)
+            for record in collector.receive(data)
+        ]
         assert len(delivered) == 2 * len(records)
         assert collector.stats.datagrams == 2
