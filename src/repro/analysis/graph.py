@@ -62,8 +62,8 @@ class ProjectGraph:
     def resolve_import(self, target: str) -> Optional[str]:
         """Map an absolute import target to a module in this graph.
 
-        ``repro.fastpath.plane.FastPath`` resolves to
-        ``repro.fastpath.plane`` by longest-prefix match; targets
+        ``repro.util.ip.Prefix`` resolves to ``repro.util.ip`` by
+        longest-prefix match; targets
         outside the graph (stdlib, third-party) resolve to ``None``.
         """
         candidate = target

@@ -1,4 +1,4 @@
-"""Cross-module invariant rules (REP011–REP015) — phase 2.
+"""Cross-module invariant rules (REP011, REP014, REP015) — phase 2.
 
 Each :class:`ProjectRule` checks one whole-program property against the
 assembled :class:`~repro.analysis.graph.ProjectGraph`:
@@ -7,12 +7,6 @@ assembled :class:`~repro.analysis.graph.ProjectGraph`:
   rank in :data:`LAYERS`; imports may only point downward.  A handful
   of :data:`TRANSITIVE_BANS` additionally forbid *reaching* a package
   through any chain, and violations name the full offending chain.
-* **REP012** — derived-cache containment.  Fastpath memo state is
-  rebuilt, never restored: cache classes in ``repro.fastpath`` must not
-  implement the stage-state protocol, and no ``state_dict`` anywhere
-  may read an attribute holding a fastpath cache.
-* **REP013** — concurrency safety.  Module-level mutable state written
-  from ``async def``, and synchronous locks held across an ``await``.
 * **REP014** — checkpoint-write containment.  Raw checkpoint writes
   (``open(..., "w")``, ``os.replace``, ``write_bytes``) belong in the
   atomic helper in ``repro.core.persistence`` and nowhere else.
@@ -227,117 +221,6 @@ def _check_layers(graph: ProjectGraph) -> Iterable[Finding]:
                     queue.append(neighbour)
 
 
-_STATE_METHODS = ("state_dict", "load_state")
-
-
-def _check_cache_containment(graph: ProjectGraph) -> Iterable[Finding]:
-    # (a) fastpath cache classes must not join the stage-state protocol.
-    fastpath_classes: Dict[str, str] = {}
-    for symbols in _checked_modules(graph):
-        if not symbols.module.startswith("repro.fastpath"):
-            continue
-        for cls in symbols.classes.values():
-            fastpath_classes[f"{symbols.module}.{cls.name}"] = cls.name
-            for method in _STATE_METHODS:
-                if method in cls.method_lines:
-                    yield Finding(
-                        rule="REP012",
-                        path=symbols.path,
-                        line=cls.method_lines[method],
-                        message=(
-                            f"fastpath cache class '{cls.name}' implements "
-                            f"'{method}'; derived caches are rebuilt, never "
-                            "serialized — remove it from the stage-state "
-                            "protocol"
-                        ),
-                    )
-
-    # (b) no state_dict may reach an attribute holding a fastpath cache.
-    for symbols in _checked_modules(graph):
-        for cls in symbols.classes.values():
-            cache_attrs = {
-                attr
-                for attr, ctor in cls.attr_ctors.items()
-                if ctor in fastpath_classes
-                or ctor.startswith("repro.fastpath.")
-            }
-            if not cache_attrs or "state_dict" not in cls.method_lines:
-                continue
-            # Close over self-method calls reachable from state_dict.
-            reachable = {"state_dict"}
-            frontier = ["state_dict"]
-            while frontier:
-                method = frontier.pop()
-                for callee in cls.method_self_calls.get(method, ()):
-                    if callee in cls.method_lines and callee not in reachable:
-                        reachable.add(callee)
-                        frontier.append(callee)
-            touched = sorted(
-                attr
-                for method in reachable
-                for attr in cls.method_self_reads.get(method, ())
-                if attr in cache_attrs
-            )
-            if touched:
-                yield Finding(
-                    rule="REP012",
-                    path=symbols.path,
-                    line=cls.method_lines["state_dict"],
-                    message=(
-                        f"'{cls.name}.state_dict' reaches derived-cache "
-                        f"attribute(s) {', '.join(sorted(set(touched)))}; "
-                        "fastpath memos must never be serialized "
-                        "(byte-identity rule from the stage-state protocol)"
-                    ),
-                )
-
-
-def _check_concurrency(graph: ProjectGraph) -> Iterable[Finding]:
-    by_module = {s.module: s for s in _checked_modules(graph)}
-    for symbols in by_module.values():
-        for fn in symbols.functions:
-            if fn.is_async:
-                for target_module, name, line, kind in fn.global_writes:
-                    owner = (
-                        symbols
-                        if target_module == ""
-                        else by_module.get(target_module)
-                    )
-                    if owner is None:
-                        continue
-                    if kind == "rebind":
-                        shared = name in owner.module_globals
-                    else:
-                        shared = name in owner.mutable_globals
-                    if not shared:
-                        continue
-                    yield Finding(
-                        rule="REP013",
-                        path=symbols.path,
-                        line=line,
-                        message=(
-                            f"module-level state '{name}' (defined at "
-                            f"{owner.module}:"
-                            f"{owner.module_globals.get(name, 0)}) is "
-                            f"written from async function '{fn.qualname}'; "
-                            "shared mutable globals under concurrency need a "
-                            "lock or per-task state"
-                        ),
-                    )
-            for line in fn.lock_waits:
-                yield Finding(
-                    rule="REP013",
-                    path=symbols.path,
-                    line=line,
-                    message=(
-                        f"synchronous lock held across 'await' in "
-                        f"'{fn.qualname}'; this blocks the event loop for "
-                        "every other task — use an asyncio lock or release "
-                        "before awaiting"
-                    ),
-                )
-
-
 _ATOMIC_HELPER_SUFFIX = "repro/core/persistence.py"
 
 
@@ -407,22 +290,6 @@ PROJECT_RULES: Tuple[ProjectRule, ...] = (
             "must be unreachable through any import chain."
         ),
         check=_check_layers,
-    ),
-    ProjectRule(
-        id="REP012",
-        summary=(
-            "Fastpath derived caches stay out of the stage-state protocol: "
-            "no state_dict may define or reach memo state."
-        ),
-        check=_check_cache_containment,
-    ),
-    ProjectRule(
-        id="REP013",
-        summary=(
-            "No writes to module-level mutable state from async code; "
-            "no sync lock held across await."
-        ),
-        check=_check_concurrency,
     ),
     ProjectRule(
         id="REP014",

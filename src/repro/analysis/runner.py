@@ -9,8 +9,8 @@ A run is one serial pass in one process.  Each file is parsed once; the
 selected per-file rules (REP001–REP010) run on its AST and its symbol
 table is built from the same tree.  The tables are then assembled into
 a :class:`~repro.analysis.graph.ProjectGraph` for the cross-module
-rules (REP011–REP015), which are relations *between* modules and so can
-only run once every module has been seen.  There is no other mode: the
+rules (REP011, REP014, REP015), which are relations *between* modules
+and so can only run once every module has been seen.  There is no other mode: the
 same paths and the same selection give the same findings however and
 whenever the command is invoked.
 """

@@ -94,16 +94,22 @@ __all__ = ["main", "build_parser"]
 
 def _load_flows(path: str) -> List[FlowRecord]:
     """Read a flow file, auto-detecting binary vs ASCII."""
-    data = Path(path).read_bytes()
-    if data.startswith(b"RFL1"):
-        return read_flow_file(path)
-    return import_ascii(path)
+    try:
+        data = Path(path).read_bytes()
+        if data.startswith(b"RFL1"):
+            return read_flow_file(path)
+        return import_ascii(path)
+    except OSError as error:
+        raise ReproError(f"cannot read flow file: {error}") from error
 
 
 def _save_flows(path: str, records: Sequence[FlowRecord], ascii_format: bool) -> int:
-    if ascii_format:
-        return export_ascii(path, records)
-    return write_flow_file(path, records)
+    try:
+        if ascii_format:
+            return export_ascii(path, records)
+        return write_flow_file(path, records)
+    except OSError as error:
+        raise ReproError(f"cannot write flow file: {error}") from error
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -142,20 +148,23 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _load_eia_plan(path: str) -> Dict[int, List[Prefix]]:
     """Parse a ``<peer> <prefix>`` plan file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as error:
+        raise ReproError(f"cannot read EIA plan: {error}") from error
     plan: Dict[int, List[Prefix]] = {}
-    for line_number, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
+    for line_number, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
+        try:
+            peer_text, prefix_text = line.split()
+            peer = int(peer_text)
+        except ValueError:
             raise ReproError(
                 f"{path}:{line_number}: expected '<peer> <prefix>', got {line!r}"
-            )
-        peer = int(parts[0])
-        plan.setdefault(peer, []).append(Prefix.parse(parts[1]))
+            ) from None
+        plan.setdefault(peer, []).append(Prefix.parse(prefix_text))
     if not plan:
         raise ReproError(f"{path}: no EIA entries found")
     return plan

@@ -14,15 +14,16 @@ Equivalence contract (property-tested in ``tests/test_fastpath.py``):
 for every byte string, ``decode_v5_columnar``/``decode_v1_columnar``
 either returns exactly the records the record-at-a-time decoder
 returns, or raises :class:`~repro.util.errors.NetFlowDecodeError` with
-the *identical* message.  When a column check trips, the decoder falls
-back to the per-record walk so the first offending record reports in
-the same field order (packets, then octets, then timestamps).
+the *identical* message.  When a column check trips, the datagram is
+handed to the record-at-a-time decoder itself, which reports the first
+offending record's first bad field (packets, then octets, then
+timestamps); valid datagrams never take that branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence, Tuple, Union, cast
+from typing import List, Sequence, Tuple, Union, cast
 
 from repro.netflow.records import FlowKey, FlowRecord
 from repro.netflow.v1 import (
@@ -32,6 +33,7 @@ from repro.netflow.v1 import (
     V1_HEADER_STRUCT,
     V1_RECORD_LEN,
     V1_RECORD_STRUCT,
+    decode_v1_datagram,
 )
 from repro.netflow.v5 import (
     HEADER_LEN,
@@ -41,6 +43,7 @@ from repro.netflow.v5 import (
     RECORD_LEN,
     RECORD_STRUCT,
     V5Header,
+    decode_datagram,
 )
 from repro.util.errors import NetFlowDecodeError
 
@@ -320,7 +323,12 @@ def decode_v5_columnar(data: bytes) -> Tuple[V5Header, ColumnarBatch]:
     # src dst nexthop input output packets octets first last sport dport
     # ttl flags proto tos src_as dst_as src_mask dst_mask pad2
     if not _columns_valid(columns[5], columns[6], columns[7], columns[8]):
-        _raise_first_invalid(rows, _build_v5_record, "datagram")
+        # The reference decoder names the first bad record's first bad
+        # field; it raises before reaching the fallback below.
+        decode_datagram(data)
+        raise NetFlowDecodeError(
+            "invalid flow record in datagram: column validation failed"
+        )
     batch = ColumnarBatch(
         src_addr=columns[0],
         dst_addr=columns[1],
@@ -373,7 +381,10 @@ def decode_v1_columnar(data: bytes) -> Tuple[int, ColumnarBatch]:
     # src dst nexthop input output packets octets first last sport dport
     # pad proto tos flags
     if not _columns_valid(columns[5], columns[6], columns[7], columns[8]):
-        _raise_first_invalid(rows, _build_v1_record, "v1 datagram")
+        decode_v1_datagram(data)
+        raise NetFlowDecodeError(
+            "invalid flow record in v1 datagram: column validation failed"
+        )
     zeros = (0,) * count
     batch = ColumnarBatch(
         src_addr=columns[0],
@@ -397,76 +408,3 @@ def decode_v1_columnar(data: bytes) -> Tuple[int, ColumnarBatch]:
         ttl=zeros,
     )
     return sys_uptime, batch
-
-
-def _build_v5_record(row: Tuple[Any, ...]) -> FlowRecord:
-    """Row-wise v5 record construction (error fallback path)."""
-    return FlowRecord(
-        key=FlowKey(
-            src_addr=row[0],
-            dst_addr=row[1],
-            protocol=row[13],
-            src_port=row[9],
-            dst_port=row[10],
-            tos=row[14],
-            input_if=row[3],
-        ),
-        packets=row[5],
-        octets=row[6],
-        first=row[7],
-        last=row[8],
-        next_hop=row[2],
-        tcp_flags=row[12],
-        src_as=row[15],
-        dst_as=row[16],
-        src_mask=row[17],
-        dst_mask=row[18],
-        output_if=row[4],
-        ttl=row[11],
-    )
-
-
-def _build_v1_record(row: Tuple[Any, ...]) -> FlowRecord:
-    """Row-wise v1 record construction (error fallback path)."""
-    return FlowRecord(
-        key=FlowKey(
-            src_addr=row[0],
-            dst_addr=row[1],
-            protocol=row[12],
-            src_port=row[9],
-            dst_port=row[10],
-            tos=row[13],
-            input_if=row[3],
-        ),
-        packets=row[5],
-        octets=row[6],
-        first=row[7],
-        last=row[8],
-        next_hop=row[2],
-        tcp_flags=row[14],
-        output_if=row[4],
-    )
-
-
-def _raise_first_invalid(
-    rows: List[Tuple[Any, ...]],
-    build: Callable[[Tuple[Any, ...]], FlowRecord],
-    label: str,
-) -> None:
-    """Re-raise the first per-record validation error, serial-identical.
-
-    Column validation only says *some* record is bad; the serial decoder
-    reports the first bad record's first bad field.  Walking rows in
-    order through the real :class:`FlowRecord` constructor reproduces
-    that message byte for byte.
-    """
-    for row in rows:
-        try:
-            build(row)
-        except ValueError as error:
-            raise NetFlowDecodeError(
-                f"invalid flow record in {label}: {error}"
-            ) from error
-    raise NetFlowDecodeError(
-        f"invalid flow record in {label}: column validation failed"
-    )

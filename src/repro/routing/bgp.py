@@ -195,13 +195,6 @@ class CollectorEntry:
     def origin(self) -> int:
         return self.path[-1]
 
-    @property
-    def peer_of_origin(self) -> int:
-        """The AS adjacent to the origin on this path (its ingress peer)."""
-        if len(self.path) == 1:
-            return self.path[0]
-        return self.path[-2]
-
 
 class RouteCollector:
     """A Routeviews-style route collector.

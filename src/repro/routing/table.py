@@ -128,13 +128,6 @@ class IngressMap:
     def peer_ases(self) -> Set[int]:
         return set(self.peer_of_source.values())
 
-    def sources_via(self, peer: int) -> Set[int]:
-        return {
-            source
-            for source, mapped in self.peer_of_source.items()
-            if mapped == peer
-        }
-
     def fractional_change(self, other: "IngressMap") -> float:
         """Fraction of source ASes whose ingress peer differs vs ``other``.
 

@@ -273,24 +273,6 @@ class PrefixTrie(Generic[_T]):
             node = child
         return best
 
-    def covering_match(self, prefix: Prefix) -> Optional[Tuple[Prefix, _T]]:
-        """The most specific stored prefix that covers ``prefix`` entirely."""
-        node = self._root
-        best: Optional[Tuple[Prefix, _T]] = None
-        network = 0
-        for depth in range(prefix.length + 1):
-            if node.has_value:
-                best = (Prefix(network, depth), node.value)  # type: ignore[arg-type]
-            if depth == prefix.length:
-                break
-            bit = (prefix.network >> (31 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            network |= bit << (31 - depth)
-            node = child
-        return best
-
     def items(self) -> Iterator[Tuple[Prefix, _T]]:
         """All stored (prefix, value) pairs in network order."""
         stack: List[Tuple[_TrieNode[_T], int, int]] = [(self._root, 0, 0)]

@@ -21,8 +21,6 @@ from repro.analysis import ALL_RULES, RULE_IDS, Finding, run
 from repro.cli import main
 from repro.util.errors import ConfigError
 
-from tests.test_analysis_project import write_module
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: assembled so this test file's own lines never contain the markers.
@@ -742,29 +740,3 @@ class TestSelfClean:
     def test_repository_is_lint_clean(self):
         findings = run([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
         assert findings == [], "\n" + "\n".join(f.render() for f in findings)
-
-    def test_rep012_guards_the_owner_table(self, tmp_path):
-        """The EIA owner table is a ``repro.fastpath`` cache living on a
-        ``@stateful`` class.  The shipped ``BasicInFilter`` keeps it out
-        of its checkpoint; the same file with one line added to
-        ``state_dict`` is flagged."""
-        shipped = (REPO_ROOT / "src/repro/core/eia.py").read_text()
-        write_module(
-            tmp_path,
-            "repro.fastpath.plane",
-            (REPO_ROOT / "src/repro/fastpath/plane.py").read_text(),
-        )
-        target = write_module(tmp_path, "repro.core.eia", shipped)
-        assert run([str(tmp_path)], select=["REP012"]) == []
-
-        anchor = '            "pending": [\n'
-        assert shipped.count(anchor) == 1
-        target.write_text(
-            shipped.replace(
-                anchor, '            "table": dict(self.table.entries),\n' + anchor
-            )
-        )
-        findings = run([str(tmp_path)], select=["REP012"])
-        assert rules_of(findings) == ["REP012"]
-        assert "BasicInFilter.state_dict" in findings[0].message
-        assert "table" in findings[0].message

@@ -1,9 +1,10 @@
 """Tests for the whole-program phase of repro.analysis (PR 8).
 
-Covers the project graph, the cross-module rules REP011–REP015 (each
-with positive and negative fixtures), the SARIF renderer, the discovery
-fixes (duplicate yields, root-relative test detection, a file linted by
-name) and what ``select`` / ``ignore`` do to the one pass ``run`` makes.
+Covers the project graph, the cross-module rules REP011, REP014 and
+REP015 (each with positive and negative fixtures), the SARIF renderer,
+the discovery fixes (duplicate yields, root-relative test detection, a
+file linted by name) and what ``select`` / ``ignore`` do to the one pass
+``run`` makes.
 
 Fixture trees emulate the real layout — ``repro/<package>/<module>.py``
 with ``__init__.py`` files so module names resolve by package climbing —
@@ -75,18 +76,46 @@ def rules_of(findings) -> list:
     return [finding.rule for finding in findings]
 
 
+#: a project-rule fixture: a raw ``os.replace`` onto a checkpoint path.
+RAW_CHECKPOINT_WRITE = (
+    "import os\n"
+    "\n"
+    "def save(tmp_name, checkpoint_path):\n"
+    "    os.replace(tmp_name, checkpoint_path)\n"
+)
+
+CATALOGUE_HEADER = "| rule | check | invariant it protects |"
+
+
+def documented_rule_ids() -> set:
+    """Rule ids in the catalogue tables of ``docs/static-analysis.md``.
+
+    Only tables headed :data:`CATALOGUE_HEADER` count, so the audit
+    table's rows for retired ids and prose mentions of ``REP000`` stay
+    out.
+    """
+    doc = Path(__file__).resolve().parents[1] / "docs" / "static-analysis.md"
+    ids = set()
+    tables = 0
+    in_catalogue = False
+    for line in doc.read_text().splitlines():
+        if line == CATALOGUE_HEADER:
+            in_catalogue = True
+            tables += 1
+        elif not line.startswith("|"):
+            in_catalogue = False
+        elif in_catalogue and line.startswith("| REP"):
+            ids.add(line.split("|")[1].strip())
+    assert tables == 2, "expected the file-rule and project-rule catalogues"
+    return ids
+
+
 class TestProjectRuleCatalogue:
     def test_project_rule_ids_are_well_formed_and_disjoint(self):
         ids = [rule.id for rule in PROJECT_RULES]
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
-        assert PROJECT_RULE_IDS == {
-            "REP011",
-            "REP012",
-            "REP013",
-            "REP014",
-            "REP015",
-        }
+        assert PROJECT_RULE_IDS == {"REP011", "REP014", "REP015"}
         assert not (PROJECT_RULE_IDS & RULE_IDS)
         assert KNOWN_RULE_IDS == RULE_IDS | PROJECT_RULE_IDS
 
@@ -103,9 +132,11 @@ class TestProjectRuleCatalogue:
 
     def test_list_rules_includes_project_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in sorted(PROJECT_RULE_IDS):
-            assert rule_id in out
+        listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+        assert PROJECT_RULE_IDS <= listed
+        # Both directions: a rule without a catalogue row, or a row for
+        # a rule that no longer runs, fails here.
+        assert listed == documented_rule_ids()
 
 
 class TestRep011LayerDag:
@@ -159,158 +190,9 @@ class TestRep011LayerDag:
         assert run([str(tmp_path)], select=["REP011"]) == []
 
 
-class TestRep012CacheContainment:
-    def test_flags_state_dict_on_fastpath_cache_class(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.fastpath.memo",
-            "class VerdictMemo:\n"
-            "    def state_dict(self):\n"
-            "        return {}\n",
-        )
-        findings = run([str(tmp_path)], select=["REP012"])
-        assert rules_of(findings) == ["REP012"]
-        assert "never serialized" in findings[0].message
-
-    def test_flags_state_dict_reaching_fastpath_attribute(self, tmp_path):
-        write_module(tmp_path, "repro.fastpath.memo", "class Memo:\n    pass\n")
-        write_module(
-            tmp_path,
-            "repro.core.pipe",
-            "from repro.fastpath.memo import Memo\n"
-            "\n"
-            "class Pipeline:\n"
-            "    def __init__(self):\n"
-            "        self.memo = Memo()\n"
-            "        self.count = 0\n"
-            "    def state_dict(self):\n"
-            "        return {'memo': self.memo, 'count': self.count}\n",
-        )
-        findings = run([str(tmp_path)], select=["REP012"])
-        assert rules_of(findings) == ["REP012"]
-        assert "Pipeline.state_dict" in findings[0].message
-        assert "memo" in findings[0].message
-
-    def test_flags_reach_through_helper_method(self, tmp_path):
-        write_module(tmp_path, "repro.fastpath.memo", "class Memo:\n    pass\n")
-        write_module(
-            tmp_path,
-            "repro.core.pipe",
-            "from repro.fastpath.memo import Memo\n"
-            "\n"
-            "class Pipeline:\n"
-            "    def __init__(self):\n"
-            "        self.memo = Memo()\n"
-            "    def _snapshot(self):\n"
-            "        return dict(self.memo)\n"
-            "    def state_dict(self):\n"
-            "        return self._snapshot()\n",
-        )
-        findings = run([str(tmp_path)], select=["REP012"])
-        assert rules_of(findings) == ["REP012"]
-
-    def test_excluded_cache_attribute_is_fine(self, tmp_path):
-        write_module(tmp_path, "repro.fastpath.memo", "class Memo:\n    pass\n")
-        write_module(
-            tmp_path,
-            "repro.core.pipe",
-            "from repro.fastpath.memo import Memo\n"
-            "\n"
-            "class Pipeline:\n"
-            "    def __init__(self):\n"
-            "        self.memo = Memo()\n"
-            "        self.count = 0\n"
-            "    def state_dict(self):\n"
-            "        return {'count': self.count}\n",
-        )
-        assert run([str(tmp_path)], select=["REP012"]) == []
-
-
-class TestRep013ConcurrencySafety:
-    def test_flags_async_mutation_of_module_global(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.serve.pump",
-            "QUEUE = []\n"
-            "\n"
-            "async def pump(item):\n"
-            "    QUEUE.append(item)\n",
-        )
-        findings = run([str(tmp_path)], select=["REP013"])
-        assert rules_of(findings) == ["REP013"]
-        assert "QUEUE" in findings[0].message
-        assert "async function" in findings[0].message
-
-    def test_flags_async_rebind_through_global(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.serve.pump",
-            "EPOCH = 0\n"
-            "\n"
-            "async def bump():\n"
-            "    global EPOCH\n"
-            "    EPOCH = EPOCH + 1\n",
-        )
-        findings = run([str(tmp_path)], select=["REP013"])
-        assert rules_of(findings) == ["REP013"]
-
-    def test_flags_sync_lock_held_across_await(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.serve.commit",
-            "async def commit(lock, batch):\n"
-            "    with lock:\n"
-            "        await batch.flush()\n",
-        )
-        findings = run([str(tmp_path)], select=["REP013"])
-        assert rules_of(findings) == ["REP013"]
-        assert "across 'await'" in findings[0].message
-
-    def test_async_lock_and_local_state_are_fine(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.serve.commit",
-            "async def commit(lock, batch):\n"
-            "    staged = []\n"
-            "    async with lock:\n"
-            "        staged.append(batch)\n"
-            "        await batch.flush()\n",
-        )
-        assert run([str(tmp_path)], select=["REP013"]) == []
-
-    def test_sync_write_outside_worker_is_fine(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.core.registry",
-            "TABLE = {}\n"
-            "\n"
-            "def register(key, value):\n"
-            "    TABLE[key] = value\n",
-        )
-        assert run([str(tmp_path)], select=["REP013"]) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.serve.pump",
-            "QUEUE = []\n"
-            "\n"
-            "async def pump(item):\n"
-            "    QUEUE.append(item)  # repro: allow[REP013] -- single-task\n",
-        )
-        assert run([str(tmp_path)], select=["REP013"]) == []
-
-
 class TestRep014CheckpointContainment:
     def test_flags_raw_os_replace_on_checkpoint_path(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.serve.snapshots",
-            "import os\n"
-            "\n"
-            "def save(tmp_name, checkpoint_path):\n"
-            "    os.replace(tmp_name, checkpoint_path)\n",
-        )
+        write_module(tmp_path, "repro.serve.snapshots", RAW_CHECKPOINT_WRITE)
         findings = run([str(tmp_path)], select=["REP014"])
         assert rules_of(findings) == ["REP014"]
         assert "atomic" in findings[0].message
@@ -415,17 +297,10 @@ class TestRep015MetricDrift:
 
 class TestDiscoveryFixes:
     def test_overlapping_roots_lint_once(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.serve.pump",
-            "QUEUE = []\n"
-            "\n"
-            "async def pump(item):\n"
-            "    QUEUE.append(item)\n",
-        )
-        once = run([str(tmp_path)], select=["REP013"])
+        write_module(tmp_path, "repro.serve.snapshots", RAW_CHECKPOINT_WRITE)
+        once = run([str(tmp_path)], select=["REP014"])
         twice = run(
-            [str(tmp_path), str(tmp_path / "repro")], select=["REP013"]
+            [str(tmp_path), str(tmp_path / "repro")], select=["REP014"]
         )
         assert len(once) == 1
         assert rules_of(twice) == rules_of(once)
@@ -545,7 +420,7 @@ class TestPragmaEdgeCases:
     def test_select_accepts_project_rule_ids(self, tmp_path):
         module = tmp_path / "mod.py"
         module.write_text("X = 1\n")
-        assert run([str(module)], select=["REP013"]) == []
+        assert run([str(module)], select=["REP014"]) == []
 
 
 class TestSarifOutput:
@@ -617,7 +492,7 @@ class TestOnePass:
         write_module(tmp_path, "repro.serve.pump", self.SOURCE)
         assert rules_of(run([str(tmp_path)], select=["REP002"])) == ["REP002"]
         with pytest.raises(AssertionError):
-            run([str(tmp_path)], select=["REP002", "REP013"])
+            run([str(tmp_path)], select=["REP002", "REP014"])
 
     def test_ignore_runs_then_drops(self, tmp_path, monkeypatch):
         called = []

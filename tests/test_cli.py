@@ -70,6 +70,12 @@ class TestReport:
         assert main(["report", normal_file, "--group-by", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_flow_file(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "missing.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read flow file:")
+        assert err.count("\n") == 1
+
     def test_csv_format(self, normal_file, capsys):
         assert main(["report", normal_file, "--format", "csv"]) == 0
         out = capsys.readouterr().out
@@ -164,6 +170,21 @@ class TestDetect:
         bad.write_text("not a plan\n")
         assert main(["detect", normal_file, str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_flow_file(self, tmp_path, plan_file, capsys):
+        missing = str(tmp_path / "missing.bin")
+        assert main(["detect", missing, plan_file, "--basic"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read flow file:")
+        assert err.count("\n") == 1
+
+    def test_non_integer_plan_peer(self, tmp_path, normal_file, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# peer prefix\nx 10.0.0.0/8\n")
+        assert main(["detect", normal_file, str(bad), "--basic"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: expected '<peer> <prefix>', got 'x 10.0.0.0/8'\n"
+        )
 
     def test_plan_required_without_state(self, normal_file, capsys):
         assert main(["detect", normal_file]) == 2
@@ -437,6 +458,13 @@ class TestConvert:
         from repro.netflow.files import read_flow_file
 
         assert read_flow_file(normal_file) == read_flow_file(str(binary_path))
+
+    def test_unwritable_output(self, tmp_path, normal_file, capsys):
+        out = tmp_path / "no-such-dir" / "out.bin"
+        assert main(["convert", normal_file, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write flow file:")
+        assert err.count("\n") == 1
 
 
 class TestSampleExpandAggregate:

@@ -249,6 +249,25 @@ class TestColumnarDecodeEquivalence:
         header, batch = decode_v5_columnar(blob)
         assert (header, batch.records()) == serial
 
+    @given(st.lists(flow_records(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=100)
+    def test_v1_corruption_fate_is_identical(self, records, data):
+        encoded = bytearray(encode_v1_datagram(records, sys_uptime=1, unix_secs=2))
+        position = data.draw(
+            st.integers(min_value=0, max_value=len(encoded) - 1)
+        )
+        encoded[position] ^= data.draw(st.integers(min_value=1, max_value=255))
+        blob = bytes(encoded)
+        try:
+            serial = decode_v1_datagram(blob)
+        except NetFlowDecodeError as error:
+            with pytest.raises(NetFlowDecodeError) as columnar:
+                decode_v1_columnar(blob)
+            assert str(columnar.value) == str(error)
+            return
+        uptime, batch = decode_v1_columnar(blob)
+        assert (uptime, batch.records()) == serial
+
 
 # -- verdict equivalence and checkpoint identity ------------------------------
 
@@ -365,17 +384,22 @@ class TestVerdictEquivalence:
     def test_checkpoint_bytes_identical_hot_cold_and_absent(
         self, eia_plan, target_prefix, fastpath_trace, serial_run
     ):
-        """The memo is derived state: a checkpoint taken with a hot
-        cache and one taken right after a wholesale invalidation must be
-        the same bytes; modulo wall-clock latency measurements, both
-        also equal the checkpoint of the serial ``process_all`` run."""
+        """The derived caches — the EIA owner table and both NNS memos —
+        are never serialized: a checkpoint taken with all three hot and
+        one taken right after clearing them must be the same bytes;
+        modulo wall-clock latency measurements, both also equal the
+        checkpoint of the serial ``process_all`` run."""
         serial_detector, _ = serial_run
         detector = _build_detector(eia_plan, target_prefix)
         for start in range(0, len(fastpath_trace), 97):
             detector.process_batch(fastpath_trace[start:start + 97])
-        assert detector.fastpath.stats()["size"] > 0  # genuinely hot
+        # genuinely hot, all three
+        assert detector.fastpath.stats()["size"] > 0
+        assert detector._nns_memo and detector._nns_raw_memo
         hot = render_state(detector)
         detector.fastpath.invalidate()
+        detector._nns_memo.clear()
+        detector._nns_raw_memo.clear()
         cold = render_state(detector)
         assert hot == cold
         never = render_state(serial_detector)

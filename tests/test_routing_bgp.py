@@ -168,14 +168,6 @@ class TestRouteCollector:
         entries = collector.table_for(prefix, 10)
         assert sum(e.best for e in entries) == 1
 
-    def test_peer_of_origin(self):
-        topo = chain()
-        prefix = Prefix.parse("4.0.0.0/16")
-        collector = RouteCollector(topo, [40])
-        (entry,) = collector.table_for(prefix, 30)
-        assert entry.path == (40, 2, 1, 3, 30)
-        assert entry.peer_of_origin == 3
-
     def test_cache_invalidated_by_policy_epoch(self):
         topo = diamond()
         prefix = Prefix.parse("4.0.0.0/16")

@@ -131,11 +131,6 @@ class TestDeriveIngressMap:
         mapping = derive_ingress_map(routes, 99, parse_ipv4("4.2.101.20"))
         assert mapping.peer_of_source == {}
 
-    def test_sources_via(self):
-        routes = parse_show_ip_bgp(PAPER_TABLE)
-        mapping = derive_ingress_map(routes, 1, parse_ipv4("4.2.101.20"))
-        assert mapping.sources_via(6325) == {1224, 38}
-
 
 class TestFractionalChange:
     def test_identical_maps_no_change(self):

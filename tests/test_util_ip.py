@@ -178,13 +178,6 @@ class TestPrefixTrie:
         assert len(trie) == 1
         assert trie.get(p) == 2
 
-    def test_covering_match(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix.parse("10.0.0.0/8"), "big")
-        found = trie.covering_match(Prefix.parse("10.32.0.0/11"))
-        assert found == (Prefix.parse("10.0.0.0/8"), "big")
-        assert trie.covering_match(Prefix.parse("11.0.0.0/11")) is None
-
     def test_items_in_network_order(self):
         trie = PrefixTrie()
         entries = [

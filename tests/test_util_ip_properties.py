@@ -28,17 +28,6 @@ def _reference_longest_match(
     return best
 
 
-def _reference_covering_match(
-    model: Dict[Prefix, int], target: Prefix
-) -> Optional[Tuple[Prefix, int]]:
-    best = None
-    for prefix, value in model.items():
-        if prefix.covers(target):
-            if best is None or prefix.length > best[0].length:
-                best = (prefix, value)
-    return best
-
-
 @st.composite
 def prefixes(draw):
     # Skew lengths toward the short, overlapping end so longest-match
@@ -95,22 +84,6 @@ class TestTrieAgainstReference:
         listed = list(trie.items())
         assert listed == sorted(listed, key=lambda item: (item[0].network, item[0].length))
         assert dict(listed) == model
-
-    @given(operations(), prefixes())
-    @settings(max_examples=100, deadline=None)
-    def test_covering_match_agrees_with_model(self, ops, target):
-        trie: PrefixTrie[int] = PrefixTrie()
-        model: Dict[Prefix, int] = {}
-        for kind, prefix, value in ops:
-            if kind == "remove":
-                trie.remove(prefix)
-                model.pop(prefix, None)
-            else:
-                trie.insert(prefix, value)
-                model[prefix] = value
-        assert trie.covering_match(target) == _reference_covering_match(
-            model, target
-        )
 
     @given(operations())
     @settings(max_examples=50, deadline=None)
