@@ -6,7 +6,9 @@
 ``i`` runs both at seed ``--seed + i``, the parent first on even pairs
 and the change first on odd ones, and prints one line per run; then, per
 end-to-end metric of ``CHANGE/BENCHMARK.json``, each side's median and
-quartiles and the pairs the change won (ties count for neither).  Exit
+quartiles and the pairs the change won (ties count for neither).  The
+same lines follow for the per-layer metrics in ``LAYERS``, read from each
+run's report, which say where an end-to-end change comes from.  Exit
 status 1 when any run was refused, incorrect or failed a record: its
 metrics are then absent and the summary would be of the wrong set.
 """
@@ -21,7 +23,15 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-__all__ = ["run_once", "main"]
+__all__ = ["LAYERS", "run_once", "main"]
+
+#: Per-layer metrics printed beside the end-to-end ones: where the
+#: paced latency goes (queue wait vs commit) and how full batches are.
+LAYERS = (
+    "serve.queue_wait_p50_ms",
+    "serve.batch_fill_mean",
+    "serve.verdict_latency_p99_ms",
+)
 
 def run_once(root: Path, workload: str, seed: int) -> Dict[str, Any]:
     """One run in ``root``: metric values, kernel samples, the verdict."""
@@ -35,8 +45,11 @@ def run_once(root: Path, workload: str, seed: int) -> Dict[str, Any]:
     # A refused run prints the contract object alone.
     report = json.loads(lines[-2]) if len(lines) > 1 else {}
     metrics = {name: metric["value"] for name, metric in contract["metrics"].items()}
+    per_layer = report.get("per_layer", {})
+    layers = {name: per_layer[name]["value"] for name in LAYERS if name in per_layer}
     return {
-        "metrics": metrics, "kernel_samples": report.get("kernel_samples"),
+        "metrics": metrics, "layers": layers,
+        "kernel_samples": report.get("kernel_samples"),
         "correct": contract["correct"], "failed": contract["failed"],
     }
 
@@ -46,6 +59,25 @@ def _quartiles(values: List[float]) -> str:
         return f"{values[0]:.5g}"
     low, median, high = statistics.quantiles(values, n=4, method="inclusive")
     return f"{median:.5g} ({low:.5g}-{high:.5g})"
+
+
+def _summarise(
+    pairs: List[Dict[str, Dict[str, Any]]], kind: str, metric: Dict[str, Any]
+) -> None:
+    """One summary line: both sides' quartiles, their ratio, pairs won."""
+    name, higher = metric["name"], metric["better"] == "higher"
+    label = f"{metric['unit']}, {metric['better']} is better"
+    if "bound" in metric:
+        label += f", bound {metric['bound']:.1%}"
+    parent = [pair["parent"][kind][name] for pair in pairs]
+    change = [pair["change"][kind][name] for pair in pairs]
+    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    ratio = statistics.median(change) / statistics.median(parent)
+    print(
+        f"{name} [{label}]: parent {_quartiles(parent)}"
+        f" change {_quartiles(change)}"
+        f" change/parent {ratio:.3f} change won {won}/{len(pairs)}"
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -58,7 +90,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with (roots["change"] / "BENCHMARK.json").open(encoding="utf-8") as source:
-        end_to_end = json.load(source)["end_to_end"]
+        benchmark = json.load(source)
 
     pairs: List[Dict[str, Dict[str, Any]]] = []
     for index in range(args.pairs):
@@ -67,7 +99,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         pair: Dict[str, Dict[str, Any]] = {}
         for side in order:
             run = pair[side] = run_once(roots[side], args.workload, seed)
-            values = " ".join(f"{k}={v:.5g}" for k, v in run["metrics"].items())
+            values = " ".join(
+                f"{k}={v:.5g}" for k, v in {**run["metrics"], **run["layers"]}.items()
+            )
             print(
                 f"pair {index + 1} seed {seed} {side:6} {args.workload}"
                 f" kernel_samples={run['kernel_samples']}"
@@ -80,18 +114,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not all(run["correct"] and not run["failed"] and run["metrics"] for run in runs):
         print("a run was refused, incorrect or failed records: no summary")
         return 1
-    for metric in end_to_end:
-        name, higher = metric["name"], metric["better"] == "higher"
-        parent = [pair["parent"]["metrics"][name] for pair in pairs]
-        change = [pair["change"]["metrics"][name] for pair in pairs]
-        won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        ratio = statistics.median(change) / statistics.median(parent)
-        print(
-            f"{name} [{metric['unit']}, {metric['better']} is better, bound"
-            f" {metric['bound']:.1%}]: parent {_quartiles(parent)}"
-            f" change {_quartiles(change)}"
-            f" change/parent {ratio:.3f} change won {won}/{len(pairs)}"
-        )
+    for metric in benchmark["end_to_end"]:
+        _summarise(pairs, "metrics", metric)
+    for metric in benchmark["per_layer"]:
+        if metric["name"] in LAYERS and all(
+            metric["name"] in run["layers"] for run in runs
+        ):
+            _summarise(pairs, "layers", metric)
     return 0
 
 

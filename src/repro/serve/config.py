@@ -46,10 +46,9 @@ class ServeConfig:
     #: Bound of the ingest queue, in flow records.
     queue_capacity: int = 65_536
     shed_policy: str = SHED_DROP_OLDEST
-    #: Records per commit batch (the micro-batching unit).
+    #: Most records per commit batch: a batch commits what has arrived,
+    #: so it fills to this cap only under saturation.
     batch_size: int = 256
-    #: How long a partial batch may wait for more records, in seconds.
-    batch_linger_s: float = 0.02
     #: Checkpoint the detector every N committed batches (0 disables).
     checkpoint_every: int = 0
     checkpoint_path: Optional[str] = None
@@ -85,10 +84,6 @@ class ServeConfig:
         if self.batch_size < 1:
             raise ConfigError(
                 f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.batch_linger_s < 0:
-            raise ConfigError(
-                f"batch_linger_s must be >= 0, got {self.batch_linger_s}"
             )
         if self.checkpoint_every < 0:
             raise ConfigError(

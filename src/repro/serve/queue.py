@@ -20,6 +20,14 @@ The queue is single-loop: producers call :meth:`put_batch` from
 event-loop callbacks (the datagram protocol), the one consumer awaits
 :meth:`get_batch`.  No locks are needed because asyncio callbacks and
 coroutine steps interleave only at await points.
+
+A commit batch is what has arrived, not what a timer let in.  The
+datagram transport reads one datagram per event-loop pass, so
+:meth:`get_batch` yields pass by pass while each pass admits rows: a
+backlog already in the socket joins the batch, a lone datagram commits
+within a few passes, and under saturation the batch fills to its cap
+and batches commit back to back.  Below capacity the batches size
+themselves — a longer commit lets more datagrams queue for the next.
 """
 
 from __future__ import annotations
@@ -219,17 +227,16 @@ class IngestQueue:
             self._event().clear()
         return taken
 
-    async def get_batch(
-        self, max_batch: int, *, linger_s: float = 0.0
-    ) -> QueuedBatch:
+    async def get_batch(self, max_batch: int) -> QueuedBatch:
         """Await the next micro-batch (empty batch = closed and drained).
 
         Waits until at least one record is queued (or the queue closes),
-        then — if the batch is short of ``max_batch`` and the queue is
-        still open — lingers once for up to ``linger_s`` to let the
-        batch fill.  The linger is what amortises per-batch overhead at
-        low traffic rates without adding latency at high rates, where
-        batches fill instantly.
+        then yields to the event loop for as long as each pass admits
+        more rows.  The batch is taken at the first pass that admits
+        none, as soon as ``max_batch`` rows (or the whole capacity) are
+        queued, or when the queue closes.  Arrivals are counted by
+        ``stats.enqueued``: drop-oldest shedding keeps the depth flat
+        while rows still arrive.
         """
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
@@ -239,10 +246,13 @@ class IngestQueue:
             event = self._event()
             event.clear()
             await event.wait()
-        if (
-            linger_s > 0
-            and self._depth < max_batch
+        full = min(max_batch, self.capacity)
+        seen = -1
+        while (
+            self._depth < full
+            and self.stats.enqueued != seen
             and not self._closed
         ):
-            await asyncio.sleep(linger_s)
+            seen = self.stats.enqueued
+            await asyncio.sleep(0)
         return self.take_nowait(max_batch)

@@ -89,7 +89,6 @@ class CommitWorker:
         self._committed = 0
         self._checkpoints = 0
         self._reloads = 0
-        self._pending_reload = False
         self._latency_reservoir: List[float] = []
         self._latency_seen = 0
         self._latency_rng = SeededRng(20050609, "serve-latency-reservoir")
@@ -156,8 +155,36 @@ class CommitWorker:
     # -- control -------------------------------------------------------------
 
     def request_reload(self) -> None:
-        """Arm a hot reload; applied at the next batch boundary."""
-        self._pending_reload = True
+        """Hot-reload the detector from the configured source, now.
+
+        A commit never yields to the event loop, so every moment a
+        signal handler or a coroutine can call this is a batch boundary:
+        the reload is applied at once, on a busy or an idle daemon alike.
+        """
+        path = self.config.effective_reload_path
+        if path is None:
+            log.warning(
+                "reload requested but no reload_path/checkpoint_path is"
+                " configured; ignoring"
+            )
+            return
+        try:
+            # On this daemon's registry, so its /metrics keeps moving.
+            detector, _cursor = load_checkpoint(
+                path, registry=self.detector.registry
+            )
+        except ReproError as error:
+            # A bad reload source must not take the daemon down mid-run;
+            # keep serving on the current detector and say so.
+            log.warning(
+                "hot reload failed; keeping the current detector",
+                extra={"path": path, "reason": str(error)},
+            )
+            return
+        self.detector = detector
+        self._reloads += 1
+        self._m_reloads.inc()
+        log.info("detector hot-reloaded", extra={"path": path})
 
     # -- the loop ------------------------------------------------------------
 
@@ -171,11 +198,7 @@ class CommitWorker:
         if self.queue is None:
             raise ServeError("serve worker has no ingest queue to drain")
         while True:
-            if self._pending_reload:
-                self._apply_reload()
-            batch = await self.queue.get_batch(
-                self.config.batch_size, linger_s=self.config.batch_linger_s
-            )
+            batch = await self.queue.get_batch(self.config.batch_size)
             if not batch:
                 break
             self.commit(batch)
@@ -262,30 +285,3 @@ class CommitWorker:
             },
         )
         return self._cursor
-
-    def _apply_reload(self) -> None:
-        self._pending_reload = False
-        path = self.config.effective_reload_path
-        if path is None:
-            log.warning(
-                "reload requested but no reload_path/checkpoint_path is"
-                " configured; ignoring"
-            )
-            return
-        try:
-            # On this daemon's registry, so its /metrics keeps moving.
-            detector, _cursor = load_checkpoint(
-                path, registry=self.detector.registry
-            )
-        except ReproError as error:
-            # A bad reload source must not take the daemon down mid-run;
-            # keep serving on the current detector and say so.
-            log.warning(
-                "hot reload failed; keeping the current detector",
-                extra={"path": path, "reason": str(error)},
-            )
-            return
-        self.detector = detector
-        self._reloads += 1
-        self._m_reloads.inc()
-        log.info("detector hot-reloaded", extra={"path": path})

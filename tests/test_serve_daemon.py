@@ -447,6 +447,48 @@ class TestDaemonLoopback:
             == system_default
         )
 
+    def test_lone_datagram_commits_within_a_few_loop_passes(
+        self, eia_plan, target_prefix
+    ):
+        """Default batching commits what has arrived: counted in event
+        loop passes (a self-rescheduling ``call_soon`` ticker), not wall
+        time, a lone datagram is committed within a handful of passes,
+        and two datagrams sent before the loop runs share one batch."""
+        detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
+        records = [plain_record(i) for i in range(3)]
+        lone, first, second = (
+            next(datagrams_for([r], sys_uptime=0, unix_secs=0,
+                               initial_sequence=i))
+            for i, r in enumerate(records)
+        )
+        passes: List[int] = []
+
+        async def drive(daemon: ServeDaemon) -> None:
+            loop = asyncio.get_running_loop()
+            done = asyncio.Event()
+
+            def tick(count: int) -> None:
+                if daemon.worker.committed:
+                    passes.append(count)
+                    done.set()
+                else:
+                    loop.call_soon(tick, count + 1)
+
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.sendto(lone, daemon.address)
+                loop.call_soon(tick, 1)
+                await asyncio.wait_for(done.wait(), timeout=10)
+                sock.sendto(first, daemon.address)
+                sock.sendto(second, daemon.address)
+                while daemon.worker.committed < 3:
+                    await asyncio.sleep(0.001)
+            daemon.request_shutdown()
+
+        _daemon, report = run_daemon(detector, ServeConfig(port=0), drive)
+        assert passes[0] <= 16
+        assert report.records_committed == 3
+        assert report.batches == 2
+
     def test_daemon_runs_only_once(self, eia_plan, target_prefix):
         detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
         config = ServeConfig(port=0, idle_exit_s=0.2)
@@ -572,6 +614,38 @@ class TestHotReload:
         assert report.reloads == 1
         assert daemon.detector is not detector
         assert report.records_committed == len(records)
+
+    @pytest.mark.parametrize("then_shut_down", [False, True])
+    def test_reload_reaches_an_idle_daemon_at_once(
+        self, eia_plan, target_prefix, tmp_path, then_shut_down
+    ):
+        """No traffic, so no batch ever comes from the queue: the reload
+        is still applied on request, and one requested just before a
+        shutdown is not dropped."""
+        ckpt = str(tmp_path / "reload.json")
+        save_detector(
+            make_detector(eia_plan, target_prefix, seed=9_001, n_train=400),
+            ckpt,
+            cursor=0,
+        )
+        detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
+        seen: List[int] = []
+
+        async def drive(daemon: ServeDaemon) -> None:
+            daemon.request_reload()
+            if not then_shut_down:
+                for _ in range(16):
+                    await asyncio.sleep(0)
+                seen.append(daemon.worker.reloads)
+            daemon.request_shutdown()
+
+        daemon, report = run_daemon(
+            detector, ServeConfig(port=0, reload_path=ckpt), drive
+        )
+        assert seen == ([] if then_shut_down else [1])
+        assert report.reloads == 1
+        assert report.records_committed == 0
+        assert daemon.detector is not detector
 
     def test_reload_between_checkpoints_rewrites_the_journal(
         self, eia_plan, target_prefix, serve_trace, tmp_path

@@ -2,7 +2,8 @@
 
 The queue is the backpressure boundary of the daemon: these tests pin
 down the two shed policies, the close-then-drain contract that graceful
-shutdown depends on, the micro-batch linger behaviour, and — under
+shutdown depends on, how a micro-batch gathers what has arrived (loop
+pass by loop pass, never on a timer), and — under
 bursty concurrent producers — the exact reconciliation of each policy's
 counters with the record-fate totals in :class:`ServeReport`.
 """
@@ -64,7 +65,6 @@ class TestServeConfig:
             {"queue_capacity": 0},
             {"shed_policy": "drop-some"},
             {"batch_size": 0},
-            {"batch_linger_s": -0.1},
             {"checkpoint_every": -1},
             {"checkpoint_every": 5},  # without a checkpoint_path
             {"http_port": 70_000},
@@ -158,23 +158,86 @@ class TestIngestQueue:
         batch = asyncio.run(main())
         assert [r.key.src_addr for r in batch.records()] == [8]
 
-    def test_get_batch_lingers_to_fill(self):
+    @staticmethod
+    def _gather(queue, max_batch, arrivals):
+        """``get_batch(max_batch)`` while a producer puts ``arrivals[i]``
+        records on the i-th loop pass after the first record; returns
+        the batch's source addresses and the producer's passes so far.
+        The producer is finite, so a gather that never stopped on its
+        own would still end, with the whole stream."""
+
+        async def main():
+            queue.put(record(0))
+            passes = 0
+
+            async def producer():
+                nonlocal passes
+                sent = 1
+                for count in arrivals:
+                    passes += 1
+                    for _ in range(count):
+                        queue.put(record(sent))
+                        sent += 1
+                    await asyncio.sleep(0)
+
+            task = asyncio.ensure_future(producer())
+            batch = await queue.get_batch(max_batch)
+            taken_at = passes
+            task.cancel()
+            return [r.key.src_addr for r in batch.records()], taken_at
+
+        return asyncio.run(main())
+
+    def test_rows_put_on_consecutive_passes_join_one_batch(self):
+        rows, _passes = self._gather(make_queue(capacity=64), 64, [1, 2, 1])
+        assert rows == [1, 2, 3, 4, 5]
+
+    def test_batch_is_taken_at_the_first_pass_that_admits_nothing(self):
+        queue = make_queue(capacity=64)
+        rows, passes = self._gather(queue, 64, [1, 0, 1, 1])
+        # Taken on the producer's second pass, the one that put nothing:
+        # the rows due after it belong to the next batch.
+        assert rows == [1, 2]
+        assert passes == 2
+
+    def test_max_batch_caps_the_batch(self):
+        queue = make_queue(capacity=64)
+        rows, passes = self._gather(queue, 4, [2, 2, 2])
+        # Full on the second pass: taken there, with the rest queued.
+        assert rows == [1, 2, 3, 4]
+        assert passes == 2
+        assert len(queue) == 1
+
+    def test_close_during_the_gather_returns_the_queued_rows(self):
         async def main():
             queue = make_queue(capacity=16)
             queue.put(record(0))
 
-            async def producer():
-                await asyncio.sleep(0.02)
-                for i in range(1, 4):
-                    queue.put(record(i))
+            async def closer():
+                # Runs on the first pass the gather yields to.
+                queue.put(record(1))
+                queue.close()
 
-            task = asyncio.ensure_future(producer())
-            batch = await queue.get_batch(4, linger_s=0.5)
+            task = asyncio.ensure_future(closer())
+            first = await queue.get_batch(8)
             await task
-            return batch
+            second = await queue.get_batch(8)
+            return first, second
 
-        batch = asyncio.run(main())
-        assert len(batch) == 4
+        first, second = asyncio.run(main())
+        assert [r.key.src_addr for r in first.records()] == [1, 2]
+        assert not second
+
+    def test_drop_oldest_below_max_batch_terminates_the_gather(self):
+        """Producers that admit rows on every pass, into a queue smaller
+        than the batch: the gather stops once the whole capacity is
+        queued, with the live edge when shedding evicted the head."""
+        queue = make_queue(capacity=4, shed_policy=SHED_DROP_OLDEST)
+        rows, passes = self._gather(queue, 8, [1] * 1_000)
+        assert (rows, passes, queue.stats.shed) == ([1, 2, 3, 4], 3, 0)
+        queue = make_queue(capacity=4, shed_policy=SHED_DROP_OLDEST)
+        rows, passes = self._gather(queue, 8, [5] * 1_000)
+        assert (rows, passes, queue.stats.shed) == ([3, 4, 5, 6], 1, 2)
 
     def test_close_then_drain_then_empty_batch(self):
         async def main():
