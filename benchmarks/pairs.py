@@ -8,7 +8,10 @@ and the change first on odd ones, and prints one line per run; then, per
 end-to-end metric of ``CHANGE/BENCHMARK.json``, each side's median and
 quartiles and the pairs the change won (ties count for neither).  The
 same lines follow for the per-layer metrics in ``LAYERS``, read from each
-run's report, which say where an end-to-end change comes from.  Exit
+run's report, which say where an end-to-end change comes from.  Before
+them, one line per side gives the headroom over the refusal floor
+(``MIN_KERNEL_SAMPLES`` in ``benchmarks/e2e/measure.py``): the minimum
+and median ``kernel_samples`` and the minimum divided by the floor.  Exit
 status 1 when any run was refused, incorrect or failed a record: its
 metrics are then absent and the summary would be of the wrong set.
 """
@@ -22,6 +25,13 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+for entry in (str(ROOT / "src"), str(ROOT / "benchmarks")):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
+
+from e2e.measure import MIN_KERNEL_SAMPLES  # noqa: E402
 
 __all__ = ["LAYERS", "run_once", "main"]
 
@@ -80,6 +90,23 @@ def _summarise(
     )
 
 
+def _headroom(pairs: List[Dict[str, Dict[str, Any]]], side: str) -> None:
+    """One side's kernel samples against the floor that refuses a run."""
+    samples = [
+        pair[side]["kernel_samples"] for pair in pairs
+        if pair[side]["kernel_samples"] is not None
+    ]
+    if not samples:
+        print(f"kernel_samples {side}: none reported")
+        return
+    print(
+        f"kernel_samples {side}: min {min(samples)}"
+        f" median {statistics.median(samples):g}"
+        f" min/floor {min(samples) / MIN_KERNEL_SAMPLES:.2f}"
+        f" (floor {MIN_KERNEL_SAMPLES})"
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=(__doc__ or "").splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -110,6 +137,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         pairs.append(pair)
 
+    for side in ("parent", "change"):
+        _headroom(pairs, side)
     runs = [run for pair in pairs for run in pair.values()]
     if not all(run["correct"] and not run["failed"] and run["metrics"] for run in runs):
         print("a run was refused, incorrect or failed records: no summary")

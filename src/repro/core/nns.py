@@ -20,21 +20,23 @@ Three engineering notes, all behaviour-preserving:
 * scales are built lazily on first probe: a binary search touches
   O(log d) of the ``d`` scales, so eager construction of all 720 would be
   ~70x wasted work.  ``build_all_scales`` exists for exhaustive tests;
-* the search does only what Figure 8 uses.  *Deferred pick*: the binary
-  search needs one bit per probed scale — is any entry of the query's
-  ``M3``-ball occupied? — so the ball walk stops at the first occupied
-  entry, and the candidates are gathered and the closest one picked
-  once, at the last non-empty scale, which is the only pick Figure 8
-  returns.  *Lane-prefix traces*: a unary code is, per feature lane,
-  ``I`` ones then zeros, so its GF(2) inner product with a test vector
-  is the XOR over lanes of the parity of the vector's first ``I`` lane
-  bits.  Each table keeps those prefix parities — per lane, ``bits + 1``
-  words of ``M2`` bits — and a trace is one lookup per lane XORed
-  together instead of ``M2`` 720-bit ``AND`` + popcounts.  Exact for
-  unary codes and only for them, which is why ``load_state`` refuses
-  any other code.  ``tests/reference_nns.py`` keeps the literal search
-  (parity traces, full ball walk, a pick at every non-empty scale) as
-  the oracle.
+* the search does only what Figure 8 uses.  *One bit per scale*: the
+  binary search branches only on whether any entry of the query's
+  ``M3``-ball is occupied, so each table keeps a derived 2^``M2``-bit
+  bitmap (512 B at ``M2`` = 12) with bit ``e`` set iff a stored trace
+  lies in the ``M3``-ball of ``e``, and a probed scale costs one bit
+  read.  *Deferred pick*: the candidates are gathered and the closest
+  one picked once, at the last non-empty scale, which is the only pick
+  Figure 8 returns.  *Lane-prefix traces*: a unary code is, per feature
+  lane, ``I`` ones then zeros, so its GF(2) inner product with a test
+  vector is the XOR over lanes of the parity of the vector's first
+  ``I`` lane bits.  Each table keeps those prefix parities — per lane,
+  ``bits + 1`` words of ``M2`` bits — and a trace is one lookup per
+  lane XORed together instead of ``M2`` 720-bit ``AND`` + popcounts.
+  Exact for unary codes and only for them, which is why ``load_state``
+  refuses any other code.  ``tests/reference_nns.py`` keeps the literal
+  search (parity traces, full ball walk, a pick at every non-empty
+  scale) as the oracle.
 """
 
 from __future__ import annotations
@@ -125,9 +127,13 @@ class _TraceTable:
     The ``M2`` test vectors are drawn, folded into ``columns`` (see
     :func:`_lane_columns`) and dropped: every trace the table ever
     needs, a training flow's or a query's, comes from the columns.
+    ``occupied`` is the 2^``M2``-bit ball-occupancy bitmap the binary
+    search reads: bit ``e`` (``occupied[e >> 3] >> (e & 7) & 1``) is set
+    iff ``e == trace ^ delta`` for a stored trace and a ball delta.
+    Derived from ``table``, so it is never checkpointed.
     """
 
-    __slots__ = ("columns", "table")
+    __slots__ = ("columns", "table", "occupied")
 
     def __init__(
         self,
@@ -136,6 +142,7 @@ class _TraceTable:
         layout: Sequence[Tuple[int, int]],
         dimension: int,
         m2: int,
+        deltas: Sequence[int],
         b: float,
         rng: SeededRng,
     ) -> None:
@@ -146,6 +153,10 @@ class _TraceTable:
         self.table: Dict[int, List[TrainingFlow]] = {}
         for flow, lanes in zip(flows, flow_lanes):
             self.table.setdefault(self.trace(lanes), []).append(flow)
+        occupied = bytearray(((1 << m2) + 7) >> 3)
+        for entry in {trace ^ delta for trace in self.table for delta in deltas}:
+            occupied[entry >> 3] |= 1 << (entry & 7)
+        self.occupied = bytes(occupied)
 
     def trace(self, lanes: Sequence[int]) -> int:
         """The M2-bit trace of the unary code with these interval indices."""
@@ -225,6 +236,7 @@ class NNSStructure:
                     self.encoder.lane_layout,
                     self.dimension,
                     self.config.m2,
+                    self._deltas,
                     b,
                     scale_rng.fork(f"table-{j}"),
                 )
@@ -248,9 +260,8 @@ class NNSStructure:
         a unary code of this structure's encoder.
         """
         lanes = self.encoder.decode_indices(encoded)
-        deltas = self._deltas
         low, high = 1, self.dimension
-        last: Optional[Tuple[Dict[int, List[TrainingFlow]], int, int]] = None
+        last: Optional[Tuple[_TraceTable, int, int]] = None
         while low <= high:
             scale = (low + high) // 2
             tables = self._tables_for(scale)
@@ -259,33 +270,36 @@ class NNSStructure:
                 if len(tables) == 1
                 else self._pick_rng.choice(tables)
             )
-            buckets = table.table
             trace = table.trace(lanes)
             # The search only branches on whether the M3-ball of the
-            # trace holds any flow: stop at the first occupied entry.
-            for delta in deltas:
-                if (trace ^ delta) in buckets:
-                    last = (buckets, trace, scale)
-                    high = scale - 1
-                    break
+            # trace holds any flow: one bit of the occupancy bitmap.
+            if table.occupied[trace >> 3] >> (trace & 7) & 1:
+                last = (table, trace, scale)
+                high = scale - 1
             else:
                 low = scale + 1
         if last is None:
             return None
-        buckets, trace, scale = last
-        hits: List[TrainingFlow] = []
-        for delta in deltas:
-            bucket = buckets.get(trace ^ delta)
-            if bucket:
-                hits.extend(bucket)
-        # Deterministic pick inside the entry: the closest by true
+        table, trace, scale = last
+        # Deterministic pick inside the ball: the closest by true
         # Hamming distance, ties to the earliest training index.
-        flow = min(
-            hits, key=lambda f: ((f.encoded ^ encoded).bit_count(), f.index)
-        )
-        return SearchResult(
-            flow=flow, distance=hamming(flow.encoded, encoded), scale=scale
-        )
+        buckets = table.table
+        best: Optional[TrainingFlow] = None
+        best_distance = 0
+        for delta in self._deltas:
+            bucket = buckets.get(trace ^ delta)
+            if bucket is None:
+                continue
+            for flow in bucket:
+                distance = (flow.encoded ^ encoded).bit_count()
+                if (
+                    best is None
+                    or distance < best_distance
+                    or (distance == best_distance and flow.index < best.index)
+                ):
+                    best, best_distance = flow, distance
+        assert best is not None  # the bitmap bit promised a stored trace
+        return SearchResult(flow=best, distance=best_distance, scale=scale)
 
     # -- the stage-state protocol --------------------------------------------
 

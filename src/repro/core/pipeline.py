@@ -54,11 +54,14 @@ __all__ = [
     "BatchResult",
     "PipelineStats",
     "EnhancedInFilter",
+    "latency_bucket",
+    "bucket_percentile",
 ]
 
-#: Sub-buckets per octave of the :class:`PipelineStats` latency
-#: histogram.  A bucket spans 1/8 of its octave, so its midpoint is within
-#: 1/16 = 6.25% of any latency it holds.
+#: Sub-buckets per octave of the :func:`latency_bucket` histogram
+#: (:class:`PipelineStats`' and the serve worker's).  A bucket spans
+#: 1/8 of its octave, so its midpoint is within 1/16 = 6.25% of any
+#: latency it holds.
 _LATENCY_SUBBUCKETS = 8
 #: Bucket index of a zero latency: below the index of the smallest
 #: positive float (-8,584), so zeros sort first and share no bucket.
@@ -130,13 +133,43 @@ class BatchResult:
     elapsed_s: float = 0.0
 
 
-def _latency_bucket_midpoint(bucket: int) -> float:
-    """The value ``latency_percentile`` reports for a bucket
-    (``PipelineStats.note`` computes the index)."""
+def latency_bucket(latency_s: float) -> int:
+    """The log-linear histogram bucket of a latency.
+
+    frexp's mantissa is in [0.5, 1), and its offset into the octave in
+    sixteenths of that range is the sub-bucket — exact in binary floats.
+    """
+    if latency_s > 0.0:
+        mantissa, exponent = frexp(latency_s)
+        return exponent * _LATENCY_SUBBUCKETS + int(
+            mantissa * (2 * _LATENCY_SUBBUCKETS)
+        ) - _LATENCY_SUBBUCKETS
+    return _LATENCY_ZERO_BUCKET
+
+
+def bucket_percentile(
+    buckets: Dict[int, int], quantile: float, ceiling_s: float
+) -> float:
+    """The latency at ``quantile`` of a :func:`latency_bucket` histogram.
+
+    The midpoint of the bucket holding the ``int(quantile * n)``-th
+    smallest latency, so within 6.25% (stated bound: 7%) of it, and
+    never above ``ceiling_s`` (the largest latency counted); 0.0 when
+    the histogram is empty.  ``quantile`` must already be in [0, 1].
+    """
+    total = sum(buckets.values())
+    if not total:
+        return 0.0
+    rank = min(total - 1, int(quantile * total))
+    for bucket in sorted(buckets):
+        rank -= buckets[bucket]
+        if rank < 0:
+            break
     if bucket == _LATENCY_ZERO_BUCKET:
         return 0.0
     exponent, sub = divmod(bucket, _LATENCY_SUBBUCKETS)
-    return ldexp(0.5 + (2 * sub + 1) / (4 * _LATENCY_SUBBUCKETS), exponent)
+    midpoint = ldexp(0.5 + (2 * sub + 1) / (4 * _LATENCY_SUBBUCKETS), exponent)
+    return min(midpoint, ceiling_s)
 
 
 @stateful("stats")
@@ -168,16 +201,7 @@ class PipelineStats:
         self.latency_total_s += latency_s
         if latency_s > self.latency_max_s:
             self.latency_max_s = latency_s
-        # The histogram bucket, inline (once per flow): frexp's mantissa
-        # is in [0.5, 1), and its offset into the octave in sixteenths
-        # of that range is the sub-bucket — exact in binary floats.
-        if latency_s > 0.0:
-            mantissa, exponent = frexp(latency_s)
-            bucket = exponent * _LATENCY_SUBBUCKETS + int(
-                mantissa * (2 * _LATENCY_SUBBUCKETS)
-            ) - _LATENCY_SUBBUCKETS
-        else:
-            bucket = _LATENCY_ZERO_BUCKET
+        bucket = latency_bucket(latency_s)
         buckets = self.latency_buckets
         buckets[bucket] = buckets.get(bucket, 0) + 1
         if decision.verdict == Verdict.LEGAL:
@@ -201,22 +225,15 @@ class PipelineStats:
     def latency_percentile(self, quantile: float) -> float:
         """Latency at the given quantile in [0, 1] over every flow noted.
 
-        Read off the bucket histogram: the midpoint of the bucket holding
-        the ``int(quantile * n)``-th smallest latency, so within 6.25%
-        (stated bound: 7%) of that latency, and never above
+        Read off the bucket histogram (:func:`bucket_percentile`), so
+        within 7% of the exact quantile and never above
         ``latency_max_s``.
         """
         if not 0.0 <= quantile <= 1.0:
             raise ConfigError("quantile must be in [0, 1]")
-        total = sum(self.latency_buckets.values())
-        if not total:
-            return 0.0
-        rank = min(total - 1, int(quantile * total))
-        for bucket in sorted(self.latency_buckets):
-            rank -= self.latency_buckets[bucket]
-            if rank < 0:
-                break
-        return min(_latency_bucket_midpoint(bucket), self.latency_max_s)
+        return bucket_percentile(
+            self.latency_buckets, quantile, self.latency_max_s
+        )
 
     # -- the stage-state protocol --------------------------------------------
 

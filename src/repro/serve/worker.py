@@ -23,17 +23,21 @@ how much traffic its restored state already accounts for.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.persistence import CheckpointWriter, load_checkpoint
-from repro.core.pipeline import BatchResult, EnhancedInFilter
+from repro.core.pipeline import (
+    BatchResult,
+    EnhancedInFilter,
+    bucket_percentile,
+    latency_bucket,
+)
 from repro.fastpath.columnar import RecordColumns
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
 from repro.serve.config import ServeConfig
 from repro.serve.queue import IngestQueue, QueuedBatch
 from repro.util.errors import ReproError, ServeError
-from repro.util.rng import SeededRng
 
 __all__ = ["CommitWorker"]
 
@@ -45,9 +49,6 @@ _INGEST_LATENCY_BUCKETS_S: Tuple[float, ...] = (
     0.000_5, 0.001, 0.002_5, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-#: Size of the ingest-latency reservoir kept for percentile reporting.
-_LATENCY_RESERVOIR = 4_096
 
 
 class CommitWorker:
@@ -89,9 +90,10 @@ class CommitWorker:
         self._committed = 0
         self._checkpoints = 0
         self._reloads = 0
-        self._latency_reservoir: List[float] = []
-        self._latency_seen = 0
-        self._latency_rng = SeededRng(20050609, "serve-latency-reservoir")
+        # Ingest-to-verdict latency over every committed record, in the
+        # log-linear buckets `PipelineStats` also keeps.
+        self._latency_buckets: Dict[int, int] = {}
+        self._latency_max_s = 0.0
         self._m_batches = registry.counter(
             "infilter_serve_batches_total",
             "Micro-batches committed through the detector.",
@@ -143,14 +145,13 @@ class CommitWorker:
         return self._reloads
 
     def latency_percentile(self, quantile: float) -> float:
-        """Ingest-to-verdict latency percentile from the reservoir."""
+        """Ingest-to-verdict latency at ``quantile`` over every committed
+        record, within 7% (:func:`bucket_percentile`); 0.0 before any."""
         if not 0.0 <= quantile <= 1.0:
             raise ServeError(f"quantile must be in [0, 1], got {quantile}")
-        if not self._latency_reservoir:
-            return 0.0
-        ordered = sorted(self._latency_reservoir)
-        index = min(len(ordered) - 1, int(quantile * len(ordered)))
-        return ordered[index]
+        return bucket_percentile(
+            self._latency_buckets, quantile, self._latency_max_s
+        )
 
     # -- control -------------------------------------------------------------
 
@@ -256,18 +257,13 @@ class CommitWorker:
         return result
 
     def _sample_latency(self, latency_s: float, records: int) -> None:
-        """Offer ``records`` identical latencies to the histogram and,
-        one by one, to the reservoir (it still sees every record)."""
+        """Count ``records`` identical latencies in both histograms."""
         self._m_ingest_latency.observe_many(latency_s, records)
-        reservoir = self._latency_reservoir
-        for _ in range(records):
-            self._latency_seen += 1
-            if len(reservoir) < _LATENCY_RESERVOIR:
-                reservoir.append(latency_s)
-                continue
-            slot = self._latency_rng.randrange(self._latency_seen)
-            if slot < _LATENCY_RESERVOIR:
-                reservoir[slot] = latency_s
+        bucket = latency_bucket(latency_s)
+        buckets = self._latency_buckets
+        buckets[bucket] = buckets.get(bucket, 0) + records
+        if latency_s > self._latency_max_s:
+            self._latency_max_s = latency_s
 
     def checkpoint(self) -> int:
         """Write an atomic checkpoint at the current cursor."""

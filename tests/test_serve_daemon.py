@@ -42,6 +42,7 @@ from repro.core.persistence import (
     render_state,
     save_detector,
 )
+from repro.fastpath.columnar import RecordColumns
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
 from repro.netflow.records import PROTO_UDP, FlowKey, FlowRecord
 from repro.netflow.v1 import encode_v1_datagram
@@ -57,6 +58,7 @@ from repro.serve import (
     ServeConfig,
     ServeDaemon,
 )
+from repro.serve.queue import QueuedBatch
 from repro.util import SeededRng
 from repro.util.errors import ServeError
 
@@ -329,6 +331,44 @@ class TestWorkerDrain:
         asyncio.run(worker.run())
         assert worker.latency_percentile(0.5) >= 0.0
         assert worker.latency_percentile(0.99) >= worker.latency_percentile(0.0)
+
+    def test_latency_percentile_is_within_7_percent_of_exact(
+        self, eia_plan, target_prefix, monkeypatch
+    ):
+        """A skewed mix — mostly sub-millisecond, a tail of tens of
+        milliseconds, a few seconds-late slices — against the exact
+        quantile over every committed record, each slice counted once
+        per row."""
+        detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
+        registry = MetricsRegistry()
+        worker = CommitWorker(detector, None, ServeConfig(), registry=registry)
+        columns = RecordColumns([plain_record(index) for index in range(8)])
+        now = 1_000.0
+        monkeypatch.setattr(time, "perf_counter", lambda: now)
+        rnd = SeededRng(_SEED, "latency-mix")
+        exact: List[float] = []
+        for _ in range(40):
+            batch = QueuedBatch()
+            for _ in range(1 + rnd.randrange(6)):
+                draw = rnd.random()
+                if draw < 0.85:
+                    latency_s = 0.0002 * 2.0 ** (3.0 * rnd.random())
+                elif draw < 0.97:
+                    latency_s = 0.02 + 0.08 * rnd.random()
+                else:
+                    latency_s = 1.0 + 2.0 * rnd.random()
+                rows = 1 + rnd.randrange(8)
+                batch.append(columns, 0, rows)
+                batch.enqueued_s.append(now - latency_s)
+                exact.extend([now - (now - latency_s)] * rows)
+            worker.commit(batch)
+        exact.sort()
+        assert worker.committed == len(exact)
+        for quantile in (0.0, 0.1, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0):
+            want = exact[min(len(exact) - 1, int(quantile * len(exact)))]
+            got = worker.latency_percentile(quantile)
+            assert abs(got - want) <= 0.07 * want, quantile
+            assert got <= exact[-1]
 
 
 class TestDaemonLoopback:
