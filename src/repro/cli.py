@@ -234,10 +234,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _write_metrics(registry: MetricsRegistry, path: str) -> None:
     """Write a registry snapshot: JSON for ``*.json``, Prometheus text
     otherwise."""
-    if path.endswith(".json"):
-        Path(path).write_text(render_json(registry) + "\n")
-    else:
-        Path(path).write_text(render_prometheus(registry))
+    text = (
+        render_json(registry) + "\n"
+        if path.endswith(".json")
+        else render_prometheus(registry)
+    )
+    try:
+        Path(path).write_text(text)
+    except OSError as error:
+        raise ReproError(f"cannot write metrics file: {error}") from error
 
 
 def _open_state(
@@ -775,43 +780,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- lint ---------------------------------------------------------------------
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import (
-        ALL_RULES,
-        PROJECT_RULES,
-        render_sarif,
-        run as run_lint,
-    )
-
-    if args.list_rules:
-        for rule in ALL_RULES:
-            print(f"{rule.id}  {rule.summary}")
-        for project_rule in PROJECT_RULES:
-            print(f"{project_rule.id}  {project_rule.summary}")
-        return 0
-    findings = run_lint(args.paths, select=args.select, ignore=args.ignore)
-    if args.format == "json":
-        print(json.dumps([finding.to_dict() for finding in findings], indent=2))
-    elif args.format == "sarif":
-        catalogue = [(rule.id, rule.summary) for rule in ALL_RULES]
-        catalogue.extend((rule.id, rule.summary) for rule in PROJECT_RULES)
-        catalogue.append(
-            ("REP000", "Linter-internal: unreadable file or malformed pragma.")
-        )
-        print(json.dumps(render_sarif(findings, catalogue), indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        if findings:
-            print(f"{len(findings)} finding(s)", file=sys.stderr)
-    return 1 if findings else 0
-
-
 # -- anonymize ---------------------------------------------------------------
 
 
@@ -1082,35 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("prometheus", "json"), default="prometheus"
     )
     stats.set_defaults(handler=_cmd_stats)
-
-    lint = commands.add_parser(
-        "lint", help="check the codebase's determinism/robustness invariants"
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    lint.add_argument(
-        "--select",
-        action="append",
-        metavar="RULE",
-        help="only run the listed rules (repeatable, comma-separable)",
-    )
-    lint.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULE",
-        help="drop findings from the listed rules (repeatable)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    lint.set_defaults(handler=_cmd_lint)
 
     anonymize = commands.add_parser(
         "anonymize", help="prefix-preserving address anonymization"

@@ -13,8 +13,9 @@ RNGs themselves — implements one two-method contract:
 
 :mod:`repro.core.persistence` composes these sections into a versioned,
 atomically-written checkpoint document; nothing outside a component ever
-reaches into its underscore attributes (linter rule REP009 enforces
-both halves of that bargain).
+reaches into its underscore attributes
+(``tests/test_invariants.py::test_tree_holds[REP009]`` enforces both
+halves of that bargain).
 
 Components register under a stable section name with the
 :func:`stateful` decorator, which is what the warm-restart tests sweep

@@ -178,6 +178,17 @@ class TestDetect:
         assert err.startswith("error: cannot read flow file:")
         assert err.count("\n") == 1
 
+    def test_unwritable_metrics_out(self, tmp_path, plan_file, normal_file, capsys):
+        out = tmp_path / "no-such-dir" / "m.prom"
+        assert (
+            main(["detect", normal_file, plan_file, "--basic",
+                  "--metrics-out", str(out)])
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write metrics file:")
+        assert err.count("\n") == 1
+
     def test_non_integer_plan_peer(self, tmp_path, normal_file, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("# peer prefix\nx 10.0.0.0/8\n")
@@ -616,6 +627,25 @@ class TestExperiment:
         assert "infilter_experiment_detection_rate" in text
         assert "infilter_experiment_false_positive_rate" in text
         assert "infilter_pipeline_flows_total" in text
+
+
+    def test_unwritable_metrics_out(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "m.prom"
+        assert (
+            main(
+                [
+                    "experiment",
+                    "--flows", "200",
+                    "--training-flows", "300",
+                    "--runs", "1",
+                    "--metrics-out", str(out),
+                ]
+            )
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write metrics file:")
+        assert err.count("\n") == 1
 
 
 class TestStatsAndMetricsOut:
