@@ -189,6 +189,16 @@ class ClusterModel:
     def thresholds(self) -> Dict[str, int]:
         return {name: sc.threshold for name, sc in self.subclusters.items()}
 
+    @property
+    def pick_draws(self) -> int:
+        """Pick-RNG draws of every structure since it was built or
+        loaded.  The model's state is fixed at ``train()`` but for these
+        cursors, which searches advance only at ``M1`` > 1: a changed
+        count is a changed :meth:`state_dict`."""
+        return sum(
+            sc.structure.pick_draws for sc in self.subclusters.values()
+        )
+
     # -- the stage-state protocol --------------------------------------------
 
     def state_dict(self) -> StateDict:

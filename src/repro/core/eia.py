@@ -22,7 +22,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import EIAConfig
-from repro.core.state import StateDict, stateful
+from repro.core.state import (
+    Section,
+    SectionTable,
+    StateDict,
+    section_state,
+    stamps,
+    stateful,
+)
 from repro.fastpath.plane import MISSING, FastPath
 from repro.netflow.records import FlowRecord
 from repro.obs import Gauge, MetricsRegistry, get_logger, get_registry
@@ -74,6 +81,10 @@ class EIASet:
     given.  ``texts`` (block -> its text) is where a block's text is
     formatted once; :class:`BasicInFilter` shares one across its sets,
     so a block that moves between peers is not formatted again.
+
+    ``stamp`` (from :data:`~repro.core.state.stamps`) is renewed at the
+    same three points, so a checkpoint writer re-renders the set only
+    when it changed.
     """
 
     def __init__(self, peer: int, texts: Optional[Dict[Prefix, str]] = None) -> None:
@@ -81,6 +92,7 @@ class EIASet:
         self._trie: PrefixTrie[bool] = PrefixTrie()
         self._text: List[str] = []
         self._block_texts: Dict[Prefix, str] = texts if texts is not None else {}
+        self.stamp = next(stamps)
 
     def _text_of(self, prefix: Prefix) -> str:
         text = self._block_texts.get(prefix)
@@ -94,12 +106,14 @@ class EIASet:
         self._trie.insert(prefix, True)
         if len(self._trie) != size:
             bisect.insort(self._text, self._text_of(prefix))
+            self.stamp = next(stamps)
 
     def discard(self, prefix: Prefix) -> bool:
         """Remove a block; True when it was present."""
         if not self._trie.remove(prefix):
             return False
         del self._text[bisect.bisect_left(self._text, self._text_of(prefix))]
+        self.stamp = next(stamps)
         return True
 
     def contains(self, address: int) -> bool:
@@ -124,6 +138,7 @@ class EIASet:
         for text in state["prefixes"]:
             self._trie.insert(Prefix.parse(text), True)
         self._text = sorted(self._text_of(prefix) for prefix in self._trie.prefixes())
+        self.stamp = next(stamps)
 
 
 @stateful("eia")
@@ -151,7 +166,11 @@ class BasicInFilter:
         self._owner: PrefixTrie[int] = PrefixTrie()
         # (peer, source address >> _pending_shift) -> benign observations,
         # for the learning rule; a Prefix only when an absorption fires.
+        # Where it changes (learn, load_state) its stamp is zeroed, and
+        # state_sections() issues a fresh one: learn is per-record work,
+        # a constant store is all it can pay.
         self._pending: Dict[Tuple[int, int], int] = {}
+        self._pending_stamp = 0
         self._pending_shift = 32 - self.config.granularity
         # address >> _pending_shift -> that block's checkpoint text; at
         # most 2**granularity entries, derived, filled by state_dict().
@@ -314,6 +333,7 @@ class BasicInFilter:
         block it absorbed (``None`` when it only counted)."""
         key = (peer, address >> self._pending_shift)
         count = self._pending.get(key, 0) + 1
+        self._pending_stamp = 0
         if count < self.config.learning_threshold:
             self._pending[key] = count
             return None
@@ -373,19 +393,32 @@ class BasicInFilter:
         what changed: each set hands over the text it keeps current, and
         a pending block is formatted once per block ever counted.
         """
+        return section_state(self.state_sections())
+
+    def state_sections(self) -> SectionTable:
+        """:meth:`state_dict` as a section table: one leaf per EIA set,
+        keyed on the set's stamp, and one for the pending counters,
+        keyed on theirs.  An absorption changes two set stamps and the
+        pending one; every other set keeps its text."""
+        if not self._pending_stamp:
+            self._pending_stamp = next(stamps)
+        sets = self._sets
         return {
             "peers": {
-                str(peer): self._sets[peer].state_dict()
+                str(peer): Section(sets[peer].stamp, sets[peer].state_dict)
                 for peer in self.peers()
             },
-            "pending": [
-                {"peer": peer, "prefix": prefix, "count": count}
-                for peer, prefix, count in sorted(
-                    (peer, self._pending_text_of(block), count)
-                    for (peer, block), count in self._pending.items()
-                )
-            ],
+            "pending": Section(self._pending_stamp, self._pending_state),
         }
+
+    def _pending_state(self) -> List[StateDict]:
+        return [
+            {"peer": peer, "prefix": prefix, "count": count}
+            for peer, prefix, count in sorted(
+                (peer, self._pending_text_of(block), count)
+                for (peer, block), count in self._pending.items()
+            )
+        ]
 
     def load_state(self, state: StateDict) -> None:
         # What can refuse comes first: a refused restore changes nothing.
@@ -425,6 +458,7 @@ class BasicInFilter:
         self._sets = sets
         self._block_texts = texts
         self._pending = pending
+        self._pending_stamp = 0
         self._owner = owner
         # A restore rewrites everything the table answers from.
         self.table.invalidate()

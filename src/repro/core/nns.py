@@ -211,6 +211,10 @@ class NNSStructure:
         self._deltas = _ball_deltas(config.m2, config.m3)
         self._scales: Dict[int, List[_TraceTable]] = {}
         self.scales_built = 0
+        #: Draws on the pick RNG since this structure was built or
+        #: loaded: the one part of a trained model a search changes
+        #: (only at ``M1`` > 1), so what says its checkpoint is stale.
+        self.pick_draws = 0
         # A derived cache over `flows`: each flow's interval indices for
         # filing it into trace tables.  Built lazily, never checkpointed,
         # dropped (with the tables) whenever `flows` is replaced
@@ -265,11 +269,11 @@ class NNSStructure:
         while low <= high:
             scale = (low + high) // 2
             tables = self._tables_for(scale)
-            table = (
-                tables[0]
-                if len(tables) == 1
-                else self._pick_rng.choice(tables)
-            )
+            if len(tables) == 1:
+                table = tables[0]
+            else:
+                table = self._pick_rng.choice(tables)
+                self.pick_draws += 1
             trace = table.trace(lanes)
             # The search only branches on whether the M3-ball of the
             # trace holds any flow: one bit of the occupancy bitmap.
@@ -310,7 +314,8 @@ class NNSStructure:
         ``self._rng``'s seed (``fork`` derives children from seed and name
         alone, never the cursor), so a restored structure rebuilds the
         same tables lazily on first probe.  Only ``_pick_rng``'s cursor is
-        consumed per search, and it is captured exactly.
+        consumed per search (at ``M1`` > 1, counted by ``pick_draws``),
+        and it is captured exactly.
         """
         return {
             "rng": self._rng.state_dict(),
@@ -341,6 +346,7 @@ class NNSStructure:
         self.flows = flows
         self._rng.load_state(state["rng"])
         self._pick_rng.load_state(state["pick_rng"])
+        self.pick_draws = 0
         self._scales = {}
         self.scales_built = 0
         self._flow_lanes = None

@@ -7,11 +7,13 @@ an *output* handed to an IDMEF consumer.  So a checkpoint at ``<path>``
 is three files, each costing what changed since the last one:
 
 * the **base** ``<path>.base-<sha256 prefix>`` — the trained model,
-  immutable after ``train()``, named by its content digest and written
-  only when the detector's model object changes;
+  fixed by ``train()``, named by its content digest and written only
+  when the detector's model object changes or, at ``M1`` > 1, when a
+  search has drawn on a pick RNG since the last save (the model's pick
+  cursors are part of its state: ``ClusterModel.pick_draws``);
 * the **alert journal** ``<path>.alerts`` — one canonical JSON line per
   alert, append-only: a save appends the alerts consumed since the
-  previous save;
+  previous save, and leaves the file alone when there are none;
 * the **head** ``<path>`` — ``format``, ``config``, ``cursor`` (how many
   input records were committed; ``None`` for plain saves), every mutable
   component section, the base's SHA-256, and the journal's *extent*
@@ -23,6 +25,20 @@ a journal that still starts with its extent (bytes past the extent are
 a dead writer's tail: ignored on load, truncated by the next save).
 :class:`CheckpointWriter` carries the incremental memory between saves;
 :func:`save_detector` to a path is the one-shot full write.
+
+The writer splices each head from canonical texts it keeps per section
+and renders again only a section whose change signal moved since its
+last successful save (the table is ``EnhancedInFilter.state_sections``):
+
+* ``config`` — a new config object;
+* ``eia`` — per EIA set, its stamp, renewed when ``add`` inserts a new
+  block, ``discard`` removes one or ``load_state`` restores; the pending
+  counters, their stamp, which ``learn`` and ``load_state`` clear and
+  the next look renews (an absorption renews two sets and the pending
+  counters);
+* ``scan``, ``rng`` — their value, compared with the one last rendered;
+* ``stats``, ``alert_counter``, ``overload``, ``detectors``, ``cursor``,
+  ``base`` and ``journal`` — no signal: rendered at every save.
 
 The same state as one **inline** document (``components`` then also
 holds ``model`` and ``alerts``) is what :func:`render_state` and stream
@@ -55,10 +71,11 @@ import hashlib
 import json
 import os
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, TextIO, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
-from repro.core.alerts import AlertSink, IdmefAlert, alert_state
+from repro.core.alerts import IdmefAlert, alert_state
 from repro.core.clusters import ClusterModel
 from repro.core.config import (
     EIAConfig,
@@ -69,7 +86,8 @@ from repro.core.config import (
     ScanConfig,
 )
 from repro.core.pipeline import EnhancedInFilter
-from repro.obs import MetricsRegistry, Stopwatch, get_registry
+from repro.core.state import Section, SectionTable
+from repro.obs import Gauge, MetricsRegistry, Stopwatch, get_registry
 from repro.util.errors import StateError
 
 __all__ = [
@@ -143,6 +161,16 @@ def _canonical(document: Any) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
+def _object(members: Dict[str, str]) -> str:
+    """The canonical text of an object from its members' canonical
+    texts: what :func:`_canonical` renders for the object itself (the
+    key quoting is the one ``json.dumps`` uses for ``ensure_ascii``)."""
+    return "{" + ",".join(
+        f"{encode_basestring_ascii(name)}:{members[name]}"
+        for name in sorted(members)
+    ) + "}"
+
+
 def render_state(
     detector: EnhancedInFilter, *, cursor: Optional[int] = None
 ) -> str:
@@ -211,20 +239,29 @@ class CheckpointWriter:
     """Repeated checkpoints to one path, each costing what changed.
 
     The writer remembers what its last successful :meth:`save` left on
-    disk — which model object the base holds, and for which
-    :class:`AlertSink` the journal holds how many alerts in how many
-    bytes under which running SHA-256 — so the next save renders the
-    model only if ``detector.model`` is a different object, appends only
-    the new alerts, and always rewrites the (small) head.
+    disk — which model object the base holds and after how many pick
+    draws, and for which alert list the journal holds how many alerts
+    in how many bytes under which running SHA-256 — so the next save
+    renders the model only if ``detector.model`` is a different object
+    or has drawn since, appends only the new alerts (nothing at all when
+    there are none), and always replaces the head.
 
-    The journal memo describes one sink: it is used only while
-    ``detector.alert_sink`` *is* that sink and has not shrunk.  Any
-    other history (a hot reload swapped the detector, a first save) is
-    not a prefix-extension of the journal as far as the writer can know
-    cheaply — equal counts prove nothing and the running hash is
-    carried, not recomputed — so the journal is rewritten in full.
-    :meth:`load` restores the checkpoint at the writer's own path and
-    adopts the extent it just verified, so a resumed run appends.
+    The head is spliced, not rendered whole: the writer keeps the
+    canonical text of every leaf of
+    :meth:`EnhancedInFilter.state_sections` with the key it was rendered
+    at, and renders a leaf again only when its key moved; ``config`` is
+    rendered once per config object.  The bytes are those of
+    :func:`_canonical` on the whole head.
+
+    The journal memo describes one alert list: it is used only while
+    ``detector.alert_sink.alerts`` *is* that list and has not shrunk.
+    Any other history (a hot reload swapped the detector, a
+    ``load_state``, a first save) is not a prefix-extension of the
+    journal as far as the writer can know cheaply — equal counts prove
+    nothing and the running hash is carried, not recomputed — so the
+    journal is rewritten in full.  :meth:`load` restores the checkpoint
+    at the writer's own path and adopts the extent it just verified, so
+    a resumed run appends.
     """
 
     def __init__(
@@ -235,11 +272,19 @@ class CheckpointWriter:
     ) -> None:
         self.path = Path(path)
         self._model: Optional[ClusterModel] = None
+        self._pick_draws = 0
         self._base_sha256: Optional[str] = None
-        self._sink: Optional[AlertSink] = None
+        self._alert_list: Optional[List[IdmefAlert]] = None
         self._alerts = 0
         self._journal_bytes = 0
         self._digest = hashlib.sha256()
+        # Whether the journal file ends at the extent above: false after
+        # a load (a dead writer's tail may follow) or a failed append.
+        self._journal_exact = False
+        self._config: Optional[PipelineConfig] = None
+        self._config_text = ""
+        # Leaf path -> (key, canonical text) as of the last save.
+        self._texts: Dict[Tuple[str, ...], Tuple[Any, str]] = {}
         registry = registry if registry is not None else get_registry()
         self._registry = registry
         self._m_seconds = registry.histogram(
@@ -258,6 +303,12 @@ class CheckpointWriter:
             "infilter_checkpoint_journal_alerts",
             "Alerts inside the journal extent of the last checkpoint.",
         )
+        self._m_section_bytes = registry.gauge(
+            "infilter_checkpoint_head_bytes",
+            "Bytes of each head section as of the last write.",
+            ("section",),
+        )
+        self._section_gauges: Dict[str, Gauge] = {}
 
     def save(
         self, detector: EnhancedInFilter, *, cursor: Optional[int] = None
@@ -269,39 +320,92 @@ class CheckpointWriter:
         """
         watch = Stopwatch()
         model = detector.model
-        sink = detector.alert_sink
-        new_base = model is not self._model
+        pick_draws = model.pick_draws if model is not None else 0
+        alert_list = detector.alert_sink.alerts
+        new_base = model is not self._model or pick_draws != self._pick_draws
         base_sha256 = self._write_base(model) if new_base else self._base_sha256
-        alerts, journal_bytes, digest = self._write_journal(sink)
-        head = _canonical(
+        alerts, journal_bytes, digest = self._write_journal(alert_list)
+        config = detector.config
+        config_text = (
+            self._config_text
+            if config is self._config
+            else _canonical(_config_to_dict(config))
+        )
+        texts: Dict[Tuple[str, ...], Tuple[Any, str]] = {}
+        sizes = {"config": len(config_text)}
+        head = _object(
             {
-                "format": STATE_FORMAT_VERSION,
-                "config": _config_to_dict(detector.config),
-                "cursor": cursor,
-                "components": detector.mutable_state(),
-                "base": (
+                "base": _canonical(
                     {"sha256": base_sha256} if base_sha256 is not None else None
                 ),
-                "journal": {
-                    "alerts": alerts,
-                    "bytes": journal_bytes,
-                    "sha256": digest.hexdigest(),
-                },
+                "components": self._splice(
+                    detector.state_sections(), (), texts, sizes
+                ),
+                "config": config_text,
+                "cursor": _canonical(cursor),
+                "format": _canonical(STATE_FORMAT_VERSION),
+                "journal": _canonical(
+                    {
+                        "alerts": alerts,
+                        "bytes": journal_bytes,
+                        "sha256": digest.hexdigest(),
+                    }
+                ),
             }
         ).encode("ascii")
         _write_atomic(self.path, head)
         if new_base:
             self._unlink_stale_bases(base_sha256)
         self._model = model
+        self._pick_draws = pick_draws
         self._base_sha256 = base_sha256
-        self._sink = sink
+        self._alert_list = alert_list
         self._alerts = alerts
         self._journal_bytes = journal_bytes
         self._digest = digest
+        self._journal_exact = True
+        self._config = config
+        self._config_text = config_text
+        self._texts = texts
         self._m_head_bytes.set(len(head))
         self._m_journal_bytes.set(journal_bytes)
         self._m_journal_alerts.set(alerts)
+        self._set_section_bytes(sizes)
         self._m_seconds.observe(watch.elapsed_s())
+
+    def _splice(
+        self,
+        table: SectionTable,
+        path: Tuple[str, ...],
+        texts: Dict[Tuple[str, ...], Tuple[Any, str]],
+        sizes: Dict[str, int],
+    ) -> str:
+        """The canonical text of ``table``: each leaf's kept text while
+        its key is unchanged, a fresh render otherwise.  Fills ``texts``
+        with every leaf, and ``sizes`` with leaf bytes per section (the
+        first two path names)."""
+        members = {}
+        for name, entry in table.items():
+            at = path + (name,)
+            if not isinstance(entry, Section):
+                members[name] = self._splice(entry, at, texts, sizes)
+                continue
+            kept = self._texts.get(at)
+            if entry.key is None or kept is None or kept[0] != entry.key:
+                kept = (entry.key, _canonical(entry.state()))
+            texts[at] = kept
+            members[name] = text = kept[1]
+            section = ".".join(at[:2])
+            sizes[section] = sizes.get(section, 0) + len(text)
+        return _object(members)
+
+    def _set_section_bytes(self, sizes: Dict[str, int]) -> None:
+        for section in sizes.keys() - self._section_gauges.keys():
+            self._section_gauges[section] = self._m_section_bytes.labels(
+                section=section
+            )
+        for section, gauge in self._section_gauges.items():
+            gauge.set(sizes.get(section, 0))
 
     def load(self) -> Tuple[EnhancedInFilter, Optional[int]]:
         """Restore the checkpoint at this writer's path and adopt it.
@@ -314,7 +418,9 @@ class CheckpointWriter:
         detector, cursor, verified = _restore(self.path, self._registry)
         if verified is not None:
             self._model = detector.model
-            self._sink = detector.alert_sink
+            self._pick_draws = 0
+            self._alert_list = detector.alert_sink.alerts
+            self._journal_exact = False
             (
                 self._base_sha256,
                 self._alerts,
@@ -334,17 +440,26 @@ class CheckpointWriter:
         self._m_base_bytes.set(len(data))
         return sha256
 
-    def _write_journal(self, sink: AlertSink) -> Tuple[int, int, Any]:
-        """Bring the journal up to ``sink``: ``(alerts, bytes, digest)``."""
+    def _write_journal(self, alerts: List[IdmefAlert]) -> Tuple[int, int, Any]:
+        """Bring the journal up to ``alerts``: ``(alerts, bytes, digest)``.
+
+        With no new alert and a journal that ends at the extent, there is
+        nothing to write.  A save that fails after appending had new
+        alerts, so the next one sees more alerts than the memo and cuts
+        the dead tail off.
+        """
         journal = _journal_path(self.path)
-        alerts = sink.alerts
-        if sink is not self._sink or len(alerts) < self._alerts:
+        if alerts is not self._alert_list or len(alerts) < self._alerts:
             data = _journal_lines(alerts)
+            self._journal_exact = False
             _write_atomic(journal, data)
             return len(alerts), len(data), hashlib.sha256(data)
+        if len(alerts) == self._alerts and self._journal_exact:
+            return self._alerts, self._journal_bytes, self._digest
         data = _journal_lines(alerts[self._alerts:])
         digest = self._digest.copy()
         digest.update(data)
+        self._journal_exact = False
         try:
             _append_at(journal, self._journal_bytes, data)
         except OSError as error:

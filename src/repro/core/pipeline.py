@@ -37,7 +37,13 @@ from repro.core.detector import (
 from repro.core.eia import BasicInFilter, EIACheck
 from repro.core.nns import SearchResult
 from repro.core.scan import ScanAnalyzer, ScanVerdict
-from repro.core.state import StateDict, stateful
+from repro.core.state import (
+    Section,
+    SectionTable,
+    StateDict,
+    section_state,
+    stateful,
+)
 from repro.fastpath.columnar import RecordColumns, RecordRow, RowBatch, RowColumns
 from repro.fastpath.plane import MISSING, FastPath
 from repro.netflow.records import FlowRecord
@@ -729,38 +735,47 @@ class EnhancedInFilter:
         stats, alert history, RNG cursors, overload window — is
         captured.
         """
-        state = self.mutable_state()
+        state = section_state(self.state_sections())
         state["model"] = (
             self.model.state_dict() if self.model is not None else None
         )
         state["alerts"] = self.alert_sink.state_dict()
         return state
 
-    def mutable_state(self) -> StateDict:
-        """Every section that can differ between two batch boundaries.
+    def state_sections(self) -> SectionTable:
+        """Every section that can differ between two batch boundaries,
+        each with the signal that says it did.
 
-        :meth:`state_dict` minus the two that cannot or need not be
-        re-rendered each time: ``model`` is immutable after
-        :meth:`train`, and ``alerts`` only ever grows at its end — a
-        three-file checkpoint writes the first once and appends the
-        second (see :mod:`repro.core.persistence`).
+        :meth:`state_dict` minus the two a three-file checkpoint writes
+        apart (see :mod:`repro.core.persistence`): ``model``, fixed at
+        :meth:`train` but for the pick cursors
+        (:attr:`ClusterModel.pick_draws`), and ``alerts``, which only
+        grows at its end.  The signals: every EIA set and the pending
+        counters carry stamps; ``scan`` and ``rng`` are keyed on their
+        value (the stream is only forked, never drawn); the small or
+        per-batch rest have none and are rendered every time.
         """
+        rng = self._rng.state_dict()
         return {
-            "eia": self.infilter.state_dict(),
-            "scan": self.scan.state_dict(),
-            "stats": self.stats.state_dict(),
-            "alert_counter": self._alert_counter,
-            "rng": self._rng.state_dict(),
-            "overload": {
-                "counter": self._overload_counter,
-                "suspect_times": list(self._suspect_times),
-            },
+            "eia": self.infilter.state_sections(),
+            "scan": self.scan.state_section(),
+            "stats": Section(None, self.stats.state_dict),
+            "alert_counter": Section(None, lambda: self._alert_counter),
+            "rng": Section(rng, lambda: rng),
+            "overload": Section(None, self._overload_state),
             # One namespaced section per composed auxiliary detector, in
             # composition order (empty for the default composition).
-            "detectors": {
-                aux.name: aux.state_dict() for aux in self.aux_detectors
-            },
+            "detectors": Section(None, self._detector_states),
         }
+
+    def _overload_state(self) -> StateDict:
+        return {
+            "counter": self._overload_counter,
+            "suspect_times": list(self._suspect_times),
+        }
+
+    def _detector_states(self) -> StateDict:
+        return {aux.name: aux.state_dict() for aux in self.aux_detectors}
 
     def load_state(self, state: StateDict) -> None:
         self.infilter.load_state(state["eia"])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.config import ScanConfig
-from repro.core.state import StateDict, stateful
+from repro.core.state import Section, StateDict, stateful
 from repro.obs import MetricsRegistry, get_logger, get_registry
 
 __all__ = ["ScanVerdict", "ScanAnalyzer"]
@@ -170,6 +170,18 @@ class ScanAnalyzer:
             "network_scans_flagged": self.network_scans_flagged,
             "host_scans_flagged": self.host_scans_flagged,
         }
+
+    def state_section(self) -> Section:
+        """:meth:`state_dict` keyed on its value, read without building
+        it: the buffered pairs and the two counters."""
+        return Section(
+            (
+                tuple(self._buffer),
+                self.network_scans_flagged,
+                self.host_scans_flagged,
+            ),
+            self.state_dict,
+        )
 
     def load_state(self, state: StateDict) -> None:
         self.reset()

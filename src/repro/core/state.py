@@ -20,19 +20,80 @@ halves of that bargain).
 Components register under a stable section name with the
 :func:`stateful` decorator, which is what the warm-restart tests sweep
 to prove every registered component round-trips losslessly.
+
+A checkpoint head is re-rendered at every save, so a composite also
+hands out its state as a :data:`SectionTable`: nested dicts whose
+leaves are :class:`Section` values, each carrying the signal that says
+whether the leaf changed.  :func:`section_state` turns a table back into
+the plain state dict; a writer that remembers the text it rendered per
+leaf renders only the leaves whose ``key`` moved.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Protocol, TypeVar, runtime_checkable
+import itertools
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    NamedTuple,
+    Protocol,
+    TypeVar,
+    Union,
+    runtime_checkable,
+)
 
 from repro.util.errors import ConfigError
 from repro.util.rng import SeededRng
 
-__all__ = ["StateDict", "StatefulComponent", "STATEFUL_COMPONENTS", "stateful"]
+__all__ = [
+    "StateDict",
+    "StatefulComponent",
+    "STATEFUL_COMPONENTS",
+    "stateful",
+    "Section",
+    "SectionTable",
+    "section_state",
+    "stamps",
+]
 
 #: The JSON-serialisable state section one component saves and restores.
 StateDict = Dict[str, Any]
+
+#: Change stamps.  A component whose section is costly to render takes
+#: the next one when it changes (or, where a per-record path changes it,
+#: at the first look after).  Each stamp is issued once, so two equal
+#: stamps are the same object with no change in between.
+stamps = itertools.count(1)
+
+
+class Section(NamedTuple):
+    """One leaf of a :data:`SectionTable`: a state and its change signal.
+
+    ``state()`` builds the leaf's JSON-serialisable value.  A text
+    rendered from it stays exact while ``key`` compares equal: a stamp
+    (see :data:`stamps`), or the value itself for a small section of
+    ints, strings, ``None`` and containers of them, where ``==`` implies
+    the same canonical text.  ``key=None`` is no signal: the leaf is
+    rendered every time.
+    """
+
+    key: Any
+    state: Callable[[], Any]
+
+
+#: JSON object key -> a :class:`Section` or a nested table.
+SectionTable = Dict[str, Union[Section, "SectionTable"]]
+
+
+def section_state(table: SectionTable) -> StateDict:
+    """The plain state dict a :data:`SectionTable` describes."""
+    return {
+        name: (
+            entry.state() if isinstance(entry, Section) else section_state(entry)
+        )
+        for name, entry in table.items()
+    }
 
 
 @runtime_checkable

@@ -2,18 +2,30 @@
 
 ``test_core_persistence`` covers the inline document and the one-shot
 write.  Here: a :class:`CheckpointWriter` saving at every batch boundary
-(base once, journal appended, head replaced), a crash injected at each
-of its write points, every way ``load_checkpoint`` refuses a damaged
-set of files, and the growth of each file over a long flood.
+(base once, journal appended, head replaced), a head spliced from kept
+section texts equal to a cold render after any mutation, a base that
+follows the pick cursors at ``M1`` > 1, a crash injected at each of its
+write points, every way ``load_checkpoint`` refuses a damaged set of
+files, and the growth of each file over a long flood.
 """
 
 import json
 import os
+import tempfile
+from pathlib import Path
 from typing import Iterator, List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import persistence
+from repro.core import (
+    EnhancedInFilter,
+    FeatureSpec,
+    NNSConfig,
+    PipelineConfig,
+    persistence,
+)
 from repro.core.alerts import alert_state
 from repro.core.persistence import (
     CheckpointWriter,
@@ -299,6 +311,169 @@ class TestIncrementalWrites:
         assert registry.get("infilter_checkpoint_journal_alerts").value == len(
             detector.alert_sink.alerts
         )
+
+
+# -- the spliced head --------------------------------------------------------
+
+#: One step of the spliced-head walk: what it does and its arguments.
+_steps = st.one_of(
+    st.tuples(st.just("save")),
+    # Committed rows: a slice of the flood16 trace (legal, suspect,
+    # absorbing and alerting rows alike).
+    st.tuples(st.just("rows"), st.integers(0, 1_500), st.integers(1, 120)),
+    # The learning rule, called directly: count, or absorb at the 10th.
+    st.tuples(
+        st.just("learn"), st.integers(0, 9), st.integers(0, 999),
+        st.integers(1, 10),
+    ),
+    # A block of the plan, preloaded at some peer (it moves there).
+    st.tuples(st.just("preload"), st.integers(0, 9), st.integers(0, 999)),
+    # load_state of a detector that committed other rows.
+    st.tuples(st.just("load"), st.integers(0, 2)),
+    # A hot reload: the writer is handed a new detector restored from
+    # the state of the one it had.
+    st.tuples(st.just("swap")),
+)
+
+
+def _from_state(config, state) -> EnhancedInFilter:
+    detector = EnhancedInFilter(config, registry=MetricsRegistry())
+    detector.load_state(state)
+    return detector
+
+
+@pytest.fixture(scope="module")
+def small(eia_plan, target_prefix, trace):
+    """A small trained detector (a tenth of the plan, 80-bit codes) to
+    start walks from: its config, its state, and the states of three
+    detectors that committed other rows."""
+    config = PipelineConfig(
+        nns=NNSConfig(
+            features=tuple(
+                FeatureSpec(spec.name, spec.low, spec.high, 16)
+                for spec in NNSConfig().features
+            )
+        )
+    )
+    plan = {peer: blocks[::10] for peer, blocks in eia_plan.items()}
+    detector = make_detector(
+        plan, target_prefix, seed=_SEED, config=config, n_train=120
+    )
+    others = []
+    for start in (0, 500, 1_000):
+        other = _from_state(config, detector.state_dict())
+        other.process_batch(trace[start:start + 100])
+        others.append(other.state_dict())
+    return config, detector.state_dict(), others
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=st.lists(_steps, max_size=10))
+def test_spliced_head_equals_a_cold_render(small, eia_plan, trace, steps):
+    """Whatever changed between saves, the head a writer splices from
+    the texts it kept is the head a writer with nothing kept renders,
+    and is canonical JSON."""
+    config, state, others = small
+    blocks = [block for peer in sorted(eia_plan) for block in eia_plan[peer]]
+    detector = _from_state(config, state)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        writer = CheckpointWriter(root / "warm.json", registry=MetricsRegistry())
+        cursor = 0
+        for index, step in enumerate([*steps, ("save",)]):
+            action, *args = step
+            if action == "rows":
+                rows = trace[args[0]:args[0] + args[1]]
+                detector.process_batch(rows)
+                cursor += len(rows)
+            elif action == "learn":
+                peer, block, times = args
+                for _ in range(times):
+                    detector.infilter.learn(peer, blocks[block].network)
+            elif action == "preload":
+                detector.preload_eia(args[0], [blocks[args[1]]])
+            elif action == "load":
+                detector.load_state(others[args[0]])
+            elif action == "swap":
+                detector = _from_state(config, detector.state_dict())
+            else:
+                writer.save(detector, cursor=cursor)
+                cold = root / f"cold-{index}" / "ckpt.json"
+                cold.parent.mkdir()
+                CheckpointWriter(cold, registry=MetricsRegistry()).save(
+                    detector, cursor=cursor
+                )
+                head = writer.path.read_bytes()
+                assert head == cold.read_bytes()
+                assert head == json.dumps(
+                    json.loads(head), sort_keys=True, separators=(",", ":")
+                ).encode()
+
+
+def test_head_bytes_are_reported_per_section(
+    eia_plan, target_prefix, trace, tmp_path
+):
+    registry = MetricsRegistry()
+    detector = _detector(eia_plan, target_prefix)
+    detector.process_batch(trace[:300])
+    path = tmp_path / "ckpt.json"
+    CheckpointWriter(path, registry=registry).save(detector, cursor=300)
+    head = json.loads(path.read_text())
+    components = head["components"]
+
+    def size(value) -> int:
+        return len(json.dumps(value, sort_keys=True, separators=(",", ":")))
+
+    expected = {
+        "config": size(head["config"]),
+        "eia.peers": sum(
+            size(section) for section in components["eia"]["peers"].values()
+        ),
+        "eia.pending": size(components["eia"]["pending"]),
+    }
+    for name in (
+        "scan", "stats", "alert_counter", "rng", "overload", "detectors",
+    ):
+        expected[name] = size(components[name])
+    assert {
+        labels[0]: child.value
+        for labels, child in registry.get(
+            "infilter_checkpoint_head_bytes"
+        ).samples()
+    } == expected
+
+
+# -- the base at M1 > 1 -------------------------------------------------------
+
+
+def test_base_follows_the_pick_cursors_at_m1_above_one(
+    eia_plan, target_prefix, trace, tmp_path
+):
+    """At ``M1`` = 2 every search draws on a pick RNG the base holds:
+    save, commit, save, load must restore the live cursors, and the
+    resumed run must emit what the uninterrupted one does."""
+    config = PipelineConfig(nns=NNSConfig(m1=2))
+    live = make_detector(
+        eia_plan, target_prefix, seed=_SEED, config=config, n_train=600
+    )
+    path = tmp_path / "ckpt.json"
+    writer = CheckpointWriter(path, registry=MetricsRegistry())
+    third = len(trace) // 3
+    live.process_batch(trace[:third])
+    writer.save(live, cursor=third)
+    live.process_batch(trace[third:2 * third])
+    writer.save(live, cursor=2 * third)
+    assert len(list(tmp_path.glob("ckpt.json.base-*"))) == 1
+    restored, cursor = load_checkpoint(path)
+    assert cursor == 2 * third
+    assert render_state(restored, cursor=cursor) == render_state(
+        live, cursor=cursor
+    )
+    live.process_batch(trace[cursor:])
+    restored.process_batch(trace[cursor:])
+    assert [alert.to_xml() for alert in restored.alert_sink.alerts] == [
+        alert.to_xml() for alert in live.alert_sink.alerts
+    ]
 
 
 # -- crash anywhere -----------------------------------------------------------
