@@ -543,7 +543,11 @@ def _cmd_state_inspect(args: argparse.Namespace) -> int:
     print(f"format: v{description['format']}")
     cursor = description["cursor"]
     print(f"cursor: {cursor if cursor is not None else '(none)'}")
-    print(f"trained: {'yes' if description['trained'] else 'no'}")
+    trained = description["trained"]
+    print(
+        "trained: "
+        + ("unknown" if trained is None else "yes" if trained else "no")
+    )
     for name, info in description["classes"].items():
         print(
             f"  class {name}: {info['size']} flows,"
@@ -552,6 +556,7 @@ def _cmd_state_inspect(args: argparse.Namespace) -> int:
     peers = description["peers"]
     blocks = sum(peers.values())
     print(f"peers: {len(peers)} ({blocks} expected blocks)")
+    print(f"moved blocks: {description['moved_blocks']}")
     print(f"pending absorptions: {description['pending_absorptions']}")
     print(f"scan buffer: {description['scan_buffer']} suspect flows")
     print(f"alerts stored: {description['alerts']}")
@@ -569,7 +574,9 @@ def _cmd_state_inspect(args: argparse.Namespace) -> int:
                 text += " (verifies)" if verified[name] else " (DOES NOT VERIFY)"
             return text
 
-        base = part("base") if description["trained"] else "no base (untrained)"
+        base = (
+            part("base") if "base" in verified else "no base (no model, no plan)"
+        )
         print(f"files: {part('head')}; {base}; {part('journal')}")
     print(f"alert counter: {description['alert_counter']}")
     print(

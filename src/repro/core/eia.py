@@ -16,10 +16,9 @@ unexpected peer is absorbed into that peer's set.
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import EIAConfig
 from repro.core.state import (
@@ -71,50 +70,24 @@ class EIACheck:
 class EIASet:
     """The expected source address blocks of one peer AS.
 
-    Besides the trie it answers from, the set keeps its checkpoint text:
-    the sorted canonical strings :meth:`state_dict` returns.  The three
-    mutation points keep that list current — :meth:`add` inserts a block
-    new to the set, :meth:`discard` deletes, :meth:`load_state` renders
-    once — so a save copies a list instead of walking the trie and
-    formatting every block.  The text is derived from the trie: a
-    restore renders it from the trie it parsed, not from the list it was
-    given.  ``texts`` (block -> its text) is where a block's text is
-    formatted once; :class:`BasicInFilter` shares one across its sets,
-    so a block that moves between peers is not formatted again.
-
-    ``stamp`` (from :data:`~repro.core.state.stamps`) is renewed at the
-    same three points, so a checkpoint writer re-renders the set only
-    when it changed.
+    The set is *effective* state: the blocks planned at the peer that
+    were not moved away, plus the blocks moved to it.  A checkpoint
+    saves the plan and the moves (see :class:`BasicInFilter`), not the
+    sets; the set's own :meth:`state_dict` is its blocks, walked out of
+    the trie and sorted.
     """
 
-    def __init__(self, peer: int, texts: Optional[Dict[Prefix, str]] = None) -> None:
+    def __init__(self, peer: int) -> None:
         self.peer = peer
         self._trie: PrefixTrie[bool] = PrefixTrie()
-        self._text: List[str] = []
-        self._block_texts: Dict[Prefix, str] = texts if texts is not None else {}
-        self.stamp = next(stamps)
-
-    def _text_of(self, prefix: Prefix) -> str:
-        text = self._block_texts.get(prefix)
-        if text is None:
-            text = self._block_texts[prefix] = str(prefix)
-        return text
 
     def add(self, prefix: Prefix) -> None:
         """Add an expected source block."""
-        size = len(self._trie)
         self._trie.insert(prefix, True)
-        if len(self._trie) != size:
-            bisect.insort(self._text, self._text_of(prefix))
-            self.stamp = next(stamps)
 
     def discard(self, prefix: Prefix) -> bool:
         """Remove a block; True when it was present."""
-        if not self._trie.remove(prefix):
-            return False
-        del self._text[bisect.bisect_left(self._text, self._text_of(prefix))]
-        self.stamp = next(stamps)
-        return True
+        return self._trie.remove(prefix)
 
     def contains(self, address: int) -> bool:
         """True when some stored block covers ``address``."""
@@ -130,26 +103,44 @@ class EIASet:
         return self.contains(address)
 
     def state_dict(self) -> StateDict:
-        return {"peer": self.peer, "prefixes": list(self._text)}
+        return {
+            "peer": self.peer,
+            "prefixes": sorted(str(prefix) for prefix in self.prefixes()),
+        }
 
     def load_state(self, state: StateDict) -> None:
         self.peer = int(state["peer"])
         self._trie = PrefixTrie()
         for text in state["prefixes"]:
             self._trie.insert(Prefix.parse(text), True)
-        self._text = sorted(self._text_of(prefix) for prefix in self._trie.prefixes())
-        self.stamp = next(stamps)
 
 
 @stateful("eia")
 class BasicInFilter:
     """Per-peer EIA sets plus the Section 5.2 check and learning rules.
 
-    The reverse index (source block → owning peer) makes the check O(32)
-    per flow regardless of how many peers exist, and the owner table in
-    front of it answers a block it has seen before in one dict probe.
-    One block has one owner: inserting it at a peer takes it from the
-    peer that held it.
+    A block's owner has one of two origins, kept apart.  The **plan**
+    (block -> peer) is what the training phase hands over (Section
+    5.1.3(a): :meth:`preload`, :meth:`initialize_from_flows`,
+    :meth:`initialize_from_ingress_map`).  The **moves** (block -> peer)
+    are what the learning rule changed (Section 5.2:
+    :meth:`apply_absorption`): each block whose learned owner differs
+    from its planned one.  A block's effective owner is its move if it
+    has one, else its plan, so the last write wins: a preload clears the
+    block's move, and a block moved back to its planned peer leaves the
+    moves.
+
+    The per-peer sets, the reverse index (source block → owning peer)
+    and the owner table in front of it hold the effective owners.  The
+    index makes the check O(32) per flow regardless of how many peers
+    exist, and the table answers a block it has seen before in one dict
+    probe.  One block has one owner: inserting it at a peer takes it
+    from the peer that held it.
+
+    A checkpoint writes the plan into its base, beside the model, and
+    the moves and the pending counters into its head.  Each of the three
+    has one stamp (from :data:`~repro.core.state.stamps`); ``plan_stamp``
+    is public because a writer rewrites the base when it moves.
     """
 
     def __init__(
@@ -160,10 +151,19 @@ class BasicInFilter:
     ) -> None:
         self.config = config if config is not None else EIAConfig()
         self._sets: Dict[int, EIASet] = {}
-        # Block -> checkpoint text, shared by the sets: derived, and no
-        # larger than the owner index (a block moves, it never leaves).
-        self._block_texts: Dict[Prefix, str] = {}
         self._owner: PrefixTrie[int] = PrefixTrie()
+        # Block -> planned peer, and every planned peer (one planned with
+        # no block still has its set); plan_stamp is renewed when either
+        # changes.
+        self._plan: Dict[Prefix, int] = {}
+        self._planned_peers: Set[int] = set()
+        self.plan_stamp = next(stamps)
+        # Block -> learned peer, never the block's planned one.  A moved
+        # block's checkpoint text is formatted once: at most one entry
+        # per block ever moved, derived.
+        self._moves: Dict[Prefix, int] = {}
+        self._moves_stamp = next(stamps)
+        self._move_text: Dict[Prefix, str] = {}
         # (peer, source address >> _pending_shift) -> benign observations,
         # for the learning rule; a Prefix only when an absorption fires.
         # Where it changes (learn, load_state) its stamp is zeroed, and
@@ -206,7 +206,7 @@ class BasicInFilter:
         """The EIA set for ``peer``, created empty on first reference."""
         eia = self._sets.get(peer)
         if eia is None:
-            self._sets[peer] = eia = EIASet(peer, self._block_texts)
+            self._sets[peer] = eia = EIASet(peer)
         return eia
 
     def peers(self) -> List[int]:
@@ -220,9 +220,9 @@ class BasicInFilter:
 
     def preload(self, peer: int, prefixes: Iterable[Prefix]) -> None:
         """Initialise a peer's EIA set by hand from subnet masks (5.1.3a)."""
-        eia = self.ensure_peer(peer)
+        eia = self._planned(peer)
         for prefix in prefixes:
-            self._insert(eia, prefix)
+            self._plan_block(eia, prefix)
 
     def initialize_from_flows(self, records: Iterable[FlowRecord]) -> None:
         """Training-phase initialisation from observed traffic (5.1.3a).
@@ -232,17 +232,46 @@ class BasicInFilter:
         flow-data variant of the training phase.
         """
         for record in records:
-            peer = record.key.input_if
-            block = Prefix.from_address(record.key.src_addr, self.config.granularity)
-            eia = self.ensure_peer(peer)
+            eia = self._planned(record.key.input_if)
             if not eia.contains(record.key.src_addr):
-                self._insert(eia, block)
+                self._plan_block(
+                    eia,
+                    Prefix.from_address(
+                        record.key.src_addr, self.config.granularity
+                    ),
+                )
 
     def initialize_from_ingress_map(self, mapping: Dict[Prefix, int]) -> None:
         """Initialisation from routing-derived data (Sections 3.1/3.2):
         a map of source blocks to their expected ingress peer."""
         for prefix, peer in mapping.items():
-            self._insert(self.ensure_peer(peer), prefix)
+            self._plan_block(self._planned(peer), prefix)
+
+    def plan(self) -> Dict[Prefix, int]:
+        """Snapshot of the plan: block -> planned peer."""
+        return dict(self._plan)
+
+    def moves(self) -> Dict[Prefix, int]:
+        """Snapshot of the moves: block -> learned peer, for each block
+        whose learned owner is not its planned one."""
+        return dict(self._moves)
+
+    def _planned(self, peer: int) -> EIASet:
+        """:meth:`ensure_peer` for the training phase: ``peer`` joins
+        the plan."""
+        if peer not in self._planned_peers:
+            self._planned_peers.add(peer)
+            self.plan_stamp = next(stamps)
+        return self.ensure_peer(peer)
+
+    def _plan_block(self, eia: EIASet, prefix: Prefix) -> None:
+        """``prefix`` is planned at ``eia``'s peer, and owned there."""
+        if self._plan.get(prefix) != eia.peer:
+            self._plan[prefix] = eia.peer
+            self.plan_stamp = next(stamps)
+        if self._moves.pop(prefix, None) is not None:
+            self._moves_stamp = next(stamps)
+        self._insert(eia, prefix)
 
     def _insert(self, eia: EIASet, prefix: Prefix) -> None:
         """The one place the sets change: ``prefix`` moves to ``eia``.
@@ -346,11 +375,18 @@ class BasicInFilter:
         """Absorb ``block`` into ``peer``'s EIA set, returning the old owner.
 
         Absorption *moves* the block: the old owner no longer expects it,
-        reflecting that the route genuinely changed.
+        reflecting that the route genuinely changed.  A block absorbed
+        back into its planned peer is no longer a move.
         """
         previous = self.table.entries.get(block.network >> self.memo_shift, MISSING)
         if previous is MISSING:
             previous = self._walk(block.network)
+        if self._plan.get(block) == peer:
+            if self._moves.pop(block, None) is not None:
+                self._moves_stamp = next(stamps)
+        elif self._moves.get(block) != peer:
+            self._moves[block] = peer
+            self._moves_stamp = next(stamps)
         self._insert(self.ensure_peer(peer), block)
         self._m_absorptions.inc()
         if log.isEnabledFor(logging.INFO):
@@ -383,38 +419,54 @@ class BasicInFilter:
     # -- the stage-state protocol --------------------------------------------
 
     def state_dict(self) -> StateDict:
-        """EIA sets plus the learning rule's pending counters.
+        """The plan, the moves and the learning rule's pending counters.
 
-        The reverse owner index is derived (every block in every set owns
-        its entry) and is rebuilt on load rather than stored.  The owner
-        table in front of it and the memo shift are likewise derived and
-        excluded: a checkpoint is byte-identical whether the table is hot
-        or cold, and a restored detector starts it cold.  Rendering costs
-        what changed: each set hands over the text it keeps current, and
-        a pending block is formatted once per block ever counted.
+        The effective sets, the reverse owner index, the owner table in
+        front of it and the memo shift are derived (plan overlaid with
+        moves) and are rebuilt on load rather than stored: a checkpoint
+        is byte-identical whether the table is hot or cold, and a
+        restored detector starts it cold.  A peer's set survives a
+        restore when the peer is planned or holds a moved block.
         """
-        return section_state(self.state_sections())
+        state = section_state(self.state_sections())
+        state["plan"] = self.plan_state()
+        return state
 
     def state_sections(self) -> SectionTable:
-        """:meth:`state_dict` as a section table: one leaf per EIA set,
-        keyed on the set's stamp, and one for the pending counters,
-        keyed on theirs.  An absorption changes two set stamps and the
-        pending one; every other set keeps its text."""
+        """:meth:`state_dict` but the plan, as a section table: the moves
+        keyed on their stamp, the pending counters on theirs.  An
+        absorption changes the moves only when the block's learned owner
+        is new."""
         if not self._pending_stamp:
             self._pending_stamp = next(stamps)
-        sets = self._sets
         return {
-            "peers": {
-                str(peer): Section(sets[peer].stamp, sets[peer].state_dict)
-                for peer in self.peers()
-            },
+            "moves": Section(self._moves_stamp, self._moves_state),
             "pending": Section(self._pending_stamp, self._pending_state),
         }
 
-    def _pending_state(self) -> List[StateDict]:
+    def plan_state(self) -> StateDict:
+        """The plan, as a checkpoint base holds it: each planned peer's
+        blocks, sorted (a peer planned with none has an empty list)."""
+        blocks: Dict[int, List[str]] = {peer: [] for peer in self._planned_peers}
+        for prefix, peer in self._plan.items():
+            blocks[peer].append(str(prefix))
+        return {str(peer): sorted(texts) for peer, texts in blocks.items()}
+
+    def _moves_state(self) -> Dict[str, int]:
+        texts = self._move_text
+        state: Dict[str, int] = {}
+        for block, peer in self._moves.items():
+            text = texts.get(block)
+            if text is None:
+                text = texts[block] = str(block)
+            state[text] = peer
+        return state
+
+    def _pending_state(self) -> List[List[Any]]:
+        """Rows ``[peer, "a.b.c.d/len", count]``, sorted."""
         return [
-            {"peer": peer, "prefix": prefix, "count": count}
-            for peer, prefix, count in sorted(
+            [peer, text, count]
+            for peer, text, count in sorted(
                 (peer, self._pending_text_of(block), count)
                 for (peer, block), count in self._pending.items()
             )
@@ -423,45 +475,71 @@ class BasicInFilter:
     def load_state(self, state: StateDict) -> None:
         # What can refuse comes first: a refused restore changes nothing.
         pending: Dict[Tuple[int, int], int] = {}
-        for entry in state["pending"]:
-            prefix = Prefix.parse(entry["prefix"])
+        for peer, text, count in state["pending"]:
+            prefix = Prefix.parse(text)
             if prefix.length != self.config.granularity:
                 raise StateError(
-                    f"pending entry {entry['prefix']} at peer {entry['peer']}:"
-                    f" the learning rule counts /{self.config.granularity}"
-                    " blocks"
+                    f"pending entry {text} at peer {peer}: the learning"
+                    f" rule counts /{self.config.granularity} blocks"
                 )
-            key = (int(entry["peer"]), prefix.network >> self._pending_shift)
-            pending[key] = int(entry["count"])
-        sets: Dict[int, EIASet] = {}
-        texts: Dict[Prefix, str] = {}
+            pending[(int(peer), prefix.network >> self._pending_shift)] = int(
+                count
+            )
+        plan: Dict[Prefix, int] = {}
+        planned_peers: Set[int] = set()
+        for peer_text, texts in state["plan"].items():
+            peer = _peer_number(peer_text)
+            planned_peers.add(peer)
+            for text in texts:
+                prefix = Prefix.parse(text)
+                holder = plan.setdefault(prefix, peer)
+                if holder != peer:
+                    raise StateError(
+                        f"EIA block {prefix} is planned at peers {holder}"
+                        f" and {peer}: one block has one owner"
+                    )
+        moves: Dict[Prefix, int] = {}
+        for text, peer in state["moves"].items():
+            prefix = Prefix.parse(text)
+            moves[prefix] = int(peer)
+            if plan.get(prefix) == moves[prefix]:
+                raise StateError(
+                    f"EIA block {prefix} is moved to peer {peer}, the peer"
+                    " it is planned at"
+                )
+        sets = {
+            peer: EIASet(peer) for peer in planned_peers.union(moves.values())
+        }
         owner: PrefixTrie[int] = PrefixTrie()
         memo_shift = 32
-        for peer_text, section in state["peers"].items():
-            eia = EIASet(int(peer_text), texts)
-            eia.load_state(section)
-            if str(eia.peer) != peer_text:
-                raise StateError(
-                    f"EIA section {peer_text!r} holds the set of peer"
-                    f" {eia.peer}"
-                )
-            for prefix in eia.prefixes():
-                holder = owner.get(prefix)
-                if holder is not None:
-                    raise StateError(
-                        f"EIA block {prefix} is listed under peers {holder}"
-                        f" and {eia.peer}: one block has one owner"
-                    )
-                owner.insert(prefix, eia.peer)
-                memo_shift = min(memo_shift, 32 - prefix.length)
-            sets[eia.peer] = eia
+        for prefix, peer in {**plan, **moves}.items():
+            sets[peer].add(prefix)
+            owner.insert(prefix, peer)
+            memo_shift = min(memo_shift, 32 - prefix.length)
         self._sets = sets
-        self._block_texts = texts
+        self._owner = owner
+        self._plan = plan
+        self._planned_peers = planned_peers
+        self.plan_stamp = next(stamps)
+        self._moves = moves
+        self._moves_stamp = next(stamps)
         self._pending = pending
         self._pending_stamp = 0
-        self._owner = owner
         # A restore rewrites everything the table answers from.
         self.table.invalidate()
         self.memo_shift = memo_shift
         for eia in sets.values():
             self._set_gauge(eia)
+
+
+def _peer_number(text: str) -> int:
+    """A plan key: the decimal text of a peer number, nothing else (any
+    other spelling would not save back to the same bytes)."""
+    message = f"EIA plan key {text!r} is not a peer number"
+    try:
+        peer = int(text)
+    except ValueError:
+        raise StateError(message) from None
+    if str(peer) != text:
+        raise StateError(message)
+    return peer

@@ -1,4 +1,4 @@
-"""Versioned, atomic detector checkpoints (state format 3).
+"""Versioned, atomic detector checkpoints (state format 4).
 
 Section 4.2: "the search data structure may be constructed off-line;
 without requiring access to network traffic" — an operational deployment
@@ -6,17 +6,24 @@ trains once and restarts many times, and Section 5.1.4 treats alerts as
 an *output* handed to an IDMEF consumer.  So a checkpoint at ``<path>``
 is three files, each costing what changed since the last one:
 
-* the **base** ``<path>.base-<sha256 prefix>`` — the trained model,
-  fixed by ``train()``, named by its content digest and written only
-  when the detector's model object changes or, at ``M1`` > 1, when a
+* the **base** ``<path>.base-<sha256 prefix>`` — ``format``, the
+  trained model (fixed by ``train()``) and the EIA plan (the owners the
+  training phase handed over, Section 5.1.3(a)), named by its content
+  digest.  It is written only when the detector's model object
+  changes, when the plan's stamp moves, or, at ``M1`` > 1, when a
   search has drawn on a pick RNG since the last save (the model's pick
-  cursors are part of its state: ``ClusterModel.pick_draws``);
+  cursors are part of its state: ``ClusterModel.pick_draws``).  A
+  detector with neither a model nor a plan has no base;
 * the **alert journal** ``<path>.alerts`` — one canonical JSON line per
   alert, append-only: a save appends the alerts consumed since the
   previous save, and leaves the file alone when there are none;
 * the **head** ``<path>`` — ``format``, ``config``, ``cursor`` (how many
-  input records were committed; ``None`` for plain saves), every mutable
-  component section, the base's SHA-256, and the journal's *extent*
+  input records were committed; ``None`` for plain saves), what the run
+  changed (every mutable component section: of the EIA state only the
+  learning rule's ``moves``, ``{"a.b.c.d/len": peer}``, and its
+  ``pending`` counters, sorted rows ``[peer, "a.b.c.d/len", count]``;
+  of the pipeline RNG its ``seed`` and ``name``, since it is only
+  forked), the base's SHA-256, and the journal's *extent*
   ``(alerts, bytes, sha256)``.
 
 They are written in that order and the head is replaced last, so a
@@ -31,24 +38,26 @@ and renders again only a section whose change signal moved since its
 last successful save (the table is ``EnhancedInFilter.state_sections``):
 
 * ``config`` — a new config object;
-* ``eia`` — per EIA set, its stamp, renewed when ``add`` inserts a new
-  block, ``discard`` removes one or ``load_state`` restores; the pending
-  counters, their stamp, which ``learn`` and ``load_state`` clear and
-  the next look renews (an absorption renews two sets and the pending
-  counters);
-* ``scan``, ``rng`` — their value, compared with the one last rendered;
-* ``stats``, ``alert_counter``, ``overload``, ``detectors``, ``cursor``,
-  ``base`` and ``journal`` — no signal: rendered at every save.
+* ``eia`` — the moves' stamp, renewed when an absorption gives a block
+  a learned owner other than its planned one or takes one back, when a
+  preload clears a move, and on ``load_state``; the pending counters'
+  stamp, which ``learn`` and ``load_state`` clear and the next look
+  renews;
+* ``scan`` — its value, compared with the one last rendered;
+* ``stats``, ``alert_counter``, ``rng``, ``overload``, ``detectors``,
+  ``cursor``, ``base`` and ``journal`` — no signal: rendered at every
+  save.
 
 The same state as one **inline** document (``components`` then also
-holds ``model`` and ``alerts``) is what :func:`render_state` and stream
-destinations produce and what every equivalence test compares.
+holds ``model`` and ``alerts``, and ``components.eia`` the ``plan``) is
+what :func:`render_state` and stream destinations produce and what
+every equivalence test compares.
 
 Guarantees of the format:
 
 * **lossless** — every component round-trips through its own
   ``state_dict``/``load_state`` pair, so scan suspicion, pending
-  absorptions, stats, alert history, and RNG cursors all survive a
+  absorptions, stats, alert history, and pick cursors all survive a
   restart; the trained model serializes its *derived* statistics, so
   loading never replays training records;
 * **byte-identical** — canonical JSON everywhere (sorted keys, compact
@@ -60,7 +69,7 @@ Guarantees of the format:
   digest disagrees with the head is a
   :class:`~repro.util.errors.StateError` on load.
 
-Any other ``format`` value — including the retired v1 and v2 — is
+Any other ``format`` value — including the retired v1, v2 and v3 — is
 rejected with :class:`~repro.util.errors.StateError`.
 """
 
@@ -100,7 +109,7 @@ __all__ = [
     "describe_state",
 ]
 
-STATE_FORMAT_VERSION = 3
+STATE_FORMAT_VERSION = 4
 
 #: How much of a journal is read and hashed at a time while verifying
 #: its extent.
@@ -157,8 +166,9 @@ def _config_from_dict(data: Dict[str, Any]) -> PipelineConfig:
     )
 
 
-def _canonical(document: Any) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+#: What ``json.dumps(document, sort_keys=True, separators=(",", ":"))``
+#: renders, without building an encoder per call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _object(members: Dict[str, str]) -> str:
@@ -239,12 +249,13 @@ class CheckpointWriter:
     """Repeated checkpoints to one path, each costing what changed.
 
     The writer remembers what its last successful :meth:`save` left on
-    disk — which model object the base holds and after how many pick
-    draws, and for which alert list the journal holds how many alerts
-    in how many bytes under which running SHA-256 — so the next save
-    renders the model only if ``detector.model`` is a different object
-    or has drawn since, appends only the new alerts (nothing at all when
-    there are none), and always replaces the head.
+    disk — which model object the base holds after how many pick draws,
+    at which plan stamp, and for which alert list the journal holds how
+    many alerts in how many bytes under which running SHA-256 — so the
+    next save renders the base only if ``detector.model`` is a different
+    object or has drawn since, or the plan changed, appends only the new
+    alerts (nothing at all when there are none), and always replaces the
+    head.
 
     The head is spliced, not rendered whole: the writer keeps the
     canonical text of every leaf of
@@ -273,6 +284,7 @@ class CheckpointWriter:
         self.path = Path(path)
         self._model: Optional[ClusterModel] = None
         self._pick_draws = 0
+        self._plan_stamp = 0
         self._base_sha256: Optional[str] = None
         self._alert_list: Optional[List[IdmefAlert]] = None
         self._alerts = 0
@@ -321,9 +333,19 @@ class CheckpointWriter:
         watch = Stopwatch()
         model = detector.model
         pick_draws = model.pick_draws if model is not None else 0
+        infilter = detector.infilter
+        plan_stamp = infilter.plan_stamp
         alert_list = detector.alert_sink.alerts
-        new_base = model is not self._model or pick_draws != self._pick_draws
-        base_sha256 = self._write_base(model) if new_base else self._base_sha256
+        new_base = (
+            model is not self._model
+            or pick_draws != self._pick_draws
+            or plan_stamp != self._plan_stamp
+        )
+        base_sha256 = (
+            self._write_base(model, infilter.plan_state())
+            if new_base
+            else self._base_sha256
+        )
         alerts, journal_bytes, digest = self._write_journal(alert_list)
         config = detector.config
         config_text = (
@@ -358,6 +380,7 @@ class CheckpointWriter:
             self._unlink_stale_bases(base_sha256)
         self._model = model
         self._pick_draws = pick_draws
+        self._plan_stamp = plan_stamp
         self._base_sha256 = base_sha256
         self._alert_list = alert_list
         self._alerts = alerts
@@ -419,6 +442,7 @@ class CheckpointWriter:
         if verified is not None:
             self._model = detector.model
             self._pick_draws = 0
+            self._plan_stamp = detector.infilter.plan_stamp
             self._alert_list = detector.alert_sink.alerts
             self._journal_exact = False
             (
@@ -429,11 +453,17 @@ class CheckpointWriter:
             ) = verified
         return detector, cursor
 
-    def _write_base(self, model: Optional[ClusterModel]) -> Optional[str]:
-        if model is None:
+    def _write_base(
+        self, model: Optional[ClusterModel], plan: Dict[str, Any]
+    ) -> Optional[str]:
+        if model is None and not plan:
             return None
         data = _canonical(
-            {"format": STATE_FORMAT_VERSION, "model": model.state_dict()}
+            {
+                "format": STATE_FORMAT_VERSION,
+                "model": model.state_dict() if model is not None else None,
+                "plan": plan,
+            }
         ).encode("ascii")
         sha256 = hashlib.sha256(data).hexdigest()
         _write_atomic(_base_path(self.path, sha256), data)
@@ -537,10 +567,11 @@ def _sibling_root(source: Union[str, Path, TextIO]) -> Path:
     return Path(source)
 
 
-def _read_base(path: Path, base: Optional[Dict[str, Any]]) -> Optional[Any]:
-    """The ``model`` section a head's ``base`` entry names, verified."""
+def _read_base(path: Path, base: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The ``model`` and ``plan`` a head's ``base`` entry names,
+    verified (no base: no model, an empty plan)."""
     if base is None:
-        return None
+        return {"model": None, "plan": {}}
     sha256 = str(base["sha256"])
     file = _base_path(path, sha256)
     try:
@@ -554,7 +585,8 @@ def _read_base(path: Path, base: Optional[Dict[str, Any]]) -> Optional[Any]:
             f"checkpoint base {file} does not match the digest in the"
             f" head {path.name} (damaged, or the base of another model)"
         )
-    return json.loads(data)["model"]
+    document = json.loads(data)
+    return {"model": document["model"], "plan": document["plan"]}
 
 
 def _read_journal(
@@ -616,7 +648,9 @@ def _restore(
         if "journal" in document:
             path = _sibling_root(source)
             base, extent = document["base"], document["journal"]
-            components["model"] = _read_base(path, base)
+            based = _read_base(path, base)
+            components["model"] = based["model"]
+            components["eia"] = {**components["eia"], "plan": based["plan"]}
             data, digest = _read_journal(path, extent, keep=True)
             # One parse for the whole extent: its lines, comma-joined.
             components["alerts"] = {
@@ -682,8 +716,12 @@ def describe_state(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
     No detector is constructed.  For a three-file checkpoint only the
     head and the base are parsed: the alert count is the journal extent,
     ``parts`` gives the three file sizes and ``verified`` says whether
-    the base digest and the journal extent check out (the journal is
-    hashed, never parsed).  An inline document has neither key set.
+    the journal extent and the base digest (when the head names a base)
+    check out; the journal is hashed, never parsed.  A base that does
+    not verify is not read, so the model and the plan are unknown:
+    ``trained`` is ``None``.  An inline document has neither key set.
+    ``peers`` counts each peer's effective blocks, the plan overlaid
+    with the learning rule's moves.
     """
     document = _read_document(source)
     try:
@@ -703,26 +741,40 @@ def describe_state(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
                 ),
                 "journal": _size(_journal_path(path)),
             }
-            verified = {"base": True, "journal": True}
-            model = None
-            try:
-                model = _read_base(path, base)
-            except StateError:
-                verified["base"] = False
+            verified = {"journal": True}
+            based: Dict[str, Any] = {"model": None, "plan": {}}
+            if base is not None:
+                try:
+                    based = _read_base(path, base)
+                    verified["base"] = True
+                except StateError:
+                    verified["base"] = False
             try:
                 _read_journal(path, extent, keep=False)
             except StateError:
                 verified["journal"] = False
-            trained = base is not None
+            model = based["model"]
+            eia = {**components["eia"], "plan": based["plan"]}
         else:
             model = components["model"]
+            eia = components["eia"]
             alerts = len(components["alerts"]["alerts"])
-            trained = model is not None
+        owners = {
+            block: peer for peer, blocks in eia["plan"].items() for block in blocks
+        }
+        owners.update(eia["moves"])
+        peers = {peer: 0 for peer in eia["plan"]}
+        for peer in owners.values():
+            peers[str(peer)] = peers.get(str(peer), 0) + 1
         stats = components["stats"]
         return {
             "format": STATE_FORMAT_VERSION,
             "cursor": document.get("cursor"),
-            "trained": trained,
+            "trained": (
+                model is not None
+                if verified is None or verified.get("base", True)
+                else None
+            ),
             "classes": {
                 name: {
                     "size": int(section["size"]),
@@ -732,11 +784,9 @@ def describe_state(source: Union[str, Path, TextIO]) -> Dict[str, Any]:
                     (model["classes"] if model is not None else {}).items()
                 )
             },
-            "peers": {
-                str(peer): len(section["prefixes"])
-                for peer, section in sorted(components["eia"]["peers"].items())
-            },
-            "pending_absorptions": len(components["eia"]["pending"]),
+            "peers": dict(sorted(peers.items())),
+            "moved_blocks": len(eia["moves"]),
+            "pending_absorptions": len(eia["pending"]),
             "scan_buffer": len(components["scan"]["buffer"]),
             "detectors": {
                 "composition": list(

@@ -410,6 +410,8 @@ class EnhancedInFilter:
             if len(config.detectors) > 1
             else None
         )
+        # Only ever forked, and a fork reads the seed alone: the seed and
+        # the name are the state a checkpoint keeps, no cursor.
         self._rng = rng if rng is not None else SeededRng(config.nns.seed, "pipeline")
         self._alert_counter = 0
         # Overload model state: recent suspect timestamps (flow-time ms)
@@ -731,11 +733,12 @@ class EnhancedInFilter:
         The NNS memos and the EIA owner table are derived caches and
         are rebuilt lazily (checkpoints are byte-identical with those
         caches hot or cold); everything else a resumed run
-        could observe — EIA sets, scan suspicion, the trained model,
-        stats, alert history, RNG cursors, overload window — is
-        captured.
+        could observe — the EIA plan and moves, scan suspicion, the
+        trained model, stats, alert history, the RNG seed, overload
+        window — is captured.
         """
         state = section_state(self.state_sections())
+        state["eia"]["plan"] = self.infilter.plan_state()
         state["model"] = (
             self.model.state_dict() if self.model is not None else None
         )
@@ -746,27 +749,30 @@ class EnhancedInFilter:
         """Every section that can differ between two batch boundaries,
         each with the signal that says it did.
 
-        :meth:`state_dict` minus the two a three-file checkpoint writes
+        :meth:`state_dict` minus the three a three-file checkpoint writes
         apart (see :mod:`repro.core.persistence`): ``model``, fixed at
         :meth:`train` but for the pick cursors
-        (:attr:`ClusterModel.pick_draws`), and ``alerts``, which only
-        grows at its end.  The signals: every EIA set and the pending
-        counters carry stamps; ``scan`` and ``rng`` are keyed on their
-        value (the stream is only forked, never drawn); the small or
-        per-batch rest have none and are rendered every time.
+        (:attr:`ClusterModel.pick_draws`), and the EIA plan
+        (:meth:`BasicInFilter.plan_state`), both in the base; and
+        ``alerts``, which only grows at its end.  The signals: the EIA
+        moves and pending counters carry stamps; ``scan`` is keyed on
+        its value; the small or per-batch rest have none and are
+        rendered every time.
         """
-        rng = self._rng.state_dict()
         return {
             "eia": self.infilter.state_sections(),
             "scan": self.scan.state_section(),
             "stats": Section(None, self.stats.state_dict),
             "alert_counter": Section(None, lambda: self._alert_counter),
-            "rng": Section(rng, lambda: rng),
+            "rng": Section(None, self._rng_state),
             "overload": Section(None, self._overload_state),
             # One namespaced section per composed auxiliary detector, in
             # composition order (empty for the default composition).
             "detectors": Section(None, self._detector_states),
         }
+
+    def _rng_state(self) -> StateDict:
+        return {"seed": self._rng.seed, "name": self._rng.name}
 
     def _overload_state(self) -> StateDict:
         return {
@@ -789,7 +795,8 @@ class EnhancedInFilter:
         self.stats.load_state(state["stats"])
         self.alert_sink.load_state(state["alerts"])
         self._alert_counter = int(state["alert_counter"])
-        self._rng.load_state(state["rng"])
+        rng = state["rng"]
+        self._rng = SeededRng(int(rng["seed"]), str(rng["name"]))
         overload = state["overload"]
         self._overload_counter = int(overload["counter"])
         self._suspect_times = deque(int(stamp) for stamp in overload["suspect_times"])

@@ -3,10 +3,12 @@
 ``test_core_persistence`` covers the inline document and the one-shot
 write.  Here: a :class:`CheckpointWriter` saving at every batch boundary
 (base once, journal appended, head replaced), a head spliced from kept
-section texts equal to a cold render after any mutation, a base that
-follows the pick cursors at ``M1`` > 1, a crash injected at each of its
-write points, every way ``load_checkpoint`` refuses a damaged set of
-files, and the growth of each file over a long flood.
+section texts and a base that follows the plan, both equal to a cold
+render after any mutation, a head that returns to its bytes when a
+route changes back, a base that follows the pick cursors at ``M1`` > 1,
+a crash injected at each of its write points, every way
+``load_checkpoint`` refuses a damaged set of files, and the growth of
+each file over a long flood.
 """
 
 import json
@@ -37,7 +39,7 @@ from repro.netflow.records import PROTO_UDP, FlowKey, FlowRecord
 from repro.netflow.v5 import datagrams_for
 from repro.obs import MetricsRegistry
 from repro.serve import ServeConfig, ServeDaemon
-from repro.util import SeededRng
+from repro.util import Prefix, SeededRng
 from repro.util.errors import StateError
 
 from tests.conftest import make_detector
@@ -57,9 +59,7 @@ def _flood16(eia_plan, target_prefix, count: int) -> List[FlowRecord]:
     one flow in nine alerts, the benign rest keep moving blocks between
     peers (absorptions), so every section of the head has work."""
     rnd = SeededRng(_SEED, "flood16")
-    blocks = [
-        (peer, block) for peer in sorted(eia_plan) for block in eia_plan[peer]
-    ][::25]
+    blocks = _pool(eia_plan)
     victim = target_prefix.nth_address(77)
     records = []
     for index in range(count):
@@ -85,6 +85,14 @@ def _flood16(eia_plan, target_prefix, count: int) -> List[FlowRecord]:
             )
         )
     return records
+
+
+def _pool(eia_plan) -> List[Tuple[int, Prefix]]:
+    """The planned blocks ``_flood16`` draws its sources from: 40 of the
+    Table 3 plan's 1,000."""
+    return [
+        (peer, block) for peer in sorted(eia_plan) for block in eia_plan[peer]
+    ][::25]
 
 
 @pytest.fixture(scope="module")
@@ -124,21 +132,20 @@ def _lines(alerts) -> bytes:
 
 
 def _trie_walk_eia(infilter) -> dict:
-    """The ``eia`` section rendered the long way, from the tries: every
-    set's blocks walked out and formatted, every pending counter's block
-    built and formatted — none of the text the sets keep is read."""
+    """The head's ``eia`` section rendered the long way, from the tries:
+    every block a set holds against its plan, every pending counter's
+    block built and formatted — none of the moves or text the filter
+    keeps is read."""
+    plan = infilter.plan()
     return {
-        "peers": {
-            str(peer): {
-                "peer": peer,
-                "prefixes": sorted(
-                    str(prefix) for prefix in infilter.eia_set(peer).prefixes()
-                ),
-            }
+        "moves": {
+            str(prefix): peer
             for peer in infilter.peers()
+            for prefix in infilter.eia_set(peer).prefixes()
+            if plan.get(prefix) != peer
         },
         "pending": [
-            {"peer": peer, "prefix": prefix, "count": count}
+            [peer, prefix, count]
             for peer, prefix, count in sorted(
                 (peer, str(block), count)
                 for (peer, block), count in infilter.pending_counts().items()
@@ -235,6 +242,30 @@ class TestIncrementalWrites:
             detector, cursor=300
         )
 
+    def test_save_load_save_is_byte_identical_at_m1_two(
+        self, eia_plan, target_prefix, trace, tmp_path
+    ):
+        """At ``M1`` = 2 the base also holds the pick cursors the
+        searches moved: they round-trip with the plan and the model."""
+        config = PipelineConfig(nns=NNSConfig(m1=2))
+        detector = make_detector(
+            eia_plan, target_prefix, seed=_SEED, config=config, n_train=600
+        )
+        detector.process_batch(trace[:300])
+        assert detector.model.pick_draws > 0
+        first = tmp_path / "a" / "ckpt.json"
+        second = tmp_path / "b" / "ckpt.json"
+        first.parent.mkdir()
+        second.parent.mkdir()
+        save_detector(detector, first, cursor=300)
+        restored, cursor = load_checkpoint(first)
+        save_detector(restored, second, cursor=cursor)
+        assert _files(first) == _files(second)
+        for name in _files(first):
+            assert (first.parent / name).read_bytes() == (
+                second.parent / name
+            ).read_bytes(), name
+
     def test_resumed_writer_appends_instead_of_rewriting(
         self, eia_plan, target_prefix, trace, tmp_path, monkeypatch
     ):
@@ -276,14 +307,24 @@ class TestIncrementalWrites:
             detector, cursor=100
         )
 
-    def test_untrained_detector_has_no_base(self, tmp_path):
-        from repro.core import EnhancedInFilter, PipelineConfig
-
+    def test_no_base_without_a_model_or_a_plan(
+        self, eia_plan, tmp_path
+    ):
         detector = EnhancedInFilter(PipelineConfig.basic(), rng=SeededRng(1))
         path = tmp_path / "basic.json"
         save_detector(detector, path)
         assert _files(path) == ["basic.json", "basic.json.alerts"]
         assert load_checkpoint(path)[0].model is None
+        # A plan alone makes a base, with no model in it.
+        detector.preload_eia(3, eia_plan[3])
+        save_detector(detector, path)
+        (base,) = tmp_path.glob("basic.json.base-*")
+        document = json.loads(base.read_bytes())
+        assert document["model"] is None
+        assert document["plan"] == detector.infilter.plan_state()
+        restored = load_checkpoint(path)[0]
+        assert restored.model is None
+        assert restored.infilter.plan() == detector.infilter.plan()
 
     def test_writer_reports_time_parts_and_alerts(
         self, eia_plan, target_prefix, trace, tmp_path
@@ -333,6 +374,8 @@ _steps = st.one_of(
     # A hot reload: the writer is handed a new detector restored from
     # the state of the one it had.
     st.tuples(st.just("swap")),
+    # A block absorbed back at the peer its plan names.
+    st.tuples(st.just("back"), st.integers(0, 999)),
 )
 
 
@@ -372,7 +415,8 @@ def small(eia_plan, target_prefix, trace):
 def test_spliced_head_equals_a_cold_render(small, eia_plan, trace, steps):
     """Whatever changed between saves, the head a writer splices from
     the texts it kept is the head a writer with nothing kept renders,
-    and is canonical JSON."""
+    and is canonical JSON; and the base it kept or rewrote (the plan
+    stamp is its signal) is the base that writer writes."""
     config, state, others = small
     blocks = [block for peer in sorted(eia_plan) for block in eia_plan[peer]]
     detector = _from_state(config, state)
@@ -396,6 +440,11 @@ def test_spliced_head_equals_a_cold_render(small, eia_plan, trace, steps):
                 detector.load_state(others[args[0]])
             elif action == "swap":
                 detector = _from_state(config, detector.state_dict())
+            elif action == "back":
+                block = blocks[args[0]]
+                planned = detector.infilter.plan().get(block)
+                if planned is not None:
+                    detector.infilter.apply_absorption(planned, block)
             else:
                 writer.save(detector, cursor=cursor)
                 cold = root / f"cold-{index}" / "ckpt.json"
@@ -405,6 +454,9 @@ def test_spliced_head_equals_a_cold_render(small, eia_plan, trace, steps):
                 )
                 head = writer.path.read_bytes()
                 assert head == cold.read_bytes()
+                (base,) = root.glob("warm.json.base-*")
+                (cold_base,) = cold.parent.glob("ckpt.json.base-*")
+                assert base.read_bytes() == cold_base.read_bytes()
                 assert head == json.dumps(
                     json.loads(head), sort_keys=True, separators=(",", ":")
                 ).encode()
@@ -424,11 +476,10 @@ def test_head_bytes_are_reported_per_section(
     def size(value) -> int:
         return len(json.dumps(value, sort_keys=True, separators=(",", ":")))
 
+    assert set(components["eia"]) == {"moves", "pending"}
     expected = {
         "config": size(head["config"]),
-        "eia.peers": sum(
-            size(section) for section in components["eia"]["peers"].values()
-        ),
+        "eia.moves": size(components["eia"]["moves"]),
         "eia.pending": size(components["eia"]["pending"]),
     }
     for name in (
@@ -671,7 +722,13 @@ def test_checkpoint_cost_is_bounded_over_200_batches(
 ):
     """A serve worker checkpointing after every one-datagram batch of a
     flood: the head stops growing, the journal grows by exactly the new
-    alerts, the base is written once."""
+    alerts, the base is written once.
+
+    The head holds what the run changed, and the learning rule fills
+    its part in for a while (a move per pooled block that changed
+    owner, a pending counter per pooled block and ingress peer): past
+    the first half no save sets a new peak, and both stay under the
+    ceiling the flood's block pool sets."""
     path = tmp_path / "flood.json"
     daemon = ServeDaemon(
         _detector(eia_plan, target_prefix),
@@ -703,7 +760,10 @@ def test_checkpoint_cost_is_bounded_over_200_batches(
         assert grown == len(_lines(new))
     assert len(head_sizes) == daemon.worker.checkpoints == 200
     assert alerts > 500
-    assert abs(head_sizes[199] - head_sizes[19]) <= 0.10 * head_sizes[19]
+    assert max(head_sizes[100:]) <= max(head_sizes[:100])
+    pool = len(_pool(eia_plan))
+    assert len(detector.infilter.moves()) <= pool
+    assert detector.infilter.pending_size() <= pool * len(eia_plan)
     loaded, cursor = load_checkpoint(path)
     assert cursor == 6_000
     assert render_state(loaded, cursor=cursor) == render_state(

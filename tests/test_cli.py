@@ -415,10 +415,11 @@ class TestStateInspect:
         capsys.readouterr()
         assert main(["state", "inspect", str(state)]) == 0
         out = capsys.readouterr().out
-        assert "format: v3" in out
+        assert "format: v4" in out
         assert "cursor: 400" in out
         assert "trained: yes" in out
-        assert "peers:" in out
+        assert "peers: 10 (1000 expected blocks)" in out
+        assert "moved blocks: 0" in out
         assert "stats: processed=400" in out
         assert "alerts stored: 0" in out
         files = next(line for line in out.splitlines() if line.startswith("files:"))
@@ -447,13 +448,16 @@ class TestStateInspect:
         capsys.readouterr()
         assert main(["state", "inspect", str(state), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["format"] == 3
+        assert payload["format"] == 4
         assert payload["cursor"] is None
         assert payload["trained"] is False
-        # A basic detector has no model, so no base file.
-        assert payload["parts"]["base"] is None
+        # A basic detector has no model, but its plan makes a base.
+        base = next(tmp_path.glob("state.json.base-*"))
+        assert payload["parts"]["base"] == base.stat().st_size
         assert payload["parts"]["head"] == state.stat().st_size
         assert payload["verified"] == {"base": True, "journal": True}
+        assert sum(payload["peers"].values()) == 1000
+        assert payload["moved_blocks"] == 0
 
     def test_inspect_missing_file_errors(self, tmp_path, capsys):
         assert main(["state", "inspect", str(tmp_path / "nope.json")]) == 2

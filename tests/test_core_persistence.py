@@ -1,4 +1,4 @@
-"""Tests for versioned, atomic detector checkpoints (state format 3).
+"""Tests for versioned, atomic detector checkpoints (state format 4).
 
 The inline document and the one-shot three-file write; incremental
 writes, crash recovery and journal verification are in
@@ -10,12 +10,15 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import EnhancedInFilter, PipelineConfig, EIAConfig
 from repro.core.clusters import ClusterModel
 from repro.core.persistence import (
     STATE_FORMAT_VERSION,
+    _canonical,
     describe_state,
     load_checkpoint,
     load_detector,
@@ -198,6 +201,16 @@ class TestByteIdentity:
         first = render_state(detector)
         assert render_state(load_detector(io.StringIO(first))) == first
 
+    def test_the_pipeline_rng_is_saved_as_its_seed(self):
+        """The pipeline's stream is only forked, so its seed and name
+        are its state: a restored detector trains the same model."""
+        detector, training = build_trained()
+        document = json.loads(render_state(detector))
+        assert set(document["components"]["rng"]) == {"seed", "name"}
+        restored = load_detector(io.StringIO(render_state(detector)))
+        restored.train(training)
+        assert restored.model.state_dict() == detector.model.state_dict()
+
     def test_rendered_state_is_canonical_json(self):
         detector, _training = build_trained()
         text = render_state(detector)
@@ -207,6 +220,24 @@ class TestByteIdentity:
         assert json.dumps(
             document, sort_keys=True, separators=(",", ":")
         ) == text
+
+
+#: Nested JSON values: non-ASCII and escaped text, floats of every kind
+#: (NaN and the infinities included), keys that sort differently as
+#: text than as code points would.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+def test_the_shared_canonical_encoder_equals_json_dumps(value):
+    assert _canonical(value) == json.dumps(
+        value, sort_keys=True, separators=(",", ":")
+    )
 
 
 class TestCursor:
@@ -293,6 +324,7 @@ class TestDescribeState:
             str(peer): len(detector.infilter.eia_set(peer).prefixes())
             for peer in detector.infilter.peers()
         }
+        assert summary["moved_blocks"] == len(detector.infilter.moves())
         assert summary["stats"]["processed"] == detector.stats.processed
         assert summary["alerts"] == len(detector.alert_sink) > 0
         assert set(summary["classes"]) == set(detector.model.thresholds())
@@ -305,8 +337,24 @@ class TestDescribeState:
         # The inline document of the same state describes the same.
         inline = describe_state(io.StringIO(render_state(detector, cursor=80)))
         assert inline["parts"] is None and inline["verified"] is None
-        for key in ("cursor", "trained", "classes", "peers", "alerts", "stats"):
+        for key in (
+            "cursor", "trained", "classes", "peers", "moved_blocks", "alerts",
+            "stats",
+        ):
             assert inline[key] == summary[key], key
+
+    def test_peers_count_the_plan_overlaid_with_the_moves(self, tmp_path):
+        """A block the learning rule moved counts at its learned peer, in
+        the base-and-head summary and in the inline one alike."""
+        detector, _training = build_trained()
+        detector.infilter.apply_absorption(1, WEST)
+        detector.infilter.apply_absorption(2, Prefix.parse("203.0.0.0/11"))
+        path = tmp_path / "ckpt.json"
+        save_detector(detector, path)
+        inline = io.StringIO(render_state(detector))
+        for summary in (describe_state(path), describe_state(inline)):
+            assert summary["peers"] == {"0": 0, "1": 2, "2": 1}
+            assert summary["moved_blocks"] == 2
 
 
 class TestErrors:
@@ -337,9 +385,28 @@ class TestErrors:
             assert main(["state", "inspect", str(path)]) == 2
             assert message in capsys.readouterr().err
 
+    def test_retired_format_3_head_is_rejected(self, tmp_path, capsys):
+        """A format-3 head (every EIA set and the RNG cursor in the head,
+        the model alone in the base) has no reader."""
+        path = tmp_path / "v3.json"
+        path.write_text(
+            '{"base":null,"components":{"eia":{"peers":{"0":{"peer":0,'
+            '"prefixes":["24.0.0.0/11"]}},"pending":[]},"rng":{"cursor":'
+            '{"gauss_next":null,"internal":[],"version":3},"name":"p",'
+            '"seed":1}},"config":{},"cursor":null,"format":3,"journal":'
+            '{"alerts":0,"bytes":0,"sha256":""}}'
+        )
+        message = "unsupported detector state format 3"
+        with pytest.raises(StateError, match=message + "$"):
+            load_checkpoint(path)
+        assert main(["state", "inspect", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_corrupt_v2_document(self):
         with pytest.raises(StateError, match="corrupt detector state"):
-            load_detector(io.StringIO('{"format": 3, "cursor": null}'))
+            load_detector(
+                io.StringIO(f'{{"format": {STATE_FORMAT_VERSION}, "cursor": null}}')
+            )
 
     def test_head_from_a_stream_is_refused(self, tmp_path):
         detector, _training = build_trained()

@@ -9,7 +9,8 @@ every stored prefix — the same memo-free question
 ``tests/reference_chain.py`` asks of ``BasicInFilter.check`` — and the
 state machine asserts after every step that the two agree for every
 stored network and its neighbours, at every peer — and that the
-checkpoint text the sets keep current equals a rendering of the model.
+checkpoint state (the plan, the moves, the pending counters) equals a
+rendering of the model, which keeps the plan beside its owners.
 """
 
 from typing import Dict, List, Optional, Set, Tuple
@@ -75,8 +76,9 @@ class OwnerTableMachine(RuleBasedStateMachine):
         self.infilter = _new_filter()
         self.owners: Dict[Prefix, int] = {}
         self.pending: Dict[Tuple[int, Prefix], int] = {}
-        #: Every peer a rule has named: each has a set, maybe empty.
-        self.known: Set[int] = set()
+        #: What the training-phase rules wrote, and the peers they named.
+        self.plan: Dict[Prefix, int] = {}
+        self.planned: Set[int] = set()
 
     # -- the oracle -----------------------------------------------------------
 
@@ -100,15 +102,16 @@ class OwnerTableMachine(RuleBasedStateMachine):
     @rule(peer=peers, blocks=st.lists(prefixes, min_size=1, max_size=3))
     def preload(self, peer: int, blocks: List[Prefix]) -> None:
         self.infilter.preload(peer, blocks)
-        self.known.add(peer)
+        self.planned.add(peer)
         for block in blocks:
-            self.owners[block] = peer
+            self.owners[block] = self.plan[block] = peer
 
     @rule(mapping=st.dictionaries(prefixes, peers, min_size=1, max_size=3))
     def ingress_map(self, mapping: Dict[Prefix, int]) -> None:
         self.infilter.initialize_from_ingress_map(mapping)
-        self.known.update(mapping.values())
+        self.planned.update(mapping.values())
         self.owners.update(mapping)
+        self.plan.update(mapping)
 
     @rule(flows=st.lists(st.tuples(addresses, peers), min_size=1, max_size=4))
     def train_from_flows(self, flows: List[Tuple[int, int]]) -> None:
@@ -116,9 +119,10 @@ class OwnerTableMachine(RuleBasedStateMachine):
             [_record(address, peer) for address, peer in flows]
         )
         for address, peer in flows:
-            self.known.add(peer)
+            self.planned.add(peer)
             if not self.covered_at(peer, address):
-                self.owners[Prefix.from_address(address, _GRANULARITY)] = peer
+                block = Prefix.from_address(address, _GRANULARITY)
+                self.owners[block] = self.plan[block] = peer
 
     @rule(peer=peers, block=prefixes)
     def absorb(self, peer: int, block: Prefix) -> None:
@@ -126,7 +130,6 @@ class OwnerTableMachine(RuleBasedStateMachine):
         than the longest stored both happen."""
         previous = self.expected(block.network)
         assert self.infilter.apply_absorption(peer, block) == previous
-        self.known.add(peer)
         self.owners[block] = peer
 
     @rule(peer=peers, address=addresses)
@@ -136,7 +139,6 @@ class OwnerTableMachine(RuleBasedStateMachine):
         absorbed = self.infilter.learn(peer, address)
         if count >= _THRESHOLD:
             assert absorbed == block
-            self.known.add(peer)
             self.owners[block] = peer
         else:
             assert absorbed is None
@@ -194,26 +196,26 @@ class OwnerTableMachine(RuleBasedStateMachine):
         assert self.infilter.memo_shift == 32 - longest
 
     @invariant()
-    def checkpoint_text_is_the_models(self) -> None:
-        """What a save writes, rendered from the model alone: the text
-        the sets keep must never drift from what they hold."""
-        texts: Dict[int, List[str]] = {peer: [] for peer in self.known}
-        for prefix, owner in self.owners.items():
-            texts[owner].append(str(prefix))
-        pending = sorted(
-            (peer, str(block), count)
-            for (peer, block), count in self.pending.items()
-        )
-        state = self.infilter.state_dict()
-        assert list(state["peers"]) == [str(peer) for peer in sorted(texts)]
-        assert state == {
-            "peers": {
-                str(peer): {"peer": peer, "prefixes": sorted(texts[peer])}
-                for peer in sorted(texts)
+    def checkpoint_state_is_the_models(self) -> None:
+        """What a save writes, rendered from the model alone: the plan
+        as the training-phase rules left it, and as moves every owner
+        that differs from its block's plan."""
+        plan: Dict[int, List[str]] = {peer: [] for peer in self.planned}
+        for prefix, peer in self.plan.items():
+            plan[peer].append(str(prefix))
+        assert self.infilter.state_dict() == {
+            "plan": {str(peer): sorted(plan[peer]) for peer in plan},
+            "moves": {
+                str(prefix): owner
+                for prefix, owner in self.owners.items()
+                if self.plan.get(prefix) != owner
             },
             "pending": [
-                {"peer": peer, "prefix": block, "count": count}
-                for peer, block, count in pending
+                [peer, block, count]
+                for peer, block, count in sorted(
+                    (peer, str(block), count)
+                    for (peer, block), count in self.pending.items()
+                )
             ],
         }
 
@@ -283,8 +285,8 @@ def _assert_refused(infilter: BasicInFilter, state: dict, match: str) -> None:
 def test_load_state_refuses_a_pending_block_of_another_length(prefix):
     infilter = _restorable()
     state = infilter.state_dict()
-    state["peers"] = {"0": {"peer": 0, "prefixes": ["11.0.0.0/8"]}}
-    state["pending"].append({"peer": 3, "prefix": prefix, "count": 1})
+    state["plan"] = {"0": ["11.0.0.0/8"]}
+    state["pending"].append([3, prefix, 1])
     _assert_refused(infilter, state, prefix.replace(".", r"\."))
 
 
@@ -293,15 +295,24 @@ def test_load_state_refuses_a_block_listed_under_two_peers():
     a later move would take it from one set only."""
     infilter = _restorable()
     state = infilter.state_dict()
-    state["peers"]["7"]["prefixes"].insert(0, "10.0.0.0/8")
+    state["plan"]["7"].insert(0, "10.0.0.0/8")
     _assert_refused(infilter, state, r"10\.0\.0\.0/8 .*peers 3 and 7")
 
 
-def test_load_state_refuses_a_section_filed_under_another_peer():
-    """Section "3" says it is peer 7's set: it would silently replace
-    (or be replaced by) the real one."""
+@pytest.mark.parametrize("key", ["03", "x", " 3"])
+def test_load_state_refuses_a_plan_key_that_is_not_a_peer_number(key):
+    """A key that parses to another spelling of a peer would not save
+    back to the same bytes; one that does not parse names no peer."""
     infilter = _restorable()
     state = infilter.state_dict()
-    state["peers"]["3"]["peer"] = 7
-    state["peers"]["3"]["prefixes"] = ["13.0.0.0/8"]
-    _assert_refused(infilter, state, r"'3' holds the set of peer 7")
+    state["plan"][key] = state["plan"].pop("3")
+    _assert_refused(infilter, state, f"plan key {key!r} is not a peer number")
+
+
+def test_load_state_refuses_a_move_to_the_planned_peer():
+    """A block learned back at its planned peer is no longer a move: a
+    save would drop the entry, and the file would not round-trip."""
+    infilter = _restorable()
+    state = infilter.state_dict()
+    state["moves"]["10.0.0.0/8"] = 3
+    _assert_refused(infilter, state, r"10\.0\.0\.0/8 is moved to peer 3")
